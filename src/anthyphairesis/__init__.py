@@ -11,7 +11,6 @@ point.
 from .errors import DomainError, IndeterminateError, InternalInvariantError
 from .exactarith import (
     QuadSurd,
-    Rational,
     as_surd,
     is_perfect_square,
     isqrt,
@@ -74,7 +73,6 @@ __all__ = [
     "IndeterminateError",
     "InternalInvariantError",
     "QuadSurd",
-    "Rational",
     "as_surd",
     "is_perfect_square",
     "isqrt",

@@ -34,9 +34,9 @@ from .exactarith import QuadSurd, as_surd, is_perfect_square
 from .properties import run_suite
 from .ratios import (
     Magnitude,
-    anth_of_ratio,
     commensurable_pure,
     cross_product_eq,
+    decided_anth,
     line,
 )
 
@@ -103,6 +103,13 @@ def _bracketed(seq) -> str:
     return "[%s]" % ", ".join(str(k) for k in seq)
 
 
+def _table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-aligned columns two spaces apart, header first."""
+    widths = [max([len(h)] + [len(r[c]) for r in rows]) for c, h in enumerate(headers)]
+    fmt = "  ".join("%%-%ds" % w for w in widths)
+    return [(fmt % r).rstrip() for r in [headers] + rows]
+
+
 def _rem_expr(n: int, p: int, q: int) -> str:
     """Symbolic remainder (-1)^n * (q*b - p*a) for row n."""
 
@@ -129,11 +136,7 @@ def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
               form: QuadraticForm) -> int:
     cf, trace = run_anthyphairesis(form, args.max_steps)
     result = {
-        "kind": _form_json(form)["kind"],
-        "A": _s(form.A),
-        "B": _s(form.B),
-        "C": _s(form.C),
-        "disc": _s(form.disc),
+        **_form_json(form),
         "quotients": [_s(k) for k in trace.quotients],
         "states": [_form_json(st) for st in trace.states],
         **_cf_json(cf),
@@ -287,13 +290,8 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
             )
         )
 
-    lines = [_kv("expansion", expansion)]
     headers = ("n", "k", "p", "q", "remainder", "value")
-    widths = [max(len(headers[c]), max(len(r[c]) for r in table)) for c in range(6)]
-    fmt = "  ".join("%%-%ds" % w for w in widths)
-    lines.append((fmt % headers).rstrip())
-    for r in table:
-        lines.append((fmt % r).rstrip())
+    lines = [_kv("expansion", expansion)] + _table(headers, table)
 
     _emit(args, command, input_obj, {"rows": rows}, lines)
     return EXIT_OK
@@ -306,42 +304,34 @@ def _cmd_theodorus(args: argparse.Namespace) -> int:
     if args.max < 2:
         raise DomainError("theodorus: --max must be >= 2")
     rows = []
+    table = []
     for n in range(2, args.max + 1):
         form = QuadraticForm(EXCESS, 1, 0, n)
         cf, _ = run_anthyphairesis(form, args.max_steps)
-        square = is_perfect_square(n)
+        states = None if is_perfect_square(n) else _s(state_space_size(form.disc))
+        commensurable = commensurable_pure(1, n)
         rows.append(
             {
                 "n": _s(n),
-                "commensurable": commensurable_pure(1, n),
+                "commensurable": commensurable,
                 "disc": _s(form.disc),
-                "state_space": None if square else _s(state_space_size(form.disc)),
+                "state_space": states,
                 **_cf_json(cf),
             }
         )
-
-    headers = ("N", "expansion", "period", "disc", "states", "commensurable")
-    table = []
-    for row in rows:
-        pre = [int(k) for k in row["preperiod"]]
-        per = None if row["period"] is None else [int(k) for k in row["period"]]
-        cf = ContinuedFraction(tuple(pre), None if per is None else tuple(per),
-                               row["truncated"])
         table.append(
             (
-                row["n"],
+                _s(n),
                 str(cf),
-                "-" if per is None else _bracketed(per),
-                row["disc"],
-                "-" if row["state_space"] is None else row["state_space"],
-                "yes" if row["commensurable"] else "no",
+                "-" if cf.period is None else _bracketed(cf.period),
+                _s(form.disc),
+                "-" if states is None else states,
+                "yes" if commensurable else "no",
             )
         )
-    widths = [max(len(headers[c]), max(len(r[c]) for r in table)) for c in range(6)]
-    fmt = "  ".join("%%-%ds" % w for w in widths)
-    lines = [(fmt % headers).rstrip()]
-    for r in table:
-        lines.append((fmt % r).rstrip())
+
+    headers = ("N", "expansion", "period", "disc", "states", "commensurable")
+    lines = _table(headers, table)
 
     _emit(args, "theodorus", {"max": _s(args.max)}, {"rows": rows}, lines)
     return EXIT_OK
@@ -368,75 +358,39 @@ def _parse_magnitude(text: str) -> Magnitude:
         )
 
 
-def _decided_cf(cf: ContinuedFraction) -> ContinuedFraction:
-    if cf.truncated:
-        raise IndeterminateError(
-            "expansion truncated before any period appeared; raise --max-steps"
-        )
-    return cf
+def _emit_verdict(args: argparse.Namespace, command: str, input_obj: Any,
+                  equal: bool, lhs: Any, rhs: Any, render=_cf_json,
+                  names: tuple[str, str] = ("lhs", "rhs")) -> int:
+    verdict = "equal" if equal else "unequal"
+    result = {"verdict": verdict, "lhs": render(lhs), "rhs": render(rhs)}
+    lines = [_kv(names[0], lhs), _kv(names[1], rhs), _kv("verdict", verdict)]
+    _emit(args, command, input_obj, result, lines)
+    return EXIT_OK
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    if args.mode == "eq":
-        a, b, c, d = (_parse_magnitude(t) for t in args.magnitudes)
-        lhs = _decided_cf(anth_of_ratio(a, b, args.max_steps))
-        rhs = _decided_cf(anth_of_ratio(c, d, args.max_steps))
-        verdict = lhs == rhs
-        input_obj = {"magnitudes": [_surd_json(m.value) for m in (a, b, c, d)]}
-        result = {
-            "verdict": "equal" if verdict else "unequal",
-            "lhs": _cf_json(lhs),
-            "rhs": _cf_json(rhs),
+    if args.mode == "mixed":
+        a, b = _parse_magnitude(args.A), _parse_magnitude(args.B)
+        lhs = decided_anth(a, b, args.max_steps)
+        rhs = euclid_cf(args.M, args.N)
+        input_obj = {
+            "A": _surd_json(a.value),
+            "B": _surd_json(b.value),
+            "M": _s(args.M),
+            "N": _s(args.N),
         }
-        lines = [
-            _kv("lhs", lhs),
-            _kv("rhs", rhs),
-            _kv("verdict", result["verdict"]),
-        ]
-        _emit(args, "ratio eq", input_obj, result, lines)
-        return EXIT_OK
+        return _emit_verdict(args, "ratio mixed", input_obj, lhs == rhs, lhs, rhs)
 
+    a, b, c, d = (_parse_magnitude(t) for t in args.magnitudes)
+    input_obj = {"magnitudes": [_surd_json(m.value) for m in (a, b, c, d)]}
     if args.mode == "cross":
-        a, b, c, d = (_parse_magnitude(t) for t in args.magnitudes)
-        verdict = cross_product_eq(a, b, c, d)  # distinct fields raise here
-        lhs = a.value * d.value
-        rhs = b.value * c.value
-        input_obj = {"magnitudes": [_surd_json(m.value) for m in (a, b, c, d)]}
-        result = {
-            "verdict": "equal" if verdict else "unequal",
-            "lhs": _surd_json(lhs),
-            "rhs": _surd_json(rhs),
-        }
-        lines = [
-            _kv("a*d", str(lhs)),
-            _kv("b*c", str(rhs)),
-            _kv("verdict", result["verdict"]),
-        ]
-        _emit(args, "ratio cross", input_obj, result, lines)
-        return EXIT_OK
-
-    a, b = _parse_magnitude(args.A), _parse_magnitude(args.B)
-    lhs = _decided_cf(anth_of_ratio(a, b, args.max_steps))
-    rhs = euclid_cf(args.M, args.N)
-    verdict = lhs == rhs
-    input_obj = {
-        "A": _surd_json(a.value),
-        "B": _surd_json(b.value),
-        "M": _s(args.M),
-        "N": _s(args.N),
-    }
-    result = {
-        "verdict": "equal" if verdict else "unequal",
-        "lhs": _cf_json(lhs),
-        "rhs": _cf_json(rhs),
-    }
-    lines = [
-        _kv("lhs", lhs),
-        _kv("rhs", rhs),
-        _kv("verdict", result["verdict"]),
-    ]
-    _emit(args, "ratio mixed", input_obj, result, lines)
-    return EXIT_OK
+        equal = cross_product_eq(a, b, c, d)  # distinct fields raise here
+        return _emit_verdict(args, "ratio cross", input_obj, equal,
+                             a.value * d.value, b.value * c.value,
+                             _surd_json, ("a*d", "b*c"))
+    lhs = decided_anth(a, b, args.max_steps)
+    rhs = decided_anth(c, d, args.max_steps)
+    return _emit_verdict(args, "ratio eq", input_obj, lhs == rhs, lhs, rhs)
 
 
 # -- verify -------------------------------------------------------------------
@@ -612,7 +566,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except IndeterminateError as exc:
-        print("undecided: %s" % exc, file=sys.stderr)
+        print("undecided: %s (raise --max-steps)" % exc, file=sys.stderr)
         return EXIT_UNDECIDED
     except InternalInvariantError as exc:
         print("internal invariant violated: %s" % exc, file=sys.stderr)

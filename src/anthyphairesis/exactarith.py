@@ -16,7 +16,6 @@ from typing import Union
 
 from .errors import DomainError, InternalInvariantError
 
-Rational = Fraction
 Numeric = Union["QuadSurd", Fraction, int]
 
 
@@ -362,19 +361,3 @@ def surd_sign(x: Numeric) -> int:
 def surd_floor(x: Numeric) -> int:
     """Exact floor of an exact value."""
     return as_surd(x).floor()
-
-
-def surd_arith(op: str, x: Numeric, y: Numeric) -> QuadSurd:
-    """Apply one of '+', '-', '*', '/' to two exact values."""
-    a, b = as_surd(x), as_surd(y)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b.is_zero:
-            raise DomainError("surd_arith: division by zero")
-        return a / b
-    raise DomainError("surd_arith: unknown operator %r" % op)

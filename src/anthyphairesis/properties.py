@@ -35,6 +35,8 @@ from .engine import (
 from .errors import DomainError
 from .exactarith import QuadSurd, as_surd, is_perfect_square
 from .ratios import (
+    AREA,
+    PROPOSITIONS,
     Magnitude,
     anth_of_ratio,
     check_proposition,
@@ -332,13 +334,23 @@ def _prop_commensurable_routes(rng: random.Random) -> str:
     return PASS
 
 
-def _constructive_inputs(name: str, rng: random.Random) -> Optional[list[Magnitude]]:
-    """Magnitudes satisfying the named proposition's hypotheses.
+# area propositions draw their line counterpart's magnitudes and turn each
+# area slot into the rectangle of that line with one shared side
+_AREA_BASE = {
+    "area_v9": "v9_cancel",
+    "area_alternando": "alternando",
+    "area_ex_aequali": "ex_aequali",
+    "area_mixed_ex_aequali": "ex_aequali",
+    "area_perturbed": "perturbed",
+    "area_mixed_perturbed": "perturbed",
+}
 
-    Returns None for a deliberate near-miss draw (hypotheses broken on
-    purpose), which the property counts as vacuous after confirming the
-    report says so.
-    """
+
+def _constructive_inputs(name: str, rng: random.Random) -> list[Magnitude]:
+    """Magnitudes satisfying the named proposition's hypotheses."""
+    if name not in PROPOSITIONS:
+        raise DomainError("no generator for proposition %r" % name)
+    base = _AREA_BASE.get(name, name)
     d = rng.choice(_FIELDS)
     x = _small_ratio(rng, d)
     y = _small_ratio(rng, d)
@@ -347,94 +359,39 @@ def _constructive_inputs(name: str, rng: random.Random) -> Optional[list[Magnitu
     e = _small_surd(rng, d)
     r = _small_surd(rng, d)
 
-    if name == "transitivity":
+    if base == "transitivity":
         dd, f = _small_surd(rng, d), _small_surd(rng, d)
-        return [line(b * x), line(b), line(dd * x), line(dd), line(f * x), line(f)]
-    if name == "fundamental":
+        values = [b * x, b, dd * x, dd, f * x, f]
+    elif base in ("fundamental", "plus_unit"):
         dd = _small_surd(rng, d)
-        return [line(b * x), line(b), line(dd * x), line(dd)]
-    if name == "v9_cancel":
-        return [line(b * x), line(b), line(b)]
-    if name == "alternando":
+        values = [b * x, b, dd * x, dd]
+    elif base == "v9_cancel":
+        values = [b * x, b, b]
+    elif base in ("alternando", "componendo_pairs"):
         dd = b * t
-        return [line(b * x), line(b), line(dd * x), line(dd)]
-    if name == "ex_aequali":
+        values = [b * x, b, dd * x, dd]
+    elif base == "ex_aequali":
         c = _small_surd(rng, d)
         f = _small_surd(rng, d)
-        return [line(c * y * x), line(c * y), line(c), line(f * y * x), line(f * y), line(f)]
-    if name == "perturbed":
+        values = [c * y * x, c * y, c, f * y * x, f * y, f]
+    elif base == "perturbed":
         c = _small_surd(rng, d)
         # a/b = e/f = x and b/c = d/e = y
-        return [line(c * y * x), line(c * y), line(c), line(e * y), line(e), line(e / x)]
-    if name == "componendo_pairs":
-        dd = b * t
-        return [line(b * x), line(b), line(dd * x), line(dd)]
-    if name == "separando_pairs":
+        values = [c * y * x, c * y, c, e * y, e, e / x]
+    elif base == "separando_pairs":
         small = b * Fraction(1, rng.randint(2, 4))
-        return [line(b * x), line(b), line(small * x), line(small)]
-    if name == "plus_unit":
-        dd = _small_surd(rng, d)
-        return [line(b * x), line(b), line(dd * x), line(dd)]
-    if name == "minus_unit":
+        values = [b * x, b, small * x, small]
+    elif base == "minus_unit":
         big = x + 2  # ratio beyond 2 keeps a - b > b
         dd = _small_surd(rng, d)
-        return [line(b * big), line(b), line(dd * big), line(dd)]
-    if name == "topics_scaling":
-        return [line(b * x), line(b), line(e)]
-    if name == "area_v9":
-        big_a = rectangle(line(b * x), line(r))
-        return [big_a, rectangle(line(b), line(r)), rectangle(line(b), line(r))]
-    if name == "area_alternando":
-        dd = b * t
-        return [
-            rectangle(line(b * x), line(r)),
-            rectangle(line(b), line(r)),
-            rectangle(line(dd * x), line(r)),
-            rectangle(line(dd), line(r)),
-        ]
-    if name == "area_ex_aequali":
-        c = _small_surd(rng, d)
-        f = _small_surd(rng, d)
-        return [
-            rectangle(line(c * y * x), line(r)),
-            rectangle(line(c * y), line(r)),
-            rectangle(line(c), line(r)),
-            rectangle(line(f * y * x), line(r)),
-            rectangle(line(f * y), line(r)),
-            rectangle(line(f), line(r)),
-        ]
-    if name == "area_mixed_ex_aequali":
-        c = _small_surd(rng, d)
-        f = _small_surd(rng, d)
-        return [
-            rectangle(line(c * y * x), line(r)),
-            rectangle(line(c * y), line(r)),
-            rectangle(line(c), line(r)),
-            line(f * y * x),
-            line(f * y),
-            line(f),
-        ]
-    if name == "area_perturbed":
-        c = _small_surd(rng, d)
-        return [
-            rectangle(line(c * y * x), line(r)),
-            rectangle(line(c * y), line(r)),
-            rectangle(line(c), line(r)),
-            rectangle(line(e * y), line(r)),
-            rectangle(line(e), line(r)),
-            rectangle(line(e / x), line(r)),
-        ]
-    if name == "area_mixed_perturbed":
-        c = _small_surd(rng, d)
-        return [
-            rectangle(line(c * y * x), line(r)),
-            rectangle(line(c * y), line(r)),
-            rectangle(line(c), line(r)),
-            line(e * y),
-            line(e),
-            line(e / x),
-        ]
-    raise DomainError("no generator for proposition %r" % name)
+        values = [b * big, b, dd * big, dd]
+    else:  # topics_scaling
+        values = [b * x, b, e]
+    roles, _ = PROPOSITIONS[name]
+    return [
+        rectangle(line(v), line(r)) if role == AREA else line(v)
+        for v, role in zip(values, roles)
+    ]
 
 
 def _make_checker_property(name: str) -> Callable[[random.Random], str]:
@@ -559,25 +516,7 @@ _RATIO_PROPS: list[tuple[str, Callable[[random.Random], str]]] = [
     ("equivalence_relation", _prop_equivalence_relation),
     ("mixed_ratio", _prop_mixed_ratio),
     ("commensurable_routes", _prop_commensurable_routes),
-] + [("check_" + name, _make_checker_property(name)) for name in (
-    "transitivity",
-    "fundamental",
-    "v9_cancel",
-    "alternando",
-    "ex_aequali",
-    "perturbed",
-    "componendo_pairs",
-    "separando_pairs",
-    "plus_unit",
-    "minus_unit",
-    "topics_scaling",
-    "area_v9",
-    "area_alternando",
-    "area_ex_aequali",
-    "area_mixed_ex_aequali",
-    "area_perturbed",
-    "area_mixed_perturbed",
-)]
+] + [("check_" + name, _make_checker_property(name)) for name in PROPOSITIONS]
 
 _AREAS_PROPS: list[tuple[str, Callable[[random.Random], str]]] = [
     ("square_of_sum", _prop_square_of_sum),

@@ -11,6 +11,7 @@ silently decided).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,10 +91,14 @@ class PropReport:
 
     hypotheses_hold reports the value-level hypotheses (proportions,
     orderings, existence of the needed ratios); conclusion_holds is
-    evaluated only under the hypotheses.  The two expansions shown are
-    the conclusion's sides when they were formed, otherwise the
-    hypothesis pair that failed first; both are None when a hypothesis
-    ratio does not even exist.
+    evaluated only under the hypotheses.  Each distinct ratio is
+    expanded once per check.  The two expansions shown are the
+    conclusion's sides when they were formed, or the first hypothesis
+    pair when the conclusion equates two magnitudes.  When the
+    hypotheses fail they are the first unequal hypothesis pair, or the
+    first hypothesis pair when a condition, sum, difference, rectangle
+    or conclusion ratio cannot be formed; both are None when there is no
+    hypothesis pair or a hypothesis ratio does not even exist.
     """
 
     proposition: str
@@ -122,7 +127,15 @@ def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> Contin
     return cf
 
 
-def _decided(cf: ContinuedFraction) -> ContinuedFraction:
+def decided_anth(
+    a: Magnitude, b: Magnitude, max_steps: int = 10_000
+) -> ContinuedFraction:
+    """The expansion of a : b, for use in a verdict.
+
+    A truncated expansion is unknown, not unequal: it raises
+    IndeterminateError instead of being returned.
+    """
+    cf = anth_of_ratio(a, b, max_steps)
     if cf.truncated:
         raise IndeterminateError(
             "expansion truncated before any period appeared; the proportion "
@@ -139,9 +152,7 @@ def ratio_eq(
     Truncation raises IndeterminateError rather than answering; a
     truncated expansion is unknown, not unequal.
     """
-    lhs = _decided(anth_of_ratio(a, b, max_steps))
-    rhs = _decided(anth_of_ratio(c, d, max_steps))
-    return lhs == rhs
+    return decided_anth(a, b, max_steps) == decided_anth(c, d, max_steps)
 
 
 def cross_product_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
@@ -171,8 +182,7 @@ def mixed_ratio_eq(
     """
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise DomainError("mixed_ratio_eq: m and n must be integers >= 1")
-    lhs = _decided(anth_of_ratio(a, b, max_steps))
-    return lhs == euclid_cf(m, n)
+    return decided_anth(a, b, max_steps) == euclid_cf(m, n)
 
 
 def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
@@ -209,234 +219,136 @@ def square_ratio_witness(c_coeff: int, a_coeff: int) -> Optional[tuple[int, int]
     return None
 
 
-# -- proposition checkers ---------------------------------------------------
+# -- propositions -----------------------------------------------------------
 #
-# Each checker returns (hypotheses_hold, conclusion_holds, lhs_cf, rhs_cf).
-# Value-level hypothesis failures (unequal proportions, missing orderings,
-# ratios that do not exist across fields) make hypotheses_hold false; only
-# wrong arity or wrong roles are caller errors.
+# Each proposition is data evaluated by one rule (see PropReport): its
+# hypothesis pairs of ratios must be proportional, its optional
+# value-level condition must hold, and then its conclusion pair is
+# compared.  Slots are named by index; ("+", i, j), ("-", i, j) and
+# ("*", i, j) form the sum, the difference and the rectangle of two
+# slots.  A ratio is (antecedent, consequent).  A conclusion of two bare
+# slots says those magnitudes are equal, not that two ratios are.
+
+_a, _b, _c, _d, _e, _f = range(6)
+
+_Term = Union[int, tuple[str, int, int]]
+_RatioSpec = tuple[_Term, _Term]
 
 
-def _anth_or_none(
-    a: Magnitude, b: Magnitude, max_steps: int
-) -> Optional[ContinuedFraction]:
+@dataclass(frozen=True)
+class _Rule:
+    hypotheses: tuple[tuple[_RatioSpec, _RatioSpec], ...]
+    conclusion: Union[tuple[_RatioSpec, _RatioSpec], tuple[int, int]]
+    condition: Optional[Callable[..., bool]] = None
+
+
+def _form(term: _Term, m: Sequence[Magnitude]) -> Magnitude:
+    if isinstance(term, int):
+        return m[term]
+    op, i, j = term
+    if op == "+":
+        return m[i] + m[j]
+    if op == "-":
+        return m[i] - m[j]
+    return rectangle(m[i], m[j])
+
+
+def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
+    """(hypotheses_hold, conclusion_holds, lhs_cf, rhs_cf) of one check."""
+    expansions: dict[_RatioSpec, ContinuedFraction] = {}
+
+    def expand(spec: _RatioSpec) -> ContinuedFraction:
+        if spec not in expansions:
+            num, den = spec
+            expansions[spec] = decided_anth(_form(num, m), _form(den, m), max_steps)
+        return expansions[spec]
+
+    pairs = []
+    for lhs, rhs in rule.hypotheses:
+        pair = (expand(lhs), expand(rhs))
+        if pair[0] != pair[1]:
+            return (False, False) + pair
+        pairs.append(pair)
+    shown = pairs[0] if pairs else (None, None)
     try:
-        return _decided(anth_of_ratio(a, b, max_steps))
+        if rule.condition is not None and not rule.condition(*m):
+            return (False, False) + shown
+        lhs, rhs = rule.conclusion
+        if isinstance(lhs, int):
+            return (True, m[lhs].value == m[rhs].value) + shown
+        concl = (expand(lhs), expand(rhs))
     except DomainError:
-        return None  # the pair possesses no ratio in this calculus
+        # a condition, sum, difference, rectangle or conclusion ratio
+        # does not exist for these values: the hypotheses fail
+        return (False, False) + shown
+    return (True, concl[0] == concl[1]) + concl
 
 
-def _chk_transitivity(m: Sequence[Magnitude], ms: int):
-    a, b, c, d, e, f = m
-    ab = _decided(anth_of_ratio(a, b, ms))
-    cd = _decided(anth_of_ratio(c, d, ms))
-    ef = _decided(anth_of_ratio(e, f, ms))
-    hyp = ab == cd and cd == ef
-    return hyp, hyp and ab == ef, ab, ef
+_AB_CD = ((_a, _b), (_c, _d))
 
-
-def _chk_fundamental(m: Sequence[Magnitude], ms: int):
-    a, b, c, d = m
-    hyp = cross_product_eq(a, b, c, d)
-    ab = _decided(anth_of_ratio(a, b, ms))
-    cd = _decided(anth_of_ratio(c, d, ms))
-    return hyp, hyp and ab == cd, ab, cd
-
-
-def _chk_cancel(m: Sequence[Magnitude], ms: int):
-    a, b, c = m
-    ab = _decided(anth_of_ratio(a, b, ms))
-    ac = _decided(anth_of_ratio(a, c, ms))
-    hyp = ab == ac
-    return hyp, hyp and b.value == c.value, ab, ac
-
-
-def _chk_alternando(m: Sequence[Magnitude], ms: int):
-    a, b, c, d = m
-    ab = _decided(anth_of_ratio(a, b, ms))
-    cd = _decided(anth_of_ratio(c, d, ms))
-    if ab != cd:
-        return False, False, ab, cd
-    lhs = _anth_or_none(a, c, ms)
-    rhs = _anth_or_none(b, d, ms)
-    if lhs is None or rhs is None:
-        return False, False, ab, cd
-    return True, lhs == rhs, lhs, rhs
-
-
-def _chk_ex_aequali(m: Sequence[Magnitude], ms: int):
-    a, b, c, d, e, f = m
-    h1 = _decided(anth_of_ratio(a, b, ms))
-    h2 = _decided(anth_of_ratio(d, e, ms))
-    if h1 != h2:
-        return False, False, h1, h2
-    h3 = _decided(anth_of_ratio(b, c, ms))
-    h4 = _decided(anth_of_ratio(e, f, ms))
-    if h3 != h4:
-        return False, False, h3, h4
-    lhs = _anth_or_none(a, c, ms)
-    rhs = _anth_or_none(d, f, ms)
-    if lhs is None or rhs is None:
-        return False, False, h1, h2
-    return True, lhs == rhs, lhs, rhs
-
-
-def _chk_perturbed(m: Sequence[Magnitude], ms: int):
-    a, b, c, d, e, f = m
-    h1 = _decided(anth_of_ratio(a, b, ms))
-    h2 = _decided(anth_of_ratio(e, f, ms))
-    if h1 != h2:
-        return False, False, h1, h2
-    h3 = _decided(anth_of_ratio(b, c, ms))
-    h4 = _decided(anth_of_ratio(d, e, ms))
-    if h3 != h4:
-        return False, False, h3, h4
-    lhs = _anth_or_none(a, c, ms)
-    rhs = _anth_or_none(d, f, ms)
-    if lhs is None or rhs is None:
-        return False, False, h1, h2
-    return True, lhs == rhs, lhs, rhs
-
-
-def _chk_componendo_pairs(m: Sequence[Magnitude], ms: int):
-    a, b, c, d = m
-    ab = _decided(anth_of_ratio(a, b, ms))
-    cd = _decided(anth_of_ratio(c, d, ms))
-    if ab != cd:
-        return False, False, ab, cd
-    try:
-        lhs = _decided(anth_of_ratio(a + c, b + d, ms))
-    except DomainError:
-        return False, False, ab, cd
-    return True, lhs == ab, lhs, ab
-
-
-def _chk_separando_pairs(m: Sequence[Magnitude], ms: int):
-    a, b, c, d = m
-    ab = _decided(anth_of_ratio(a, b, ms))
-    cd = _decided(anth_of_ratio(c, d, ms))
-    if ab != cd:
-        return False, False, ab, cd
-    try:
-        ordered = a.value > c.value and b.value > d.value
-    except DomainError:
-        return False, False, ab, cd
-    if not ordered:
-        return False, False, ab, cd
-    lhs = _decided(anth_of_ratio(a - c, b - d, ms))
-    return True, lhs == ab, lhs, ab
-
-
-def _chk_plus_unit(m: Sequence[Magnitude], ms: int):
-    a, b, c, d = m
-    ab = _decided(anth_of_ratio(a, b, ms))
-    cd = _decided(anth_of_ratio(c, d, ms))
-    if ab != cd:
-        return False, False, ab, cd
-    lhs = _decided(anth_of_ratio(a + b, b, ms))
-    rhs = _decided(anth_of_ratio(c + d, d, ms))
-    return True, lhs == rhs, lhs, rhs
-
-
-def _chk_minus_unit(m: Sequence[Magnitude], ms: int):
-    a, b, c, d = m
-    ab = _decided(anth_of_ratio(a, b, ms))
-    cd = _decided(anth_of_ratio(c, d, ms))
-    if ab != cd:
-        return False, False, ab, cd
-    # the remainders a - b and c - d must still exceed the consequents
-    if not ((a.value - b.value) > b.value and (c.value - d.value) > d.value):
-        return False, False, ab, cd
-    lhs = _decided(anth_of_ratio(a - b, b, ms))
-    rhs = _decided(anth_of_ratio(c - d, d, ms))
-    return True, lhs == rhs, lhs, rhs
-
-
-def _chk_topics_scaling(m: Sequence[Magnitude], ms: int):
-    a, b, c = m
-    ab = _decided(anth_of_ratio(a, b, ms))
-    try:
-        lhs = _decided(anth_of_ratio(rectangle(a, c), rectangle(b, c), ms))
-    except DomainError:
-        return False, False, ab, ab
-    return True, lhs == ab, lhs, ab
-
-
-def _chk_area_v9(m: Sequence[Magnitude], ms: int):
-    big_a, big_b, big_c = m
-    ab = _decided(anth_of_ratio(big_a, big_b, ms))
-    ac = _decided(anth_of_ratio(big_a, big_c, ms))
-    hyp = ab == ac
-    return hyp, hyp and big_b.value == big_c.value, ab, ac
-
-
-def _chk_area_alternando(m: Sequence[Magnitude], ms: int):
-    return _chk_alternando(m, ms)
-
-
-def _chk_area_ex_aequali(m: Sequence[Magnitude], ms: int):
-    return _chk_ex_aequali(m, ms)
-
-
-def _chk_area_mixed_ex_aequali(m: Sequence[Magnitude], ms: int):
-    big_a, big_b, big_c, d, e, f = m
-    h1 = _decided(anth_of_ratio(big_a, big_b, ms))
-    h2 = _decided(anth_of_ratio(d, e, ms))
-    if h1 != h2:
-        return False, False, h1, h2
-    h3 = _decided(anth_of_ratio(big_b, big_c, ms))
-    h4 = _decided(anth_of_ratio(e, f, ms))
-    if h3 != h4:
-        return False, False, h3, h4
-    lhs = _anth_or_none(big_a, big_c, ms)
-    rhs = _anth_or_none(d, f, ms)
-    if lhs is None or rhs is None:
-        return False, False, h1, h2
-    return True, lhs == rhs, lhs, rhs
-
-
-def _chk_area_perturbed(m: Sequence[Magnitude], ms: int):
-    return _chk_perturbed(m, ms)
-
-
-def _chk_area_mixed_perturbed(m: Sequence[Magnitude], ms: int):
-    big_a, big_b, big_c, d, e, f = m
-    h1 = _decided(anth_of_ratio(big_a, big_b, ms))
-    h2 = _decided(anth_of_ratio(e, f, ms))
-    if h1 != h2:
-        return False, False, h1, h2
-    h3 = _decided(anth_of_ratio(big_b, big_c, ms))
-    h4 = _decided(anth_of_ratio(d, e, ms))
-    if h3 != h4:
-        return False, False, h3, h4
-    lhs = _anth_or_none(big_a, big_c, ms)
-    rhs = _anth_or_none(d, f, ms)
-    if lhs is None or rhs is None:
-        return False, False, h1, h2
-    return True, lhs == rhs, lhs, rhs
-
+_CANCEL = _Rule((((_a, _b), (_a, _c)),), (_b, _c))
+_ALTERNANDO = _Rule((_AB_CD,), ((_a, _c), (_b, _d)))
+_EX_AEQUALI = _Rule(
+    (((_a, _b), (_d, _e)), ((_b, _c), (_e, _f))), ((_a, _c), (_d, _f))
+)
+_PERTURBED = _Rule(
+    (((_a, _b), (_e, _f)), ((_b, _c), (_d, _e))), ((_a, _c), (_d, _f))
+)
 
 _L = LINE
 _A = AREA
+_MIXED = (_A, _A, _A, _L, _L, _L)
+
+_RULES: dict[str, tuple[tuple[str, ...], _Rule]] = {
+    "transitivity": (
+        (_L,) * 6,
+        _Rule((_AB_CD, ((_c, _d), (_e, _f))), ((_a, _b), (_e, _f))),
+    ),
+    "fundamental": ((_L,) * 4, _Rule((), _AB_CD, cross_product_eq)),
+    "v9_cancel": ((_L,) * 3, _CANCEL),
+    "alternando": ((_L,) * 4, _ALTERNANDO),
+    "ex_aequali": ((_L,) * 6, _EX_AEQUALI),
+    "perturbed": ((_L,) * 6, _PERTURBED),
+    "componendo_pairs": (
+        (_L,) * 4,
+        _Rule((_AB_CD,), ((("+", _a, _c), ("+", _b, _d)), (_a, _b))),
+    ),
+    "separando_pairs": (
+        (_L,) * 4,
+        _Rule(
+            (_AB_CD,),
+            ((("-", _a, _c), ("-", _b, _d)), (_a, _b)),
+            lambda a, b, c, d: a.value > c.value and b.value > d.value,
+        ),
+    ),
+    "plus_unit": (
+        (_L,) * 4,
+        _Rule((_AB_CD,), ((("+", _a, _b), _b), (("+", _c, _d), _d))),
+    ),
+    "minus_unit": (
+        (_L,) * 4,
+        _Rule(
+            (_AB_CD,),
+            ((("-", _a, _b), _b), (("-", _c, _d), _d)),
+            # the remainders a - b and c - d must still exceed the consequents
+            lambda a, b, c, d: a.value - b.value > b.value and c.value - d.value > d.value,
+        ),
+    ),
+    "topics_scaling": (
+        (_L,) * 3,
+        _Rule((), ((("*", _a, _c), ("*", _b, _c)), (_a, _b))),
+    ),
+    "area_v9": ((_A,) * 3, _CANCEL),
+    "area_alternando": ((_A,) * 4, _ALTERNANDO),
+    "area_ex_aequali": ((_A,) * 6, _EX_AEQUALI),
+    "area_mixed_ex_aequali": (_MIXED, _EX_AEQUALI),
+    "area_perturbed": ((_A,) * 6, _PERTURBED),
+    "area_mixed_perturbed": (_MIXED, _PERTURBED),
+}
 
 PROPOSITIONS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "transitivity": ((_L,) * 6, _chk_transitivity),
-    "fundamental": ((_L,) * 4, _chk_fundamental),
-    "v9_cancel": ((_L,) * 3, _chk_cancel),
-    "alternando": ((_L,) * 4, _chk_alternando),
-    "ex_aequali": ((_L,) * 6, _chk_ex_aequali),
-    "perturbed": ((_L,) * 6, _chk_perturbed),
-    "componendo_pairs": ((_L,) * 4, _chk_componendo_pairs),
-    "separando_pairs": ((_L,) * 4, _chk_separando_pairs),
-    "plus_unit": ((_L,) * 4, _chk_plus_unit),
-    "minus_unit": ((_L,) * 4, _chk_minus_unit),
-    "topics_scaling": ((_L,) * 3, _chk_topics_scaling),
-    "area_v9": ((_A,) * 3, _chk_area_v9),
-    "area_alternando": ((_A,) * 4, _chk_area_alternando),
-    "area_ex_aequali": ((_A,) * 6, _chk_area_ex_aequali),
-    "area_mixed_ex_aequali": ((_A, _A, _A, _L, _L, _L), _chk_area_mixed_ex_aequali),
-    "area_perturbed": ((_A,) * 6, _chk_area_perturbed),
-    "area_mixed_perturbed": ((_A, _A, _A, _L, _L, _L), _chk_area_mixed_perturbed),
+    name: (roles, functools.partial(_evaluate, rule))
+    for name, (roles, rule) in _RULES.items()
 }
 
 
@@ -470,8 +382,7 @@ def check_proposition(
     try:
         hyp, concl, lhs, rhs = fn(list(magnitudes), max_steps)
     except DomainError:
-        # a hypothesis ratio, sum or product does not exist for these
-        # values (distinct fields, missing ordering); that is a failed
-        # hypothesis, not a caller error
+        # a hypothesis ratio does not exist for these values (distinct
+        # fields); that is a failed hypothesis, not a caller error
         hyp, concl, lhs, rhs = False, False, None, None
     return PropReport(name, hyp, concl, lhs, rhs)

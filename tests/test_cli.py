@@ -1,8 +1,12 @@
 """End to end command line behaviour: output shape and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anthyphairesis.cli as cli
 from anthyphairesis import InternalInvariantError, __version__
@@ -311,3 +315,69 @@ class TestTopLevel:
     def test_unknown_command_is_usage(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+# -- fuzzing over a bounded argv grammar ---------------------------------------
+
+_INT = st.integers(-5, 60).map(str)
+_MAGNITUDE = st.one_of(
+    _INT,
+    st.lists(st.integers(-3, 13), min_size=4, max_size=4).map(lambda t: ",".join(map(str, t))),
+    st.tuples(st.integers(-3, 9), st.integers(-1, 9)).map(lambda t: "%d/%d" % t),
+    st.sampled_from(["", "x", "1,2", "1/", "/2", "1,,2,3", "1/2/3", "0,1,0,2", "1.5"]),
+)
+
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+_JSON = st.just(["--json"])
+_TRACE = st.just(["--trace"])
+_STEPS = _opt("--max-steps", _INT)
+_KIND = _opt("--kind", st.sampled_from(["excess", "defect", "mixed"]))
+_COUNT = _opt("--count", _INT)
+_QUOTIENTS = _opt("--quotients", st.lists(st.integers(-1, 9).map(str), max_size=4).map(",".join))
+_MAX = _opt("--max", st.integers(-2, 60).map(str))
+_SEED = _opt("--seed", _INT)
+_SUITE = _opt("--suite", st.sampled_from(["engine", "ratio", "areas", "all", "bogus"]))
+_OPTIONS = [_JSON, _TRACE, _STEPS, _KIND, _COUNT, _QUOTIENTS, _MAX, _SEED, _SUITE]
+
+
+def _command(head, positional, options):
+    return st.tuples(st.just(head), st.tuples(*positional).map(list),
+                     st.lists(st.one_of(*options), max_size=3))
+
+
+_ARGV = st.one_of(
+    _command(["anth", "form"], [_INT] * 3, [_JSON, _TRACE, _STEPS, _KIND]),
+    _command(["anth", "sqrt"], [_INT], [_JSON, _TRACE, _STEPS]),
+    _command(["anth", "rational"], [_INT] * 2, [_JSON, _STEPS]),
+    _command(["anth", "surd"], [_INT] * 4, [_JSON, _TRACE, _STEPS]),
+    _command(["convergents"], [], [_JSON, _STEPS, _COUNT, _QUOTIENTS]),
+    _command(["convergents", "sqrt"], [_INT], [_JSON, _STEPS, _COUNT, _QUOTIENTS]),
+    _command(["theodorus"], [], [_JSON, _STEPS, _MAX]),
+    _command(["ratio", "eq"], [_MAGNITUDE] * 4, [_JSON, _STEPS]),
+    _command(["ratio", "cross"], [_MAGNITUDE] * 4, [_JSON, _STEPS]),
+    _command(["ratio", "mixed"], [_MAGNITUDE] * 2 + [_INT] * 2, [_JSON, _STEPS]),
+    # verify always bounds --trials: its default of 100 is too slow to fuzz
+    _command(["verify", "--trials"], [st.integers(-1, 2).map(str)], [_JSON, _SEED, _SUITE]),
+    # wrong arity, unknown commands and options of other commands
+    st.tuples(
+        st.sampled_from([["anth"], ["anth", "form"], ["anth", "sqrt"], ["convergents"],
+                         ["theodorus"], ["ratio"], ["ratio", "eq"], ["ratio", "mixed"],
+                         ["bogus"], []]),
+        st.lists(_MAGNITUDE, max_size=5),
+        st.lists(st.one_of(*_OPTIONS), max_size=3),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_fuzzed_argv_exits_with_a_documented_code(parts):
+    head, positional, options = parts
+    argv = head + positional + [tok for opt in options for tok in opt]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)  # any escaping exception fails the test
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_FAILED, cli.EXIT_UNDECIDED), argv

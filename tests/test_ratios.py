@@ -237,6 +237,32 @@ BROKEN = {
     "area_mixed_perturbed": _areas(S2, QuadSurd(1), QuadSurd(1)) + _lines(1, 1, 3),
 }
 
+R2 = ContinuedFraction((1,), (2,))  # sqrt(2) : 1
+R3 = ContinuedFraction((3,))  # 3 : 1
+
+# the expansions each BROKEN report shows: its first unequal hypothesis
+# pair, its first hypothesis pair when a condition fails, or None when
+# there is no hypothesis pair to show
+BROKEN_SHOWN = {
+    "transitivity": (R2, ContinuedFraction((2,))),
+    "fundamental": (None, None),
+    "v9_cancel": (R2, ContinuedFraction((0, 1), (2,))),
+    "alternando": (R2, R3),
+    "ex_aequali": (R2, R3),
+    "perturbed": (R2, ContinuedFraction((0, 3))),
+    "componendo_pairs": (R2, R3),
+    "separando_pairs": (R2, R2),  # the ordering fails, not the proportion
+    "plus_unit": (R2, R3),
+    "minus_unit": (R2, R2),  # the remainder condition fails
+    "topics_scaling": (None, None),
+    "area_v9": (ContinuedFraction((2,)), ContinuedFraction((2,), (1, 4))),
+    "area_alternando": (R2, R3),
+    "area_ex_aequali": (R2, R3),
+    "area_mixed_ex_aequali": (R2, R3),
+    "area_perturbed": (R2, ContinuedFraction((0, 3))),
+    "area_mixed_perturbed": (R2, ContinuedFraction((0, 3))),
+}
+
 
 class TestPropositions:
     def test_registry_shape(self):
@@ -261,6 +287,7 @@ class TestPropositions:
         report = check_proposition(name, BROKEN[name])
         assert not report.hypotheses_hold
         assert not report.conclusion_holds
+        assert (report.lhs_cf, report.rhs_cf) == BROKEN_SHOWN[name]
 
     def test_cross_field_hypothesis_reports_missing_expansions(self):
         report = check_proposition("fundamental", _lines(S2, 1, SQRT3, 1))
@@ -303,3 +330,11 @@ class TestPropositions:
         mags = _lines(big, 1, QuadSurd(0, 2, 1, 139), 2)
         with pytest.raises(IndeterminateError):
             check_proposition("fundamental", mags, max_steps=2)
+
+    def test_failed_condition_needs_no_expansion(self):
+        # sqrt(139) : 1 against 3*sqrt(139) : 2 fails the cross product,
+        # which decides the report before any truncated expansion is asked for
+        mags = _lines(QuadSurd(0, 1, 1, 139), 1, QuadSurd(0, 3, 1, 139), 2)
+        report = check_proposition("fundamental", mags, max_steps=2)
+        assert not report.hypotheses_hold and not report.conclusion_holds
+        assert report.lhs_cf is None and report.rhs_cf is None
