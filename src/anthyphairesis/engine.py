@@ -54,7 +54,8 @@ class QuadraticForm:
         if self.kind not in _KINDS:
             raise DomainError("QuadraticForm: unknown kind %r" % (self.kind,))
         for name, x in (("A", self.A), ("B", self.B), ("C", self.C)):
-            if not isinstance(x, int):
+            # exact type first: the engine builds one form per step
+            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
                 raise DomainError("QuadraticForm: %s must be an int" % name)
         if self.A < 1 or self.C < 1:
             raise DomainError("QuadraticForm: A and C must be >= 1")

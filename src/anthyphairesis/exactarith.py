@@ -37,8 +37,10 @@ def is_perfect_square(n: int) -> bool:
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n >= 1 as s*s*d with d squarefree; return (s, d).
 
-    Plain trial division.  The radicands this library meets stay small
-    enough that nothing cleverer is warranted.
+    Trial division by 2, 3 and 6k +/- 1 runs only while f**3 <= n, about
+    n**(1/3) / 3 divisions.  What is left then has no prime factor below
+    its cube root, hence at most two prime factors: it is 1, p, p*q or
+    p*p, and an integer square root tells p*p apart.
     """
     if n < 1:
         raise DomainError("square_free_split: argument must be >= 1, got %d" % n)
@@ -55,7 +57,7 @@ def square_free_split(n: int) -> tuple[int, int]:
     # remaining prime factors are of the form 6k +/- 1
     f = 5
     step = 2
-    while f * f <= n:
+    while f * f * f <= n:
         e = 0
         while n % f == 0:
             n //= f
@@ -65,7 +67,11 @@ def square_free_split(n: int) -> tuple[int, int]:
             d *= f
         f += step
         step = 6 - step
-    d *= n  # leftover factor is prime or 1
+    r = math.isqrt(n)
+    if r * r == n:  # p*p (or 1)
+        s *= r
+    else:  # p or p*q with p != q
+        d *= n
     return s, d
 
 
@@ -77,6 +83,11 @@ class QuadSurd:
     exactly when v == 0 (the rational case).  Because the normal form is
     unique, dataclass equality and hashing coincide with equality of the
     real numbers represented.
+
+    The radicand a caller supplies is factored once, here.  Arithmetic
+    results (``+ - * /``, ``inverse``, negation, and through them
+    ``floor``, comparisons and ``decimal``) inherit the operands'
+    normalized radicand and are never factored again.
     """
 
     u: int
@@ -87,13 +98,9 @@ class QuadSurd:
     def __post_init__(self) -> None:
         u, v, w, d = self.u, self.v, self.w, self.d
         for name, x in (("u", u), ("v", v), ("w", w), ("d", d)):
-            if not isinstance(x, int):
+            if isinstance(x, bool) or not isinstance(x, int):
                 raise DomainError("QuadSurd: component %s must be an int" % name)
-        if w == 0:
-            raise DomainError("QuadSurd: denominator w must be nonzero")
-        if v == 0:
-            d = 1
-        else:
+        if v != 0 and w != 0:  # _settle refuses w == 0 before any radicand check
             if d <= 0:
                 raise DomainError("QuadSurd: radicand d must be >= 1, got %d" % d)
             s, d = square_free_split(d)
@@ -101,6 +108,25 @@ class QuadSurd:
             if d == 1:  # radicand was a perfect square: fold into u
                 u += v
                 v = 0
+        self._settle(u, v, w, d)
+
+    @classmethod
+    def _in_field(cls, u: int, v: int, w: int, d: int) -> "QuadSurd":
+        """(u + v*sqrt(d))/w in normal form, for a d that is already squarefree.
+
+        Every normalization step but the factoring of d: arithmetic on
+        normalized operands stays in their field.
+        """
+        x = object.__new__(cls)
+        x._settle(u, v, w, d)
+        return x
+
+    def _settle(self, u: int, v: int, w: int, d: int) -> None:
+        """Store the normal form of (u + v*sqrt(d))/w, d squarefree."""
+        if w == 0:
+            raise DomainError("QuadSurd: denominator w must be nonzero")
+        if v == 0:
+            d = 1
         if w < 0:
             u, v, w = -u, -v, -w
         g = math.gcd(math.gcd(u, v), w)
@@ -152,20 +178,20 @@ class QuadSurd:
         if isinstance(x, bool):
             return NotImplemented  # type: ignore[return-value]
         if isinstance(x, int):
-            return QuadSurd(x)
+            return QuadSurd._in_field(x, 0, 1, 1)
         if isinstance(x, Fraction):
-            return QuadSurd(x.numerator, 0, x.denominator)
+            return QuadSurd._in_field(x.numerator, 0, x.denominator, 1)
         return NotImplemented  # type: ignore[return-value]
 
     def __neg__(self) -> "QuadSurd":
-        return QuadSurd(-self.u, -self.v, self.w, self.d)
+        return QuadSurd._in_field(-self.u, -self.v, self.w, self.d)
 
     def __add__(self, other: Numeric) -> "QuadSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         d = self._join_field(o)
-        return QuadSurd(
+        return QuadSurd._in_field(
             self.u * o.w + o.u * self.w,
             self.v * o.w + o.v * self.w,
             self.w * o.w,
@@ -191,7 +217,7 @@ class QuadSurd:
         if o is NotImplemented:
             return NotImplemented
         d = self._join_field(o)
-        return QuadSurd(
+        return QuadSurd._in_field(
             self.u * o.u + self.v * o.v * d,
             self.u * o.v + self.v * o.u,
             self.w * o.w,
@@ -207,7 +233,7 @@ class QuadSurd:
         # 1/((u + v*sqrt(d))/w) = w*(u - v*sqrt(d)) / (u^2 - v^2*d);
         # the norm vanishes only at zero because d is not a square.
         norm = self.u * self.u - self.v * self.v * self.d
-        return QuadSurd(self.w * self.u, -self.w * self.v, norm, self.d)
+        return QuadSurd._in_field(self.w * self.u, -self.w * self.v, norm, self.d)
 
     def __truediv__(self, other: Numeric) -> "QuadSurd":
         o = self._coerce(other)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,9 @@ class TestQuadraticForm:
             QuadraticForm(DEFECT, 1, 2, 1)  # disc 0: no real surd root
         with pytest.raises(DomainError):
             QuadraticForm(EXCESS, 1, 1, 1, smaller_root=True)
+        for bad in ((True, 0, 2), (1, True, 2), (1, 0, True)):
+            with pytest.raises(DomainError):
+                QuadraticForm(EXCESS, *bad)
 
     def test_disc(self):
         assert QuadraticForm(EXCESS, 1, 0, 2).disc == 8
@@ -338,6 +342,17 @@ class TestSurdCf:
     def test_truncation(self):
         cf = surd_cf(QuadSurd(0, 1, 1, 139), max_steps=2)
         assert cf.truncated and cf.preperiod == (11, 1)
+
+    @pytest.mark.parametrize("n, period", [(10**6 + 3, 458), (10**9 + 7, 12352)])
+    def test_agrees_with_engine_on_large_fields(self, n, period):
+        cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n), max_steps=2 * period)
+        assert len(cf.period) == period
+        assert surd_cf(QuadSurd(0, 1, 1, n), max_steps=2 * period) == cf
+
+    def test_agrees_with_sympy(self):
+        pre, period = sympy.continued_fraction_periodic(0, 1, 10**6 + 3)
+        cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 10**6 + 3))
+        assert (cf.preperiod, cf.period) == ((pre,), tuple(period))
 
 
 class TestConvergents:

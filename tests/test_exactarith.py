@@ -6,10 +6,12 @@ far above the oracle's rounding error, so disagreement means a bug.
 """
 
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +19,14 @@ from anthyphairesis import (
     DomainError,
     QuadSurd,
     as_surd,
+    exactarith,
     is_perfect_square,
     isqrt,
+    line,
+    ratio_eq,
     rational_sqrt,
     square_free_split,
+    surd_cf,
     surd_floor,
     surd_sign,
 )
@@ -70,6 +76,9 @@ class TestNormalization:
     def test_non_int_component_rejected(self):
         with pytest.raises(DomainError):
             QuadSurd(1.5, 0, 1, 1)  # type: ignore[arg-type]
+        for bad in ((True, 1, 1, 2), (1, True, 1, 2), (1, 1, True, 2), (1, 1, 1, True)):
+            with pytest.raises(DomainError):
+                QuadSurd(*bad)
 
     def test_equality_is_value_equality(self):
         assert QuadSurd(1, 1, 2, 5) == QuadSurd(2, 2, 4, 5)
@@ -104,6 +113,29 @@ class TestIntegerHelpers:
             # d squarefree: no prime square divides it
             for p in (2, 3, 5, 7, 11, 13, 17, 19):
                 assert d % (p * p) != 0
+
+    def test_square_free_split_matches_sympy(self):
+        """Against sympy.factorint, up to 10**18.
+
+        Trial division stops at the cube root of what is left, so the
+        cases that decide correctness are p*p, p*q and p*p*q with p and
+        q near that root, where the cofactor test has to tell them apart.
+        """
+        assert square_free_split(4 * (10**16 + 61)) == (2, 10**16 + 61)
+        p = sympy.prevprime(10**5)
+        q = sympy.nextprime(10**5)
+        r = sympy.nextprime(q)
+        big = sympy.nextprime(10**7)
+        cases = [p * p, p * q, p * p * q, p * q * q, p * q * r, big * big,
+                 big * sympy.nextprime(big), 6 * big * big, 10**16 + 61]
+        rng = random.Random(20261017)
+        cases += [int(10 ** rng.uniform(0, 18)) for _ in range(40)]
+        for n in cases:
+            s, d = 1, 1
+            for prime, e in sympy.factorint(n).items():
+                s *= prime ** (e // 2)
+                d *= prime ** (e % 2)
+            assert square_free_split(n) == (s, d), n
 
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(4, 9)) == QuadSurd(2, 0, 3)
@@ -267,7 +299,7 @@ def test_sign_matches_bignum_oracle():
 
 small = st.integers(min_value=-30, max_value=30)
 denom = st.integers(min_value=1, max_value=12)
-field = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13])
+field = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 30])
 
 
 @st.composite
@@ -337,3 +369,46 @@ def test_comparison_trichotomy(x, y):
     if not (x.is_rational or y.is_rational) and x.d != y.d:
         return
     assert (x < y) + (x == y) + (x > y) == 1
+
+
+# -- results of arithmetic skip the factoring of their radicand -----------------
+
+
+@settings(deadline=None)
+@given(surds(), surds())
+def test_arithmetic_results_are_in_normal_form(x, y):
+    """Results built without re-factoring equal a full public rebuild.
+
+    The conjugate product and x - x collapse to rationals, and so does
+    x*x whenever u == 0, e.g. sqrt(6)*sqrt(6).
+    """
+    if not (x.is_rational or y.is_rational) and x.d != y.d:
+        y = QuadSurd(y.u, y.v, y.w, x.d)
+    conj = QuadSurd(x.u, -x.v, x.w, x.d)
+    results = [-x, x + y, x - y, x * y, x * x, x * conj, x - x]
+    if not y.is_zero:
+        results += [x / y, y.inverse()]
+    for r in results:
+        assert (r.u, r.v, r.w, r.d) == astuple(QuadSurd(r.u, r.v, r.w, r.d))
+        assert (r.d == 1) == (r.v == 0)
+
+
+def test_arithmetic_never_factors_again(monkeypatch):
+    calls = []
+    real = exactarith.square_free_split
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(exactarith, "square_free_split", counting)
+    x = QuadSurd(0, 1, 7, 1000003)
+    a, b = line(QuadSurd(0, 1, 1, 1000003)), line(1000003)
+    c, d = line(QuadSurd(0, 2, 1, 1000003)), line(2000006)
+    assert calls == [1000003] * 3  # each caller-supplied radicand, once
+    calls.clear()
+    assert surd_cf(x).preperiod == (142,)
+    assert ratio_eq(a, b, c, d)  # below 1: the generic recurrence
+    assert x.decimal() == "142.857357"
+    assert (1 / x - x.inverse()).is_zero  # inverse, division, negation
+    assert calls == []
