@@ -27,13 +27,13 @@ from .engine import (
     remainder,
     run_anthyphairesis,
     state_space_size,
-    surd_cf,
 )
 from .errors import DomainError, IndeterminateError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square
 from .properties import run_suite
 from .ratios import (
     Magnitude,
+    anth_of_ratio,
     commensurable_pure,
     cross_product_eq,
     decided_anth,
@@ -203,16 +203,12 @@ def _cmd_anth(args: argparse.Namespace) -> int:
     if not x > 0:
         raise DomainError("anth surd: the value must be positive, got %s" % x)
     input_obj = _surd_json(x)
-    if x.is_rational:
-        fr = x.as_fraction()
-        cf = euclid_cf(fr.numerator, fr.denominator)
-        head = _kv("value", str(x))
-        return _run_plain_cf(args, "anth surd", input_obj, "rational", head, cf)
-    if x > 1:
+    if not x.is_rational and x > 1:
         return _run_form(args, "anth surd", input_obj, minimal_form(x))
-    cf = surd_cf(x, args.max_steps)
+    cf = anth_of_ratio(line(x), line(1), args.max_steps)
+    kind = "rational" if x.is_rational else "surd"
     head = _kv("value", _surd_display(x))
-    return _run_plain_cf(args, "anth surd", input_obj, "surd", head, cf)
+    return _run_plain_cf(args, "anth surd", input_obj, kind, head, cf)
 
 
 # -- convergents --------------------------------------------------------------

@@ -34,16 +34,24 @@ def is_perfect_square(n: int) -> bool:
     return s * s == n
 
 
+# Trial divisors never exceed this, so a split makes at most ~700,000
+# divisions; every n < 2**63 still splits, its cube root being below it.
+_TRIAL_DIVISION_LIMIT = 1 << 21
+
+
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n >= 1 as s*s*d with d squarefree; return (s, d).
 
     Trial division by 2, 3 and 6k +/- 1 runs only while f**3 <= n, about
     n**(1/3) / 3 divisions.  What is left then has no prime factor below
     its cube root, hence at most two prime factors: it is 1, p, p*q or
-    p*p, and an integer square root tells p*p apart.
+    p*p, and an integer square root tells p*p apart.  Divisors stop at
+    _TRIAL_DIVISION_LIMIT: a radicand whose remaining cofactor is still
+    at least the cube of the next divisor there raises DomainError.
     """
     if n < 1:
         raise DomainError("square_free_split: argument must be >= 1, got %d" % n)
+    radicand = n
     s = 1
     d = 1
     for p in (2, 3):
@@ -58,6 +66,11 @@ def square_free_split(n: int) -> tuple[int, int]:
     f = 5
     step = 2
     while f * f * f <= n:
+        if f > _TRIAL_DIVISION_LIMIT:
+            raise DomainError(
+                "square_free_split: radicand %d cannot be split by trial division "
+                "below %d" % (radicand, _TRIAL_DIVISION_LIMIT)
+            )
         e = 0
         while n % f == 0:
             n //= f

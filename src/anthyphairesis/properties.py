@@ -207,7 +207,7 @@ def _prop_remainder_recurrence(rng: random.Random) -> str:
     if x.is_rational:
         return VACUOUS  # exact termination would zero a remainder
     a = b * x
-    cf = surd_cf(x, max_steps=2_000)
+    cf = anth_of_ratio(line(a), line(b), max_steps=2_000)
     if cf.truncated:
         return VACUOUS
     count = 6

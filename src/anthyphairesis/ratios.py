@@ -22,7 +22,6 @@ from .engine import (
     euclid_cf,
     minimal_form,
     run_anthyphairesis,
-    surd_cf,
 )
 from .errors import DomainError, IndeterminateError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
@@ -111,20 +110,30 @@ class PropReport:
 def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> ContinuedFraction:
     """Canonical expansion of the ratio a : b.
 
-    Ratios above 1 run through the quadratic-form engine; rational and
-    below-1 ratios fall to the generic expansion (head quotient 0 is
-    possible there).  The result may be truncated if max_steps is hit.
+    Every irrational ratio runs on the quadratic-form engine.  A ratio
+    below 1 is head quotient 0 followed by the expansion of its
+    reciprocal b : a; that quotient 0 spends one step of the budget.
+    Rational ratios are Euclidean.  The result is truncated when
+    max_steps quotients were emitted before any period appeared.
     """
     if not isinstance(a, Magnitude) or not isinstance(b, Magnitude):
         raise DomainError("anth_of_ratio: arguments must be magnitudes")
     if a.role != b.role:
         raise DomainError("anth_of_ratio: a ratio relates magnitudes of one role")
+    if max_steps < 0:
+        raise DomainError("anth_of_ratio: max_steps must be >= 0")
     x = a.value / b.value
-    if x.is_rational or not x > 1:
-        return surd_cf(x, max_steps)
-    form = minimal_form(x)
-    cf, _ = run_anthyphairesis(form, max_steps)
-    return cf
+    if x.is_rational:
+        fr = x.as_fraction()
+        return euclid_cf(fr.numerator, fr.denominator)
+    if x > 1:
+        cf, _ = run_anthyphairesis(minimal_form(x), max_steps)
+        return cf
+    if max_steps == 0:
+        return ContinuedFraction((), None, truncated=True)
+    # no period entry is 0, so the prefixed expansion stays canonical
+    tail, _ = run_anthyphairesis(minimal_form(x.inverse()), max_steps - 1)
+    return ContinuedFraction((0,) + tail.preperiod, tail.period, tail.truncated)
 
 
 def decided_anth(

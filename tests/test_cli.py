@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,29 @@ class TestAnth:
     def test_surd_must_be_positive(self, capsys):
         code, _, err = run(capsys, "anth", "surd", "1", "-1", "1", "2")
         assert code == 1 and err.startswith("error: ")
+
+    def test_radicand_past_the_factoring_budget_is_an_error(self, capsys):
+        start = time.process_time()
+        code, out, err = run(
+            capsys, "anth", "sqrt", "1000000000000128000000000003367", "--max-steps", "10"
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 1 and out == ""
+        # the form's root is built over its discriminant, 4 * N
+        assert err.startswith("error: square_free_split: radicand 4000000000000512000000000013468 ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ratio", "eq", "2", "1,1,1,2", "3", "1", "--max-steps", "-1"),
+            ("anth", "surd", "0", "1", "2", "2", "--max-steps", "-1"),
+            ("anth", "surd", "2", "0", "3", "1", "--max-steps", "-1"),
+        ],
+    )
+    def test_negative_budget_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: anth_of_ratio: max_steps must be >= 0\n"
 
     def test_truncation_exit_code(self, capsys):
         code, out, _ = run(capsys, "anth", "sqrt", "139", "--max-steps", "2", "--trace")

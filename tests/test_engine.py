@@ -1,14 +1,17 @@
 """Form state machines, expansions, convergents and form recovery."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anthyphairesis
 from anthyphairesis import (
     DEFECT,
     EXCESS,
@@ -353,6 +356,24 @@ class TestSurdCf:
         pre, period = sympy.continued_fraction_periodic(0, 1, 10**6 + 3)
         cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 10**6 + 3))
         assert (cf.preperiod, cf.period) == ((pre,), tuple(period))
+
+    def test_only_the_oracle_property_calls_it(self):
+        """surd_cf is an oracle: no production path may expand with it."""
+        uses, importers = [], set()
+        for path in sorted(Path(anthyphairesis.__file__).parent.glob("*.py")):
+            if path.name == "engine.py":
+                continue
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.ImportFrom):
+                        if any(alias.name == "surd_cf" for alias in node.names):
+                            importers.add(path.stem)
+                    elif (isinstance(node, ast.Name) and node.id == "surd_cf") or (
+                        isinstance(node, ast.Attribute) and node.attr == "surd_cf"
+                    ):
+                        uses.append((path.stem, getattr(top, "name", None)))
+        assert uses == [("properties", "_prop_oracle_agreement")]
+        assert importers == {"__init__", "properties"}
 
 
 class TestConvergents:

@@ -115,7 +115,7 @@ class TestIntegerHelpers:
                 assert d % (p * p) != 0
 
     def test_square_free_split_matches_sympy(self):
-        """Against sympy.factorint, up to 10**18.
+        """Against sympy.factorint, up to just below 2**63.
 
         Trial division stops at the cube root of what is left, so the
         cases that decide correctness are p*p, p*q and p*p*q with p and
@@ -126,8 +126,9 @@ class TestIntegerHelpers:
         q = sympy.nextprime(10**5)
         r = sympy.nextprime(q)
         big = sympy.nextprime(10**7)
+        near_cap = sympy.prevprime(3 * 10**9) * sympy.nextprime(3 * 10**9)  # < 2**63
         cases = [p * p, p * q, p * p * q, p * q * q, p * q * r, big * big,
-                 big * sympy.nextprime(big), 6 * big * big, 10**16 + 61]
+                 big * sympy.nextprime(big), 6 * big * big, 10**16 + 61, near_cap]
         rng = random.Random(20261017)
         cases += [int(10 ** rng.uniform(0, 18)) for _ in range(40)]
         for n in cases:
@@ -408,7 +409,7 @@ def test_arithmetic_never_factors_again(monkeypatch):
     assert calls == [1000003] * 3  # each caller-supplied radicand, once
     calls.clear()
     assert surd_cf(x).preperiod == (142,)
-    assert ratio_eq(a, b, c, d)  # below 1: the generic recurrence
+    assert ratio_eq(a, b, c, d)  # below 1: head 0, then the reciprocal's form
     assert x.decimal() == "142.857357"
     assert (1 / x - x.inverse()).is_zero  # inverse, division, negation
     assert calls == []

@@ -15,6 +15,7 @@ from anthyphairesis import (
     PROPOSITIONS,
     QuadSurd,
     anth_of_ratio,
+    as_surd,
     check_proposition,
     commensurable_pure,
     cross_product_eq,
@@ -24,6 +25,7 @@ from anthyphairesis import (
     ratio_eq,
     rectangle,
     square_ratio_witness,
+    surd_cf,
 )
 
 SQRT2 = QuadSurd(0, 1, 1, 2)
@@ -87,6 +89,33 @@ class TestAnthOfRatio:
     def test_cross_field_pair_has_no_ratio(self):
         with pytest.raises(DomainError):
             anth_of_ratio(line(SQRT2), line(SQRT3))
+
+    @pytest.mark.parametrize("a, b", [(SQRT2, 1), (1, SQRT2), (3, 2)])
+    def test_negative_budget_is_rejected_for_every_ratio(self, a, b):
+        with pytest.raises(DomainError):
+            anth_of_ratio(line(a), line(b), max_steps=-1)
+
+    def test_one_path_matches_the_oracle(self):
+        """The form engine, head 0 included, against the generic recurrence."""
+        rng = random.Random(20261018)
+        values = [GOLDEN.inverse(), SQRT2, as_surd(Fraction(1, 2)), as_surd(7)]
+        for _ in range(60):
+            d = rng.choice((2, 3, 5, 7, 13, 19, 31, 46, 94, 139, 1009))
+            x = QuadSurd(rng.randint(-40, 40), rng.randint(1, 9), rng.randint(1, 40), d)
+            if not x > 0:
+                x = -x + QuadSurd(rng.randint(0, 2))
+            values += [x, x.inverse(), as_surd(Fraction(rng.randint(1, 99), rng.randint(1, 99)))]
+        kinds = {(x > 1, x.is_rational) for x in values}
+        assert kinds == {(True, False), (False, False), (True, True), (False, True)}
+        for x in values:
+            for steps in (0, 1, 2, 3, 10_000):
+                got = anth_of_ratio(line(x), line(1), steps)
+                want = surd_cf(x, steps)
+                assert (got.preperiod, got.period, got.truncated) == (
+                    want.preperiod, want.period, want.truncated,
+                ), (x, steps)
+        golden = anth_of_ratio(line(1), line(GOLDEN))
+        assert (golden.preperiod, golden.period) == ((0,), (1,))
 
 
 class TestRatioEq:
