@@ -194,7 +194,7 @@ def _cmd_anth(args: argparse.Namespace) -> int:
         return _run_form(args, "anth sqrt", {"radicand": _s(args.N)}, form)
 
     if args.mode == "rational":
-        cf = euclid_cf(args.M, args.N)
+        cf = anth_of_ratio(line(args.M), line(args.N), args.max_steps)
         input_obj = {"M": _s(args.M), "N": _s(args.N)}
         head = _kv("ratio", "%d : %d" % (args.M, args.N))
         return _run_plain_cf(args, "anth rational", input_obj, "rational", head, cf)

@@ -1,10 +1,17 @@
 """Reciprocal-subtraction engine over integer quadratic forms.
 
-The expansion of a quadratic ratio is driven entirely by integer form
-arithmetic: each step replaces a form by its successor and emits one
-quotient.  No root is ever evaluated numerically, which is what makes
+Every step applies one rule, x = k + 1/y.  A form is a signed triple
+(a, b, c) with root selector s = +-1 and designated root
+x = (b + s*sqrt(D)) / (2a) of a*x^2 = b*x + c, a > 0, D = b^2 + 4ac; the
+excess, mixed and defect kinds are only sign patterns of it.  A step
+emits the quotient k = floor(x); with P(x) = a*x^2 - b*x - c, y solves
+P(k)*y^2 = (b - 2*a*k)*y - a, so the successor is (P(k), b - 2*a*k, -a)
+with selector -s, negated with s kept when P(k) is negative.  D never
+changes and no root is ever evaluated numerically, which is what makes
 recurrence detection exact and the periodicity argument a pigeonhole
-over a finite set of integer triples sharing one discriminant.
+over the finite set of triples of one discriminant: the Gauss-Lagrange
+cycle of reduced forms (Buchmann & Vollmer, Binary Quadratic Forms,
+2007, ch. 6).
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, InternalInvariantError
@@ -29,14 +35,14 @@ _KINDS = (EXCESS, DEFECT, MIXED)
 class QuadraticForm:
     """An integer relation pinning down a quadratic ratio a : b.
 
-    kind "excess":  A*a^2 = B*a*b + C*b^2;  root (B + sqrt(disc)) / (2A),
-                    disc = B^2 + 4*A*C.
-    kind "defect":  A*a^2 + C*b^2 = B*a*b;  disc = B^2 - 4*A*C > 0; the
-                    designated root is (B + sqrt(disc)) / (2A), or the
-                    conjugate (B - sqrt(disc)) / (2A) when smaller_root
-                    is set.
-    kind "mixed":   A*a^2 + B*a*b = C*b^2;  root (-B + sqrt(disc)) / (2A),
-                    disc = B^2 + 4*A*C.
+    kind "excess":  A*a^2 = B*a*b + C*b^2;  signed triple (A, B, C, +).
+    kind "mixed":   A*a^2 + B*a*b = C*b^2;  signed triple (A, -B, C, +).
+    kind "defect":  A*a^2 + C*b^2 = B*a*b;  signed triple (A, B, -C, +),
+                    or (A, B, -C, -) when smaller_root is set.
+
+    The designated root of the signed triple (a, b, c, s) is the root
+    (b + s*sqrt(disc)) / (2a) of a*x^2 = b*x + c, disc = b^2 + 4ac > 0,
+    and every kind steps by the one rule x = k + 1/y on that triple.
 
     Mixed and smaller-root defect forms arise only as transient states
     while a defect relation is being driven toward an excess one; the
@@ -73,42 +79,31 @@ class QuadraticForm:
 
     @property
     def disc(self) -> int:
-        if self.kind == DEFECT:
-            return self.B * self.B - 4 * self.A * self.C
-        return self.B * self.B + 4 * self.A * self.C
+        a, b, c, _ = _triple(self)
+        return b * b + 4 * a * c
 
     def root(self) -> QuadSurd:
         """The designated root, as an exact value."""
-        if self.kind == MIXED:
-            return QuadSurd(-self.B, 1, 2 * self.A, self.disc)
-        if self.kind == DEFECT and self.smaller_root:
-            return QuadSurd(self.B, -1, 2 * self.A, self.disc)
-        return QuadSurd(self.B, 1, 2 * self.A, self.disc)
+        a, b, _, s = _triple(self)
+        return QuadSurd(b, s, 2 * a, self.disc)
 
     def root_fraction(self) -> Fraction:
         """The designated root when the discriminant is a perfect square."""
         j = isqrt(self.disc)
         if j * j != self.disc:
             raise DomainError("root_fraction: discriminant %d is not a square" % self.disc)
-        if self.kind == MIXED:
-            return Fraction(j - self.B, 2 * self.A)
-        if self.kind == DEFECT and self.smaller_root:
-            return Fraction(self.B - j, 2 * self.A)
-        return Fraction(self.B + j, 2 * self.A)
+        a, b, _, s = _triple(self)
+        return Fraction(b + s * j, 2 * a)
 
     @property
     def is_expandable(self) -> bool:
         """True when the designated root exceeds 1 (integer tests only)."""
-        if self.kind == EXCESS:
-            return self.A < self.B + self.C
-        if self.kind == MIXED:
-            t = 2 * self.A + self.B
-            return self.disc > t * t
-        if self.smaller_root:
-            t = self.B - 2 * self.A
-            return t > 0 and t * t > self.disc
-        t = 2 * self.A - self.B
-        return t <= 0 or self.disc > t * t
+        a, b, c, s = _triple(self)
+        # the root exceeds 1 iff s*sqrt(D) > 2a - b; when both sides share
+        # a sign, squaring turns that into s*(b + c - a) > 0
+        if s * (2 * a - b) < 0:
+            return s > 0
+        return s * (b + c - a) > 0
 
     def __str__(self) -> str:
         tag = self.kind
@@ -275,6 +270,59 @@ def canonicalize_cf(cf: ContinuedFraction) -> ContinuedFraction:
     return ContinuedFraction(tuple(pre), tuple(per))
 
 
+def _triple(form: QuadraticForm) -> tuple[int, int, int, int]:
+    """The signed triple (a, b, c, s) of a form; see the module docstring."""
+    if form.kind == EXCESS:
+        return form.A, form.B, form.C, 1
+    if form.kind == MIXED:
+        return form.A, -form.B, form.C, 1
+    return form.A, form.B, -form.C, -1 if form.smaller_root else 1
+
+
+def _form(a: int, b: int, c: int, s: int) -> QuadraticForm:
+    """The form whose signed triple is (a, b, c, s), for a > 0."""
+    if c > 0 and s > 0:
+        if b >= 0:
+            return QuadraticForm(EXCESS, a, b, c)
+        return QuadraticForm(MIXED, a, -b, c)
+    if c < 0 and b > 0:
+        return QuadraticForm(DEFECT, a, b, -c, smaller_root=s < 0)
+    # c == 0 forces a square discriminant; the other patterns have no root above 1
+    raise InternalInvariantError(
+        "impossible sign pattern (%d, %d, %d) with selector %+d" % (a, b, c, s)
+    )
+
+
+def _step(a: int, b: int, c: int, s: int, j: int) -> tuple[int, int, int, int, int]:
+    """k = floor(x) and the triple of y in x = k + 1/y; j = isqrt(D), D not square."""
+    two_a = 2 * a
+    k = (b + j) // two_a if s > 0 else (b - j - 1) // two_a
+    a1 = (b - a * k) * k + c  # -P(k)
+    b1 = two_a * k - b
+    if k < 1 or a1 == 0:
+        raise InternalInvariantError(
+            "step: successor left the positive cone (k=%d, leading coefficient %d)"
+            % (k, -a1)
+        )
+    if a1 > 0:
+        return k, a1, b1, a, s
+    return k, -a1, -b1, -a, -s
+
+
+def _checked_step(form: QuadraticForm, name: str, too_small: str) -> tuple[int, QuadraticForm]:
+    """One step of a form the caller vetted for kind; shared by both steps."""
+    disc = form.disc
+    if is_perfect_square(disc):
+        raise DomainError(
+            "%s: square discriminant %d has a rational root; "
+            "use the Euclidean fallback" % (name, disc)
+        )
+    if not form.is_expandable:
+        raise DomainError("%s: %s" % (name, too_small))
+    k, a, b, c, s = _step(*_triple(form), isqrt(disc))
+    return k, _form(a, b, c, s)
+
+
 def excess_step(form: QuadraticForm) -> tuple[int, QuadraticForm]:
     """One reciprocal-subtraction step on an excess form.
 
@@ -285,87 +333,23 @@ def excess_step(form: QuadraticForm) -> tuple[int, QuadraticForm]:
     """
     if form.kind != EXCESS:
         raise DomainError("excess_step: requires an excess form, got %s" % form.kind)
-    disc = form.disc
-    if is_perfect_square(disc):
-        raise DomainError(
-            "excess_step: square discriminant %d has a rational root; "
-            "use the Euclidean fallback" % disc
-        )
-    A, B, C = form.A, form.B, form.C
-    if A >= B + C:
-        raise DomainError("excess_step: designated root must exceed 1 (needs A < B + C)")
-    k = (B + isqrt(disc)) // (2 * A)
-    a1 = B * k + C - A * k * k
-    b1 = 2 * A * k - B
-    if k < 1 or a1 < 1 or b1 < 1:
-        raise InternalInvariantError(
-            "excess_step: successor left the positive cone (k=%d, A'=%d, B'=%d)"
-            % (k, a1, b1)
-        )
-    return k, QuadraticForm(EXCESS, a1, b1, A)
+    return _checked_step(
+        form, "excess_step", "designated root must exceed 1 (needs A < B + C)"
+    )
 
 
 def defect_step(form: QuadraticForm) -> tuple[int, QuadraticForm]:
     """One step on a defect or mixed form.
 
-    The quotient is the floor of the designated root.  The successor is
-    classified by the signs of t1 = B*k - A*k^2 - C and t2 = 2*A*k - B
-    (larger root): both positive gives an excess form, t2 negative gives
-    a mixed form, t1 negative flips to the conjugate (smaller) root, and
-    the remaining sign patterns cannot occur.  Mixed forms and
-    smaller-root defect forms always step as the table below; the B
-    coefficient strictly decreases along a defect chain, so an excess
-    form is reached after finitely many steps.
+    The quotient is the floor of the designated root and the successor is
+    the form of y in x = k + 1/y, the one rule every kind steps by; its
+    kind is whatever the signs of the new triple say.  The B coefficient
+    strictly decreases along a defect chain, so an excess form is reached
+    after finitely many steps.
     """
     if form.kind == EXCESS:
         raise DomainError("defect_step: requires a defect or mixed form")
-    disc = form.disc
-    if is_perfect_square(disc):
-        raise DomainError(
-            "defect_step: square discriminant %d has a rational root; "
-            "use the Euclidean fallback" % disc
-        )
-    if not form.is_expandable:
-        raise DomainError("defect_step: designated root must exceed 1")
-    A, B, C = form.A, form.B, form.C
-    j = isqrt(disc)
-
-    if form.kind == MIXED:
-        # root (-B + sqrt(disc)) / (2A); successor is always excess
-        k = (j - B) // (2 * A)
-        a1 = C - A * k * k - B * k
-        b1 = B + 2 * A * k
-        if k < 1 or a1 < 1:
-            raise InternalInvariantError("defect_step: bad mixed successor (k=%d)" % k)
-        return k, QuadraticForm(EXCESS, a1, b1, A)
-
-    if form.smaller_root:
-        # root (B - sqrt(disc)) / (2A); successor tracks the larger root
-        k = (B - j - 1) // (2 * A)
-        a1 = A * k * k + C - B * k
-        b1 = B - 2 * A * k
-        if k < 1 or a1 < 1 or b1 < 1:
-            raise InternalInvariantError(
-                "defect_step: bad conjugate successor (k=%d, A'=%d, B'=%d)" % (k, a1, b1)
-            )
-        return k, QuadraticForm(DEFECT, a1, b1, A)
-
-    # larger root (B + sqrt(disc)) / (2A)
-    k = (B + j) // (2 * A)
-    t1 = B * k - A * k * k - C
-    t2 = 2 * A * k - B
-    if k < 1:
-        raise InternalInvariantError("defect_step: quotient %d below 1" % k)
-    if t1 > 0 and t2 >= 0:
-        return k, QuadraticForm(EXCESS, t1, t2, A)
-    if t1 > 0:
-        return k, QuadraticForm(MIXED, t1, -t2, A)
-    if t1 < 0 and t2 < 0:
-        return k, QuadraticForm(DEFECT, -t1, -t2, A, smaller_root=True)
-    # t1 == 0 forces a square discriminant; t1 < 0 with t2 >= 0 has no root
-    raise InternalInvariantError(
-        "defect_step: impossible sign pattern t1=%d, t2=%d at %s" % (t1, t2, form)
-    )
+    return _checked_step(form, "defect_step", "designated root must exceed 1")
 
 
 def run_anthyphairesis(
@@ -385,11 +369,14 @@ def run_anthyphairesis(
         raise DomainError(
             "run_anthyphairesis: designated root of %s must exceed 1" % (form,)
         )
-    if is_perfect_square(form.disc):
+    disc = form.disc
+    if is_perfect_square(disc):
         fr = form.root_fraction()
         cf = euclid_cf(fr.numerator, fr.denominator)
         return cf, ExpansionTrace(cf.preperiod, (form,), None)
 
+    j = isqrt(disc)
+    a, b, c, s = _triple(form)
     quotients: list[int] = []
     states: list[QuadraticForm] = [form]
     seen: dict[QuadraticForm, int] = {}
@@ -407,10 +394,8 @@ def run_anthyphairesis(
         if len(quotients) >= max_steps:
             cf = ContinuedFraction(tuple(quotients), None, truncated=True)
             return cf, ExpansionTrace(tuple(quotients), tuple(states), None)
-        if cur.kind == EXCESS:
-            k, cur = excess_step(cur)
-        else:
-            k, cur = defect_step(cur)
+        k, a, b, c, s = _step(a, b, c, s, j)
+        cur = _form(a, b, c, s)
         quotients.append(k)
         states.append(cur)
 
@@ -520,41 +505,24 @@ def period_to_form(period: Sequence[int]) -> QuadraticForm:
     return QuadraticForm(EXCESS, a, b, c)
 
 
-_DIVISOR_TABLE: list[int] = []
-
-
-def _divisor_counts_up_to(limit: int) -> list[int]:
-    """Table t with t[m] = number of divisors of m, grown on demand."""
-    global _DIVISOR_TABLE
-    if len(_DIVISOR_TABLE) <= limit:
-        size = max(limit + 1, 2 * len(_DIVISOR_TABLE), 1 << 10)
-        table = [0] * size
-        for i in range(1, size):
-            for j in range(i, size, i):
-                table[j] += 1
-        _DIVISOR_TABLE = table
-    return _DIVISOR_TABLE
-
-
-@lru_cache(maxsize=None)
 def state_space_size(disc: int) -> int:
     """Number of triples (A, B, C), all >= 1, with B^2 + 4*A*C == disc.
 
     This is the pigeonhole bound for the excess phase: every excess
     state after the first step lies in this set, so a state must recur
-    within state_space_size(disc) + 1 excess steps.
+    within state_space_size(disc) + 1 excess steps.  Each term counts
+    the divisors A of m = (disc - B^2) / 4 in pairs up to sqrt(m).
     """
     if disc < 1:
         raise DomainError("state_space_size: discriminant must be >= 1")
-    if disc < 5:
-        return 0
-    table = _divisor_counts_up_to(disc // 4)
     count = 0
     b = 1
     while b * b + 4 <= disc:
         rest = disc - b * b
         if rest % 4 == 0:
-            count += table[rest // 4]
+            m = rest // 4
+            r = isqrt(m)
+            count += 2 * sum(1 for a in range(1, r + 1) if m % a == 0) - (r * r == m)
         b += 1
     return count
 
@@ -564,8 +532,9 @@ def minimal_form(x: Union[QuadSurd, Fraction, int]) -> Union[QuadraticForm, Frac
 
     Rational x has no form: the value itself is returned as a Fraction
     and expansion falls to the Euclidean algorithm.  For irrational x
-    the form kind and root selector are read off the minimal polynomial
-    P*x^2 - Q*x + R = 0 with P = w^2, Q = 2*u*w, R = u^2 - v^2*d.
+    the form is the signed triple (P, Q, -R) of the minimal polynomial
+    P*x^2 - Q*x + R = 0, with P = w^2, Q = 2*u*w, R = u^2 - v^2*d, and
+    root selector the sign of v.
     """
     val = as_surd(x)
     if not val > 1:
@@ -576,13 +545,5 @@ def minimal_form(x: Union[QuadSurd, Fraction, int]) -> Union[QuadraticForm, Frac
     p = w * w
     q = 2 * u * w
     r = u * u - v * v * d
-    if r == 0:  # u^2 = v^2*d is impossible for squarefree d > 1
-        raise InternalInvariantError("minimal_form: degenerate minimal polynomial")
     g = math.gcd(math.gcd(p, q), r)
-    p, q, r = p // g, q // g, r // g
-    if r < 0:
-        if q >= 0:
-            return QuadraticForm(EXCESS, p, q, -r)
-        return QuadraticForm(MIXED, p, -q, -r)
-    # r > 0 forces u > 0 (x is positive), hence q > 0: a defect form
-    return QuadraticForm(DEFECT, p, q, r, smaller_root=(v < 0))
+    return _form(p // g, q // g, -r // g, 1 if v > 0 else -1)

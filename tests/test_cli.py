@@ -139,6 +139,7 @@ class TestAnth:
             ("ratio", "eq", "2", "1,1,1,2", "3", "1", "--max-steps", "-1"),
             ("anth", "surd", "0", "1", "2", "2", "--max-steps", "-1"),
             ("anth", "surd", "2", "0", "3", "1", "--max-steps", "-1"),
+            ("anth", "rational", "3", "2", "--max-steps", "-1"),
         ],
     )
     def test_negative_budget_is_an_error(self, capsys, argv):

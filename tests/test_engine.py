@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anthyphairesis
+from anthyphairesis import engine
 from anthyphairesis import (
     DEFECT,
     EXCESS,
     MIXED,
     ContinuedFraction,
     DomainError,
+    InternalInvariantError,
     QuadSurd,
     QuadraticForm,
     canonicalize_cf,
@@ -241,25 +243,38 @@ class TestDefectStep:
             defect_step(QuadraticForm(DEFECT, 2, 4, 1, smaller_root=True))
 
     def test_quotient_is_floor_of_root(self):
+        # one rule x = k + 1/y for every kind, through either public step
+        kinds = ((EXCESS, False), (MIXED, False), (DEFECT, False), (DEFECT, True))
         rng = random.Random(4)
-        found = 0
-        while found < 200:
-            a = rng.randint(1, 20)
-            b = rng.randint(3, 40)
-            cmax = (b * b - 1) // (4 * a)
-            if cmax < 1:
-                continue
-            c = rng.randint(1, cmax)
+        stepped = dict.fromkeys(kinds, 0)
+        while min(stepped.values()) < 60:
+            kind, smaller = rng.choice(kinds)
+            a, b, c = rng.randint(1, 20), rng.randint(0, 40), rng.randint(1, 20)
             try:
-                form = QuadraticForm(DEFECT, a, b, c)
+                form = QuadraticForm(kind, a, b, c, smaller_root=smaller)
             except DomainError:
                 continue
-            if is_perfect_square(form.disc) or not form.is_expandable:
+            if is_perfect_square(form.disc):
                 continue
-            k, nxt = defect_step(form)
-            assert k == form.root().floor()
+            x = form.root()
+            assert form.is_expandable == (x > 1), form
+            if not form.is_expandable:
+                continue
+            k, nxt = (excess_step if kind == EXCESS else defect_step)(form)
+            assert k == x.floor()
+            assert nxt.root() == (x - k).inverse()
             assert nxt.disc == form.disc
-            found += 1
+            stepped[kind, smaller] += 1
+
+    def test_impossible_states_are_invariant_errors(self):
+        # only a bug reaches these, so the private rule is driven directly
+        with pytest.raises(InternalInvariantError):
+            engine._step(3, 1, 1, 1, 3)  # excess(3, 1, 1): root below 1, k = 0
+        with pytest.raises(InternalInvariantError):
+            engine._step(1, 0, 4, 1, 4)  # square disc 16: k = 2 is a root
+        for triple in ((1, 2, 0, 1), (1, 2, 3, -1), (1, -2, -3, 1)):
+            with pytest.raises(InternalInvariantError):
+                engine._form(*triple)
 
 
 class TestRunAnthyphairesis:
@@ -304,6 +319,33 @@ class TestRunAnthyphairesis:
         assert trace.repeat_at is None
         cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 2), max_steps=0)
         assert cf.truncated and cf.preperiod == ()
+
+    def test_trace_visits_every_kind(self):
+        cf, trace = run_anthyphairesis(QuadraticForm(DEFECT, 3, 13, 13, smaller_root=True))
+        assert str(cf) == "[1, 1, 1; (3)]"
+        assert trace.quotients == (1, 1, 1, 3)
+        assert trace.repeat_at == (3, 4)
+        assert [str(st) for st in trace.states] == [
+            "defect-(3, 13, 13)",
+            "defect(3, 7, 3)",
+            "mixed(1, 1, 3)",
+            "excess(1, 3, 1)",
+            "excess(1, 3, 1)",
+        ]
+
+    def test_square_root_is_taken_once_per_run(self, monkeypatch):
+        calls = dict.fromkeys(("isqrt", "is_perfect_square"), 0)
+        for name in calls:
+            real = getattr(engine, name)
+
+            def counting(n, name=name, real=real):
+                calls[name] += 1
+                return real(n)
+
+            monkeypatch.setattr(engine, name, counting)
+        cf, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 1000003))
+        assert len(trace.quotients) > 400 and not cf.truncated
+        assert calls == {"isqrt": 1, "is_perfect_square": 1}
 
     def test_rejects_unexpandable(self):
         with pytest.raises(DomainError):
@@ -459,6 +501,8 @@ class TestStateSpace:
     def test_matches_brute_enumeration(self):
         for disc in range(5, 1200):
             assert state_space_size(disc) == _state_space_brute(disc), disc
+        assert state_space_size(4_000_000) == 37666
+        assert state_space_size(4_000_001) == 15430
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
