@@ -27,6 +27,7 @@ from .engine import (
     remainder,
     run_anthyphairesis,
     state_space_size,
+    _triple,
 )
 from .errors import DomainError, IndeterminateError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square
@@ -129,6 +130,17 @@ def _surd_display(x: QuadSurd) -> str:
     return "%s ~ %s" % (x, x.decimal())
 
 
+def _root_text(form: QuadraticForm) -> str:
+    if is_perfect_square(form.disc):
+        return str(form.root_fraction())
+    try:
+        return _surd_display(form.root())
+    except DomainError:  # disc is past the factoring budget: show sqrt(disc) unsplit
+        a, b, _, s = _triple(form)
+        # sign and floor, hence the decimal, need only a non-square radicand
+        return _surd_display(QuadSurd._in_field(b, s, 2 * a, form.disc))
+
+
 # -- anth ---------------------------------------------------------------------
 
 
@@ -138,17 +150,14 @@ def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
     result = {
         **_form_json(form),
         "quotients": [_s(k) for k in trace.quotients],
-        "states": [_form_json(st) for st in trace.states],
         **_cf_json(cf),
     }
-    if is_perfect_square(form.disc):
-        root_text = str(form.root_fraction())
-    else:
-        root_text = _surd_display(form.root())
+    if args.json:  # the states are replayed on read; text shows them under --trace
+        result["states"] = [_form_json(st) for st in trace.states]
     lines = [
         _kv("form", form),
         _kv("disc", form.disc),
-        _kv("root", root_text),
+        _kv("root", _root_text(form)),
         _kv("expansion", cf),
         _kv("preperiod", _bracketed(cf.preperiod)),
         _kv("period", "-" if cf.period is None else _bracketed(cf.period)),

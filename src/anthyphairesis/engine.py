@@ -12,6 +12,15 @@ recurrence detection exact and the periodicity argument a pigeonhole
 over the finite set of triples of one discriminant: the Gauss-Lagrange
 cycle of reduced forms (Buchmann & Vollmer, Binary Quadratic Forms,
 2007, ch. 6).
+
+Recurrence is found without remembering states.  A root x > 1 whose
+conjugate lies in (-1, 0) is reduced, and by Galois' theorem (1829) its
+expansion is purely periodic.  Only an excess triple can be reduced,
+and for it the test is one integer comparison, D < (b + 2a)^2.  Every
+excess state has a negative conjugate (x*x' = -c/a), so its successor
+is reduced: the cycle starts at the first excess state or one step
+later.  A run anchors on that first reduced state, and the first return
+to the anchor closes the primitive period.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, InternalInvariantError
@@ -221,11 +231,26 @@ class ExpansionTrace:
     states[t] is the form whose quotient is quotients[t]; the final
     state is the first one seen twice (or the frontier if truncated).
     repeat_at = (i, j) says states[i] == states[j] triggered detection.
+    The run keeps only the quotients and its start form: states is
+    replayed from start on first access, then cached.
     """
 
     quotients: tuple[int, ...]
-    states: tuple[QuadraticForm, ...]
+    start: QuadraticForm
     repeat_at: Optional[tuple[int, int]] = None
+
+    @cached_property
+    def states(self) -> tuple[QuadraticForm, ...]:
+        disc = self.start.disc
+        if is_perfect_square(disc):
+            return (self.start,)
+        j = isqrt(disc)
+        a, b, c, s = _triple(self.start)
+        out = [self.start]
+        for _ in self.quotients:
+            _, a, b, c, s = _step(a, b, c, s, j)
+            out.append(_form(a, b, c, s))
+        return tuple(out)
 
 
 def euclid_cf(m: int, n: int) -> ContinuedFraction:
@@ -358,10 +383,11 @@ def run_anthyphairesis(
     """Full expansion of a form's designated root, with its state trace.
 
     A square discriminant routes to the Euclidean algorithm and yields a
-    finite expansion.  Otherwise steps are taken until an excess state
-    recurs (the expansion is then eventually periodic and the canonical
-    preperiod/period pair is returned) or the step budget is exhausted,
-    in which case the result is flagged truncated.
+    finite expansion.  Otherwise steps are taken until the first reduced
+    state recurs (the expansion is then eventually periodic and the
+    canonical preperiod/period pair is returned) or the step budget is
+    exhausted, in which case the result is flagged truncated.  The run
+    holds the quotients, the current triple and the anchor, nothing else.
     """
     if max_steps < 0:
         raise DomainError("run_anthyphairesis: max_steps must be >= 0")
@@ -373,31 +399,39 @@ def run_anthyphairesis(
     if is_perfect_square(disc):
         fr = form.root_fraction()
         cf = euclid_cf(fr.numerator, fr.denominator)
-        return cf, ExpansionTrace(cf.preperiod, (form,), None)
+        return cf, ExpansionTrace(cf.preperiod, form, None)
 
     j = isqrt(disc)
     a, b, c, s = _triple(form)
     quotients: list[int] = []
-    states: list[QuadraticForm] = [form]
-    seen: dict[QuadraticForm, int] = {}
-    cur = form
+    anchor: Optional[tuple[int, int, int]] = None  # first reduced triple, s = +1
+    anchor_at = 0
+    after_excess = False
     while True:
-        if cur.kind == EXCESS:
-            pos = len(quotients)
-            if cur in seen:
-                i = seen[cur]
-                cf = canonicalize_cf(
-                    ContinuedFraction(tuple(quotients[:i]), tuple(quotients[i:pos]))
+        pos = len(quotients)
+        if anchor is None:
+            excess = c > 0 and s > 0 and b >= 0
+            if excess and disc < (b + 2 * a) ** 2:
+                anchor, anchor_at = (a, b, c), pos
+            elif after_excess:
+                raise InternalInvariantError(
+                    "run: state t=%d follows an excess state but is not reduced" % pos
                 )
-                return cf, ExpansionTrace(tuple(quotients), tuple(states), (i, pos))
-            seen[cur] = pos
-        if len(quotients) >= max_steps:
+            after_excess = excess
+        elif (a, b, c) == anchor:
+            cf = canonicalize_cf(
+                ContinuedFraction(
+                    tuple(quotients[:anchor_at]), tuple(quotients[anchor_at:])
+                )
+            )
+            return cf, ExpansionTrace(tuple(quotients), form, (anchor_at, pos))
+        if pos >= max_steps:
             cf = ContinuedFraction(tuple(quotients), None, truncated=True)
-            return cf, ExpansionTrace(tuple(quotients), tuple(states), None)
+            return cf, ExpansionTrace(tuple(quotients), form, None)
         k, a, b, c, s = _step(a, b, c, s, j)
-        cur = _form(a, b, c, s)
+        if not ((c > 0 and s > 0) or (c < 0 and b > 0)):
+            _form(a, b, c, s)  # raises: no form has this sign pattern
         quotients.append(k)
-        states.append(cur)
 
 
 def surd_cf(x: Union[QuadSurd, Fraction, int], max_steps: int = 10_000) -> ContinuedFraction:

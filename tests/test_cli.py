@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+import itertools
 import json
 import time
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,14 +126,32 @@ class TestAnth:
         assert code == 1 and err.startswith("error: ")
 
     def test_radicand_past_the_factoring_budget_is_an_error(self, capsys):
+        # a radicand the user supplies is factored at the edge, within the budget
         start = time.process_time()
         code, out, err = run(
-            capsys, "anth", "sqrt", "1000000000000128000000000003367", "--max-steps", "10"
+            capsys, "anth", "surd", "0", "1", "1", "1000000000000128000000000003367"
         )
         assert time.process_time() - start < 1.0
         assert code == 1 and out == ""
-        # the form's root is built over its discriminant, 4 * N
-        assert err.startswith("error: square_free_split: radicand 4000000000000512000000000013468 ")
+        assert err.startswith("error: square_free_split: radicand 1000000000000128000000000003367 ")
+
+    def test_root_display_falls_back_past_the_factoring_budget(self, capsys):
+        code, out, err = run(capsys, "anth", "sqrt", "12")
+        assert code == 0 and err == ""
+        assert "root       : 2*sqrt(3) ~ 3.464101\n" in out
+        # two 16-digit prime factors: the root prints over its discriminant, 4 * N
+        n = 1000000000000128000000000003367
+        start = time.process_time()
+        code, out, err = run(capsys, "anth", "sqrt", str(n), "--max-steps", "10")
+        assert time.process_time() - start < 1.0
+        assert code == 3 and err == ""
+        assert (
+            "root       : (sqrt(4000000000000512000000000013468))/2 ~ 1000000000000063.999999\n"
+            in out
+        )
+        head = list(itertools.islice(sympy.continued_fraction_iterator(sympy.sqrt(n)), 10))
+        assert "preperiod  : %s\n" % head in out
+        assert "steps      : 10\n" in out
 
     @pytest.mark.parametrize(
         "argv",

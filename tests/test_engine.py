@@ -277,6 +277,27 @@ class TestDefectStep:
                 engine._form(*triple)
 
 
+def _seen_dict_run(form, max_steps):
+    """The recurrence the anchored loop replaced: every excess state hashed."""
+    j = math.isqrt(form.disc)
+    triple = engine._triple(form)
+    quotients, states, seen = [], [form], {}
+    while True:
+        cur, pos = states[-1], len(quotients)
+        if cur.kind == EXCESS:
+            if cur in seen:
+                i = seen[cur]
+                cf = canonicalize_cf(ContinuedFraction(quotients[:i], quotients[i:]))
+                return cf, tuple(quotients), (i, pos), tuple(states)
+            seen[cur] = pos
+        if pos >= max_steps:
+            cf = ContinuedFraction(quotients, None, truncated=True)
+            return cf, tuple(quotients), None, tuple(states)
+        k, *triple = engine._step(*triple, j)
+        quotients.append(k)
+        states.append(engine._form(*triple))
+
+
 class TestRunAnthyphairesis:
     def test_sqrt2_full_report(self):
         cf, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 2))
@@ -347,6 +368,71 @@ class TestRunAnthyphairesis:
         assert len(trace.quotients) > 400 and not cf.truncated
         assert calls == {"isqrt": 1, "is_perfect_square": 1}
 
+    def test_agrees_with_the_seen_dict_recurrence(self):
+        forms = [
+            QuadraticForm(EXCESS, 1, 0, n) for n in range(2, 400) if not is_perfect_square(n)
+        ]
+        kinds = ((EXCESS, False), (MIXED, False), (DEFECT, False), (DEFECT, True))
+        rng = random.Random(6)
+        drawn = dict.fromkeys(kinds, 0)
+        while min(drawn.values()) < 100:
+            kind, smaller = rng.choice(kinds)
+            lim = rng.choice((12, 60, 400))
+            a, b, c = rng.randint(1, lim), rng.randint(0, 2 * lim), rng.randint(1, lim)
+            try:
+                form = QuadraticForm(kind, a, b, c, smaller_root=smaller)
+            except DomainError:
+                continue
+            expandable = form.is_expandable and not is_perfect_square(form.disc)
+            if expandable and drawn[kind, smaller] < 100:
+                forms.append(form)
+                drawn[kind, smaller] += 1
+        for form in forms:
+            for budget in (0, 1, 3, 50, 10_000):
+                cf, trace = run_anthyphairesis(form, budget)
+                want_cf, *want = _seen_dict_run(form, budget)
+                assert str(cf) == str(want_cf) and cf.truncated == want_cf.truncated
+                assert [trace.quotients, trace.repeat_at, trace.states] == want, form
+                if trace.repeat_at is not None:
+                    # Galois: the cycle starts at the first excess state or one step later
+                    first_excess = next(
+                        t for t, st in enumerate(trace.states) if st.kind == EXCESS
+                    )
+                    assert trace.repeat_at[0] <= first_excess + 1, form
+
+    def test_states_are_built_only_when_read(self, monkeypatch):
+        built = [0]
+        real = QuadraticForm.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            real(self)
+
+        monkeypatch.setattr(QuadraticForm, "__post_init__", counting)
+        form = QuadraticForm(EXCESS, 1, 0, 1000003)
+        built[0] = 0
+        cf, trace = run_anthyphairesis(form)
+        assert len(trace.quotients) > 400 and not cf.truncated
+        assert built[0] == 0
+        states = trace.states
+        assert len(states) == len(trace.quotients) + 1 and states[0] is form
+        assert built[0] == len(trace.quotients)  # start is the caller's form
+        assert trace.states is states  # cached: read again, built once
+        walk = [form]
+        for _ in trace.quotients:
+            walk.append(excess_step(walk[-1])[1])
+        assert states == tuple(walk)
+
+    def test_loop_invariants_are_still_checked(self, monkeypatch):
+        # a stepping bug is the only way in, so the private rule is replaced
+        root2 = QuadraticForm(EXCESS, 1, 0, 2)  # excess, not reduced: 8 >= (0 + 2)^2
+        monkeypatch.setattr(engine, "_step", lambda a, b, c, s, j: (1, 1, 0, 2, 1))
+        with pytest.raises(InternalInvariantError, match="not reduced"):
+            run_anthyphairesis(root2)
+        monkeypatch.setattr(engine, "_step", lambda a, b, c, s, j: (1, 1, 2, 0, 1))
+        with pytest.raises(InternalInvariantError, match="sign pattern"):
+            run_anthyphairesis(root2)
+
     def test_rejects_unexpandable(self):
         with pytest.raises(DomainError):
             run_anthyphairesis(QuadraticForm(EXCESS, 3, 1, 1))
@@ -390,9 +476,10 @@ class TestSurdCf:
 
     @pytest.mark.parametrize("n, period", [(10**6 + 3, 458), (10**9 + 7, 12352)])
     def test_agrees_with_engine_on_large_fields(self, n, period):
-        cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n), max_steps=2 * period)
-        assert len(cf.period) == period
-        assert surd_cf(QuadSurd(0, 1, 1, n), max_steps=2 * period) == cf
+        cf, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n), max_steps=100_000)
+        assert len(cf.preperiod) == 1 and len(cf.period) == period
+        assert trace.repeat_at == (1, period + 1)  # anchored after the head quotient
+        assert surd_cf(QuadSurd(0, 1, 1, n), max_steps=100_000) == cf
 
     def test_agrees_with_sympy(self):
         pre, period = sympy.continued_fraction_periodic(0, 1, 10**6 + 3)
