@@ -265,29 +265,17 @@ class QuadSurd:
 
     def sign(self) -> int:
         """Sign of the represented real: -1, 0 or +1.  Integer-only."""
-        u, v = self.u, self.v  # w > 0 cannot affect the sign
-        if v == 0:
-            return 0 if u == 0 else (1 if u > 0 else -1)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # opposite signs: compare u^2 with v^2*d, the sign of the larger wins
-        lhs = u * u
-        rhs = v * v * self.d
-        if lhs == rhs:  # u^2 = v^2*d is impossible for squarefree d > 1
-            raise InternalInvariantError("sign: normalized radicand is a square")
-        if lhs > rhs:
-            return 1 if u > 0 else -1
-        return 1 if v > 0 else -1
+        return _sign(self.u, self.v, self.d)  # w > 0 cannot affect the sign
 
     def _cmp(self, other: Numeric) -> int:
+        """Sign of self - other, from the numerator of the difference alone."""
+        if type(other) is int:  # x > 0, x > 1: nothing to coerce
+            return _sign(self.u - other * self.w, self.v, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented  # type: ignore[return-value]
-        return (self - o).sign()
+        d = self._join_field(o)
+        return _sign(self.u * o.w - o.u * self.w, self.v * o.w - o.v * self.w, d)
 
     def __lt__(self, other: Numeric) -> bool:
         c = self._cmp(other)
@@ -337,9 +325,9 @@ class QuadSurd:
         if self.v < 0:
             root = -(root + 1)
         f = (self.u + root) // self.w
-        while (self - f).sign() < 0:
+        while self._cmp(f) < 0:
             f -= 1
-        while (self - (f + 1)).sign() >= 0:
+        while self._cmp(f + 1) >= 0:
             f += 1
         return f
 
@@ -371,6 +359,26 @@ class QuadSurd:
         sign = "-" if n < 0 else ""
         q, r = divmod(abs(n), scale)
         return "%s%d.%0*d" % (sign, q, places, r)
+
+
+def _sign(u: int, v: int, d: int) -> int:
+    """Sign of u + v*sqrt(d) for squarefree d (d > 1 when v != 0)."""
+    if v == 0:
+        return 0 if u == 0 else (1 if u > 0 else -1)
+    if u == 0:
+        return 1 if v > 0 else -1
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    # opposite signs: compare u^2 with v^2*d, the sign of the larger wins
+    lhs = u * u
+    rhs = v * v * d
+    if lhs == rhs:  # u^2 = v^2*d is impossible for squarefree d > 1
+        raise InternalInvariantError("sign: normalized radicand is a square")
+    if lhs > rhs:
+        return 1 if u > 0 else -1
+    return 1 if v > 0 else -1
 
 
 def as_surd(x: Numeric) -> QuadSurd:

@@ -2,11 +2,18 @@
 
 Two pairs of magnitudes are proportional exactly when their
 reciprocal-subtraction expansions coincide.  Nothing here relies on an
-Archimedean comparison axiom: every verdict comes from canonical
-expansion equality or from exact cross products, and the calculus is
-deliberately restricted to pairs whose expansion is finite or
-eventually periodic (anything else is reported as truncated, never
-silently decided).
+Archimedean comparison axiom: every verdict comes from the expansions
+or from exact cross products, and the calculus is deliberately
+restricted to pairs whose expansion is finite or eventually periodic
+(anything else is reported as undecided, never silently decided).
+
+A verdict steps the forms of its two ratios in lockstep
+(engine.same_anthyphairesis) and stops at the first disagreement, so it
+costs the common prefix of the two expansions, not their periods.  A
+rational ratio against an irrational one, or a ratio above 1 against
+one below, differs without a step.  Whole expansions are built only
+where they are shown: by anth_of_ratio and decided_anth, and for the
+one pair a PropReport carries.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .engine import (
     euclid_cf,
     minimal_form,
     run_anthyphairesis,
+    same_anthyphairesis,
 )
 from .errors import DomainError, IndeterminateError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
@@ -90,14 +98,16 @@ class PropReport:
 
     hypotheses_hold reports the value-level hypotheses (proportions,
     orderings, existence of the needed ratios); conclusion_holds is
-    evaluated only under the hypotheses.  Each distinct ratio is
-    expanded once per check.  The two expansions shown are the
+    evaluated only under the hypotheses.  Both verdicts come from the
+    lockstep, which expands nothing.  The two expansions shown are the
     conclusion's sides when they were formed, or the first hypothesis
     pair when the conclusion equates two magnitudes.  When the
     hypotheses fail they are the first unequal hypothesis pair, or the
     first hypothesis pair when a condition, sum, difference, rectangle
     or conclusion ratio cannot be formed; both are None when there is no
-    hypothesis pair or a hypothesis ratio does not even exist.
+    hypothesis pair or a hypothesis ratio does not even exist.  Only
+    that pair is expanded, after the verdicts, and a side equal to the
+    other is expanded once.
     """
 
     proposition: str
@@ -107,22 +117,23 @@ class PropReport:
     rhs_cf: Optional[ContinuedFraction]
 
 
-def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> ContinuedFraction:
-    """Canonical expansion of the ratio a : b.
+def _budget(max_steps: int) -> None:
+    if max_steps < 0:
+        raise DomainError("anth_of_ratio: max_steps must be >= 0")
 
-    Every irrational ratio runs on the quadratic-form engine.  A ratio
-    below 1 is head quotient 0 followed by the expansion of its
-    reciprocal b : a; that quotient 0 spends one step of the budget.
-    Rational ratios are Euclidean.  The result is truncated when
-    max_steps quotients were emitted before any period appeared.
-    """
+
+def _ratio(a: Magnitude, b: Magnitude, max_steps: int) -> QuadSurd:
+    """The value of the ratio a : b, once its arguments are vetted."""
     if not isinstance(a, Magnitude) or not isinstance(b, Magnitude):
         raise DomainError("anth_of_ratio: arguments must be magnitudes")
     if a.role != b.role:
         raise DomainError("anth_of_ratio: a ratio relates magnitudes of one role")
-    if max_steps < 0:
-        raise DomainError("anth_of_ratio: max_steps must be >= 0")
-    x = a.value / b.value
+    _budget(max_steps)
+    return a.value / b.value
+
+
+def _expand(x: QuadSurd, max_steps: int) -> ContinuedFraction:
+    """Canonical expansion of the positive value x; see anth_of_ratio."""
     if x.is_rational:
         fr = x.as_fraction()
         return euclid_cf(fr.numerator, fr.denominator)
@@ -136,15 +147,9 @@ def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> Contin
     return ContinuedFraction((0,) + tail.preperiod, tail.period, tail.truncated)
 
 
-def decided_anth(
-    a: Magnitude, b: Magnitude, max_steps: int = 10_000
-) -> ContinuedFraction:
-    """The expansion of a : b, for use in a verdict.
-
-    A truncated expansion is unknown, not unequal: it raises
-    IndeterminateError instead of being returned.
-    """
-    cf = anth_of_ratio(a, b, max_steps)
+def _decided(x: QuadSurd, max_steps: int) -> ContinuedFraction:
+    """The expansion of x, or IndeterminateError when it is truncated."""
+    cf = _expand(x, max_steps)
     if cf.truncated:
         raise IndeterminateError(
             "expansion truncated before any period appeared; the proportion "
@@ -153,15 +158,56 @@ def decided_anth(
     return cf
 
 
+def _same(x: QuadSurd, y: QuadSurd, max_steps: int) -> bool:
+    """Whether the positive values x and y have one expansion.
+
+    Only the lockstep of their forms steps, and only until the first
+    disagreement: a rational and an irrational value, or a value above 1
+    and one below (head quotients >= 1 and 0), differ without a step.
+    """
+    if x.is_rational or y.is_rational:
+        return x == y
+    if (x > 1) != (y > 1):
+        return False
+    if not x > 1:
+        x, y = x.inverse(), y.inverse()
+    return same_anthyphairesis(minimal_form(x), minimal_form(y), max_steps)
+
+
+def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> ContinuedFraction:
+    """Canonical expansion of the ratio a : b.
+
+    Every irrational ratio runs on the quadratic-form engine.  A ratio
+    below 1 is head quotient 0 followed by the expansion of its
+    reciprocal b : a; that quotient 0 spends one step of the budget.
+    Rational ratios are Euclidean.  The result is truncated when
+    max_steps quotients were emitted before any period appeared.
+    """
+    return _expand(_ratio(a, b, max_steps), max_steps)
+
+
+def decided_anth(
+    a: Magnitude, b: Magnitude, max_steps: int = 10_000
+) -> ContinuedFraction:
+    """The expansion of a : b, for use in a verdict.
+
+    A truncated expansion is unknown, not unequal: it raises
+    IndeterminateError instead of being returned.
+    """
+    return _decided(_ratio(a, b, max_steps), max_steps)
+
+
 def ratio_eq(
     a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude, max_steps: int = 10_000
 ) -> bool:
     """Whether a : b and c : d have the same expansion.
 
-    Truncation raises IndeterminateError rather than answering; a
-    truncated expansion is unknown, not unequal.
+    The two ratios are stepped in lockstep only until their first
+    disagreement, so neither is expanded to its period.
+    IndeterminateError is raised when max_steps leaves the verdict
+    open; see engine.same_anthyphairesis.
     """
-    return decided_anth(a, b, max_steps) == decided_anth(c, d, max_steps)
+    return _same(_ratio(a, b, max_steps), _ratio(c, d, max_steps), max_steps)
 
 
 def cross_product_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
@@ -187,11 +233,13 @@ def mixed_ratio_eq(
 
     This is proportion between a magnitude pair and a number pair: the
     expansion of a : b must coincide with the Euclidean expansion of
-    m : n.
+    m : n.  An irrational ratio never does, and is answered without a
+    step.
     """
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
-        raise DomainError("mixed_ratio_eq: m and n must be integers >= 1")
-    return decided_anth(a, b, max_steps) == euclid_cf(m, n)
+    for k in (m, n):
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise DomainError("mixed_ratio_eq: m and n must be integers >= 1")
+    return _same(_ratio(a, b, max_steps), as_surd(Fraction(m, n)), max_steps)
 
 
 def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
@@ -264,33 +312,40 @@ def _form(term: _Term, m: Sequence[Magnitude]) -> Magnitude:
 
 def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
     """(hypotheses_hold, conclusion_holds, lhs_cf, rhs_cf) of one check."""
-    expansions: dict[_RatioSpec, ContinuedFraction] = {}
+    values: dict[_RatioSpec, QuadSurd] = {}
 
-    def expand(spec: _RatioSpec) -> ContinuedFraction:
-        if spec not in expansions:
+    def value(spec: _RatioSpec) -> QuadSurd:
+        if spec not in values:
             num, den = spec
-            expansions[spec] = decided_anth(_form(num, m), _form(den, m), max_steps)
-        return expansions[spec]
+            values[spec] = _ratio(_form(num, m), _form(den, m), max_steps)
+        return values[spec]
 
-    pairs = []
+    def shown(pair: Optional[tuple[_RatioSpec, _RatioSpec]]) -> tuple:
+        # only the pair a report shows is expanded, and one expansion
+        # serves both sides when they are equal
+        if pair is None:
+            return (None, None)
+        x, y = value(pair[0]), value(pair[1])
+        lhs = _decided(x, max_steps)
+        return (lhs, lhs if x == y else _decided(y, max_steps))
+
     for lhs, rhs in rule.hypotheses:
-        pair = (expand(lhs), expand(rhs))
-        if pair[0] != pair[1]:
-            return (False, False) + pair
-        pairs.append(pair)
-    shown = pairs[0] if pairs else (None, None)
+        if not _same(value(lhs), value(rhs), max_steps):
+            return (False, False) + shown((lhs, rhs))
+    first = rule.hypotheses[0] if rule.hypotheses else None
     try:
-        if rule.condition is not None and not rule.condition(*m):
-            return (False, False) + shown
         lhs, rhs = rule.conclusion
-        if isinstance(lhs, int):
-            return (True, m[lhs].value == m[rhs].value) + shown
-        concl = (expand(lhs), expand(rhs))
+        if rule.condition is not None and not rule.condition(*m):
+            verdict, pair = (False, False), first
+        elif isinstance(lhs, int):
+            verdict, pair = (True, m[lhs].value == m[rhs].value), first
+        else:
+            verdict, pair = (True, _same(value(lhs), value(rhs), max_steps)), rule.conclusion
     except DomainError:
         # a condition, sum, difference, rectangle or conclusion ratio
         # does not exist for these values: the hypotheses fail
-        return (False, False) + shown
-    return (True, concl[0] == concl[1]) + concl
+        verdict, pair = (False, False), first
+    return verdict + shown(pair)
 
 
 _AB_CD = ((_a, _b), (_c, _d))
@@ -366,9 +421,11 @@ def check_proposition(
 ) -> PropReport:
     """Check a named proportion proposition on concrete magnitudes.
 
-    Unknown names, wrong arity and wrong roles are caller errors; every
-    value-level hypothesis failure is reported, not raised.
+    Unknown names, wrong arity, wrong roles and a negative budget are
+    caller errors; every value-level hypothesis failure is reported, not
+    raised.
     """
+    _budget(max_steps)
     if name not in PROPOSITIONS:
         raise DomainError(
             "check_proposition: unknown proposition %r (known: %s)"

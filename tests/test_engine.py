@@ -19,6 +19,7 @@ from anthyphairesis import (
     MIXED,
     ContinuedFraction,
     DomainError,
+    IndeterminateError,
     InternalInvariantError,
     QuadSurd,
     QuadraticForm,
@@ -32,6 +33,7 @@ from anthyphairesis import (
     period_to_form,
     remainder,
     run_anthyphairesis,
+    same_anthyphairesis,
     state_space_size,
     surd_cf,
 )
@@ -438,6 +440,106 @@ class TestRunAnthyphairesis:
             run_anthyphairesis(QuadraticForm(EXCESS, 3, 1, 1))
         with pytest.raises(DomainError):
             run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 2), max_steps=-1)
+
+
+def _expandable_forms(rng, count, lim):
+    """Seeded expandable forms of every kind, primitive or not."""
+    kinds = ((EXCESS, False), (MIXED, False), (DEFECT, False), (DEFECT, True))
+    out = []
+    while len(out) < count:
+        kind, smaller = rng.choice(kinds)
+        a, b, c = rng.randint(1, lim), rng.randint(0, 2 * lim), rng.randint(1, lim)
+        try:
+            form = QuadraticForm(kind, a, b, c, smaller_root=smaller)
+        except DomainError:
+            continue
+        if form.is_expandable and not is_perfect_square(form.disc):
+            out.append(form)
+    return out
+
+
+def _count_steps(monkeypatch):
+    """A list that records every engine step from now on."""
+    steps = []
+    real = engine._step
+    monkeypatch.setattr(engine, "_step", lambda *t: steps.append(t) or real(*t))
+    return steps
+
+
+class TestSameAnthyphairesis:
+    def test_agrees_with_full_expansion_equality(self):
+        """The lockstep against comparing two whole expansions (the oracle).
+
+        Pairs come from one discriminant (the states of seven sqrt(N)
+        expansions, and seeded forms of every kind, scaled or not) and
+        from different ones.  Wherever both runs close, the lockstep must decide and
+        agree; where they do not, a verdict it still gives must match the
+        one at a large budget.
+        """
+        rng = random.Random(20261018)
+        forms = _expandable_forms(rng, 300, 9)
+        for n in (2, 3, 7, 13, 19, 46, 139):
+            _, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n))
+            forms += trace.states[1:]
+        forms += [
+            QuadraticForm(f.kind, 3 * f.A, 3 * f.B, 3 * f.C, f.smaller_root) for f in forms[:40]
+        ]
+        by_disc: dict[int, list] = {}
+        for f in forms:
+            g = math.gcd(f.A, f.B, f.C)
+            by_disc.setdefault(f.disc // (g * g), []).append(f)
+        pairs = [(f, g) for group in by_disc.values() for f in group for g in group]
+        pairs += [tuple(rng.sample(forms, 2)) for _ in range(500)]
+        budgets = (0, 1, 3, 50, 10_000)
+        cfs = {(f, n): run_anthyphairesis(f, n)[0] for f in forms for n in budgets}
+        outcomes = set()
+        for f, g in pairs:
+            truth = cfs[f, 10_000] == cfs[g, 10_000]
+            assert not cfs[f, 10_000].truncated and not cfs[g, 10_000].truncated
+            for steps in budgets:
+                cf, cg = cfs[f, steps], cfs[g, steps]
+                try:
+                    got = same_anthyphairesis(f, g, steps)
+                except IndeterminateError:
+                    assert cf.truncated or cg.truncated, (f, g, steps)
+                    outcomes.add("undecided")
+                    continue
+                assert got == truth, (f, g, steps)
+                outcomes.add(got if not (cf.truncated or cg.truncated) else "early")
+        assert outcomes == {True, False, "undecided", "early"}
+
+    def test_equal_roots_are_equal_before_a_step(self, monkeypatch):
+        steps = _count_steps(monkeypatch)
+        big = QuadraticForm(EXCESS, 1, 0, 10**12 + 39)
+        assert same_anthyphairesis(big, big, 0)
+        # excess(2, 0, 4) is twice excess(1, 0, 2): same root sqrt(2)
+        root2 = QuadraticForm(EXCESS, 1, 0, 2)
+        assert same_anthyphairesis(QuadraticForm(EXCESS, 2, 0, 4), root2, 0)
+        # a step keeps the discriminant: 4 * 3 against 4 * 2
+        assert not same_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 3), root2, 0)
+        assert steps == []
+
+    def test_unequal_roots_cost_their_common_prefix(self, monkeypatch):
+        # states of the sqrt(139) cycle whose words begin (1, 3, 1, 3, ...)
+        # and (1, 3, 1, 22, ...): they differ in round 4
+        f, g = QuadraticForm(EXCESS, 18, 22, 1), QuadraticForm(EXCESS, 15, 14, 6)
+        steps = _count_steps(monkeypatch)
+        with pytest.raises(IndeterminateError):
+            same_anthyphairesis(f, g, 1)  # 2 rounds
+        steps.clear()
+        assert not same_anthyphairesis(f, g, 2)  # 4 rounds
+        assert len(steps) == 2 * 4
+
+    def test_rejects_what_it_cannot_step(self):
+        root2 = QuadraticForm(EXCESS, 1, 0, 2)
+        with pytest.raises(DomainError, match="max_steps"):
+            same_anthyphairesis(root2, root2, -1)
+        with pytest.raises(DomainError, match="must exceed 1"):
+            same_anthyphairesis(root2, QuadraticForm(EXCESS, 3, 1, 1))
+        with pytest.raises(DomainError, match="square discriminant"):
+            same_anthyphairesis(root2, QuadraticForm(EXCESS, 1, 0, 4))
+        with pytest.raises(DomainError, match="square discriminant"):
+            same_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 4), root2)
 
 
 class TestSurdCf:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anthyphairesis import (
@@ -370,6 +370,34 @@ def test_comparison_trichotomy(x, y):
     if not (x.is_rational or y.is_rational) and x.d != y.d:
         return
     assert (x < y) + (x == y) + (x > y) == 1
+
+
+@settings(deadline=None)
+@given(surds(), surds())
+@example(QuadSurd(3, 0, 2), QuadSurd(1, 1, 1, 2))
+@example(QuadSurd(1, 1, 1, 2), QuadSurd(3, 0, 2))
+@example(QuadSurd(-7, 0, 3), QuadSurd(5))
+def test_comparison_is_the_sign_of_the_difference(x, y):
+    if not (x.is_rational or y.is_rational) and x.d != y.d:
+        with pytest.raises(DomainError):
+            x._cmp(y)
+        return
+    assert x._cmp(y) == (x - y).sign() == -y._cmp(x)
+    if y.is_rational:  # the same operand as a Fraction, and as an int
+        assert x._cmp(y.as_fraction()) == x._cmp(y)
+        assert x._cmp(y.u // y.w) == (x - y.u // y.w).sign()
+
+
+def test_comparisons_build_no_values(monkeypatch):
+    x, y = QuadSurd(1, 2, 3, 7), QuadSurd(-5, 1, 2, 7)
+    built = []
+    real = QuadSurd._settle
+    monkeypatch.setattr(
+        QuadSurd, "_settle", lambda self, *t: built.append(t) or real(self, *t)
+    )
+    assert x > 1 and x >= 0 and y < 1 and not x < y and x > y and y <= x
+    assert x.floor() == 2 and y.floor() == -2
+    assert built == []
 
 
 # -- results of arithmetic skip the factoring of their radicand -----------------

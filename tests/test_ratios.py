@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from anthyphairesis import engine
 from anthyphairesis import (
     AREA,
     LINE,
@@ -19,18 +20,26 @@ from anthyphairesis import (
     check_proposition,
     commensurable_pure,
     cross_product_eq,
+    euclid_cf,
     is_perfect_square,
     line,
     mixed_ratio_eq,
     ratio_eq,
     rectangle,
+    run_anthyphairesis,
     square_ratio_witness,
     surd_cf,
 )
+from anthyphairesis.ratios import decided_anth
 
 SQRT2 = QuadSurd(0, 1, 1, 2)
 SQRT3 = QuadSurd(0, 1, 1, 3)
 GOLDEN = QuadSurd(1, 1, 2, 5)
+# two states of the sqrt(139) cycle: their words (1, 3, 1, 3, 7, ...) and
+# (1, 3, 1, 22, ...) share the prefix (1, 3, 1)
+X139 = QuadSurd(11, 1, 18, 139)
+Y139 = QuadSurd(7, 1, 15, 139)
+BIG = QuadSurd(0, 1, 1, 10**12 + 39)  # period 532572
 
 
 class TestMagnitude:
@@ -128,9 +137,12 @@ class TestRatioEq:
         assert not ratio_eq(line(SQRT2), line(1), line(SQRT3), line(1))
 
     def test_truncation_is_undecided(self):
-        big = line(QuadSurd(0, 1, 1, 139))
+        # the verdict needs 4 lockstep rounds, and max_steps buys 2 * max_steps
+        pairs = (line(X139), line(1), line(Y139), line(1))
         with pytest.raises(IndeterminateError):
-            ratio_eq(big, line(1), big, line(1), max_steps=2)
+            ratio_eq(*pairs, max_steps=1)
+        for steps in (2, 3, 10_000):
+            assert not ratio_eq(*pairs, max_steps=steps)
 
 
 class TestCrossProductEq:
@@ -176,6 +188,151 @@ class TestMixedRatioEq:
             mixed_ratio_eq(line(1), line(1), 0, 2)
         with pytest.raises(DomainError):
             mixed_ratio_eq(line(1), line(1), 2, -1)
+        with pytest.raises(DomainError):
+            mixed_ratio_eq(line(1), line(1), True, True)
+        with pytest.raises(DomainError):
+            mixed_ratio_eq(line(1), line(1), 1, False)
+
+
+def _prefixed(prefix, z):
+    """The value whose expansion is prefix followed by that of z > 1."""
+    for k in reversed(prefix):
+        z = z.inverse() + k
+    return z
+
+
+def _full_expansion_eq(a, b, c, d, steps):
+    """Equality of two whole expansions, the lockstep's oracle; None if undecided."""
+    try:
+        return decided_anth(a, b, steps) == decided_anth(c, d, steps)
+    except IndeterminateError:
+        return None
+
+
+def _ratio_value(rng, d):
+    while True:
+        x = QuadSurd(rng.randint(-40, 40), rng.randint(1, 9), rng.randint(1, 40), d)
+        if x > 0:
+            return x
+
+
+def _ratio_pairs(rng):
+    """Seeded value pairs: equal, unequal, long shared prefix, rational, mixed fields."""
+    fields = (2, 3, 5, 7, 13, 46, 139, 1009)
+    out = []
+    for _ in range(60):
+        d = rng.choice(fields)
+        x = _ratio_value(rng, d)
+        out.append((x, x))
+        out.append((x, _ratio_value(rng, d)))
+        other = rng.choice([e for e in fields if e != d])
+        out.append((x, _ratio_value(rng, other)))
+        q = as_surd(Fraction(rng.randint(1, 99), rng.randint(1, 99)))
+        out.append((x, q))
+        out.append((q, q if rng.random() < 0.5 else q + Fraction(1, rng.randint(1, 9))))
+        # the cycle states X139, Y139 behind a common prefix of 0 to 40 quotients
+        prefix = [rng.randint(1, 9) for _ in range(rng.randint(0, 40))]
+        out.append((_prefixed(prefix, X139), _prefixed(prefix, Y139)))
+    return out
+
+
+class TestLockstep:
+    """Verdicts step two forms together and stop at the first disagreement."""
+
+    def test_agrees_with_full_expansion_equality(self):
+        rng = random.Random(1829)
+        outcomes = set()
+        for x, y in _ratio_pairs(rng):
+            s, t = _ratio_value(rng, 2 if x.is_rational else x.d), as_surd(rng.randint(1, 5))
+            a, b, c, d = line(x * s), line(s), line(y * t), line(t)
+            # both orientations, and each ratio below 1 against one above
+            for pairs in ((a, b, c, d), (b, a, d, c), (a, b, d, c), (c, d, a, b)):
+                truth = _full_expansion_eq(*pairs, 100_000)
+                assert truth is not None
+                for steps in (0, 1, 3, 10_000):
+                    want = _full_expansion_eq(*pairs, steps)
+                    try:
+                        got = ratio_eq(*pairs, max_steps=steps)
+                    except IndeterminateError:
+                        assert want is None, (pairs, steps)
+                        outcomes.add("undecided")
+                        continue
+                    assert got == truth, (pairs, steps)
+                    outcomes.add(got if want is not None else "decided early")
+        assert outcomes == {True, False, "undecided", "decided early"}
+
+    def test_mixed_agrees_with_full_expansion_equality(self):
+        rng = random.Random(1830)
+        for _ in range(300):
+            m, n = rng.randint(1, 30), rng.randint(1, 30)
+            d = rng.choice((1, 2, 5, 139))
+            b = _ratio_value(rng, d)
+            x = as_surd(Fraction(m, n)) if rng.random() < 0.5 else _ratio_value(rng, d)
+            a = x * b
+            if rng.random() < 0.3:
+                m, n = rng.randint(1, 30), rng.randint(1, 30)
+            for steps in (0, 1, 3, 10_000):
+                try:
+                    want = decided_anth(line(a), line(b), steps) == euclid_cf(m, n)
+                except IndeterminateError:
+                    want = None
+                got = mixed_ratio_eq(line(a), line(b), m, n, max_steps=steps)
+                assert got == (x == Fraction(m, n))
+                assert want is None or got == want
+
+    def test_decides_what_full_expansion_could_not(self):
+        x, one = line(BIG), line(1)
+        with pytest.raises(IndeterminateError):
+            decided_anth(x, one)  # its period outruns the default budget
+        assert not mixed_ratio_eq(x, one, 3, 1)
+        assert ratio_eq(x, one, line(2 * BIG), line(2))
+        report = check_proposition("alternando", [x, one, line(2 * BIG), line(2)])
+        assert report.hypotheses_hold and report.conclusion_holds
+        assert report.lhs_cf == report.rhs_cf == ContinuedFraction((0, 2))
+
+    def test_verdict_costs_its_first_disagreement(self, monkeypatch):
+        steps = []
+        real = engine._step
+        monkeypatch.setattr(engine, "_step", lambda *t: steps.append(t) or real(*t))
+        x, one, two = line(BIG), line(1), line(2)
+        assert not mixed_ratio_eq(x, one, 3, 1)  # irrational against a number
+        assert ratio_eq(x, one, line(2 * BIG), two)  # one form, before any step
+        assert ratio_eq(one, x, two, line(2 * BIG))  # below 1: the reciprocals
+        assert not ratio_eq(x, one, one, x)  # above 1 against below 1
+        assert steps == []
+        for prefix in ([], [2, 1, 5], [1] * 30):
+            # shared prefix: the given quotients, then (1, 3, 1)
+            a, c = line(_prefixed(prefix, X139)), line(_prefixed(prefix, Y139))
+            steps.clear()
+            assert not ratio_eq(a, one, c, one)
+            assert len(steps) <= 2 * (len(prefix) + 3 + 1)
+
+    def test_shown_pair_only_is_expanded(self, monkeypatch):
+        runs = []
+        real = run_anthyphairesis
+        monkeypatch.setattr(
+            "anthyphairesis.ratios.run_anthyphairesis",
+            lambda form, n: runs.append(form) or real(form, n),
+        )
+        # the hypothesis pair x : 1, 2x : 2 holds and is not shown
+        report = check_proposition("alternando", [line(BIG), line(1), line(2 * BIG), line(2)])
+        assert report.conclusion_holds and runs == []
+        # plus_unit shows its conclusion (x + 1) : 1 on both sides: one expansion
+        mags = _lines(X139, 1, 2 * X139, 2)
+        report = check_proposition("plus_unit", mags)
+        assert report.conclusion_holds and report.lhs_cf == report.rhs_cf
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("check", ["check_proposition", "ratio_eq", "mixed_ratio_eq"])
+    def test_negative_budget_is_a_caller_error(self, check):
+        mags = _lines(2, 1, 4, 2)
+        calls = {
+            "check_proposition": lambda: check_proposition("alternando", mags, max_steps=-1),
+            "ratio_eq": lambda: ratio_eq(*mags, max_steps=-1),
+            "mixed_ratio_eq": lambda: mixed_ratio_eq(mags[0], mags[1], 2, 1, max_steps=-1),
+        }
+        with pytest.raises(DomainError, match="anth_of_ratio: max_steps must be >= 0"):
+            calls[check]()
 
 
 class TestCommensurability:
