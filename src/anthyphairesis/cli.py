@@ -37,8 +37,9 @@ from .ratios import (
     anth_of_ratio,
     commensurable_pure,
     cross_product_eq,
-    decided_anth,
     line,
+    mixed_ratio_eq,
+    ratio_eq,
 )
 
 EXIT_OK = 0
@@ -374,17 +375,20 @@ def _emit_verdict(args: argparse.Namespace, command: str, input_obj: Any,
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
+    # eq and mixed take their verdicts from the lockstep; the expansions
+    # they print are display only and may be truncated
     if args.mode == "mixed":
         a, b = _parse_magnitude(args.A), _parse_magnitude(args.B)
-        lhs = decided_anth(a, b, args.max_steps)
-        rhs = euclid_cf(args.M, args.N)
+        equal = mixed_ratio_eq(a, b, args.M, args.N, args.max_steps)
         input_obj = {
             "A": _surd_json(a.value),
             "B": _surd_json(b.value),
             "M": _s(args.M),
             "N": _s(args.N),
         }
-        return _emit_verdict(args, "ratio mixed", input_obj, lhs == rhs, lhs, rhs)
+        return _emit_verdict(args, "ratio mixed", input_obj, equal,
+                             anth_of_ratio(a, b, args.max_steps),
+                             euclid_cf(args.M, args.N))
 
     a, b, c, d = (_parse_magnitude(t) for t in args.magnitudes)
     input_obj = {"magnitudes": [_surd_json(m.value) for m in (a, b, c, d)]}
@@ -393,9 +397,10 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
         return _emit_verdict(args, "ratio cross", input_obj, equal,
                              a.value * d.value, b.value * c.value,
                              _surd_json, ("a*d", "b*c"))
-    lhs = decided_anth(a, b, args.max_steps)
-    rhs = decided_anth(c, d, args.max_steps)
-    return _emit_verdict(args, "ratio eq", input_obj, lhs == rhs, lhs, rhs)
+    equal = ratio_eq(a, b, c, d, args.max_steps)
+    return _emit_verdict(args, "ratio eq", input_obj, equal,
+                         anth_of_ratio(a, b, args.max_steps),
+                         anth_of_ratio(c, d, args.max_steps))
 
 
 # -- verify -------------------------------------------------------------------
@@ -523,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio = sub.add_parser("ratio", help="proportion verdicts for magnitudes")
     ratio_sub = p_ratio.add_subparsers(dest="mode", required=True, metavar="mode")
 
-    p_eq = ratio_sub.add_parser("eq", help="compare two ratios by expansion")
+    p_eq = ratio_sub.add_parser("eq", help="compare two ratios by lockstep expansion")
     p_eq.add_argument(
         "magnitudes", nargs=4, metavar="MAG",
         help="magnitude literal: 'u,v,w,D', 'p/q' or an integer",

@@ -273,6 +273,8 @@ def canonicalize_cf(cf: ContinuedFraction) -> ContinuedFraction:
     period is cut to its primitive word, then the preperiod is shortened
     by rotating the period while its last entry matches the preperiod's
     last entry.  Truncated input is returned untouched.  Idempotent.
+    run_anthyphairesis is canonical by construction and does not call
+    this; the oracle surd_cf does.
     """
     if cf.truncated:
         return cf
@@ -419,11 +421,14 @@ def run_anthyphairesis(
                 )
             after_excess = excess
         elif (a, b, c) == anchor:
-            cf = canonicalize_cf(
-                ContinuedFraction(
-                    tuple(quotients[:anchor_at]), tuple(quotients[anchor_at:])
+            # canonical as it stands: the first return closes the primitive
+            # period, and the unreduced state before the anchor cannot
+            # share the period's last quotient (it would equal that state)
+            if anchor_at and quotients[anchor_at - 1] == quotients[-1]:
+                raise InternalInvariantError(
+                    "run: the preperiod's last quotient repeats the period's last"
                 )
-            )
+            cf = ContinuedFraction(tuple(quotients[:anchor_at]), tuple(quotients[anchor_at:]))
             return cf, ExpansionTrace(tuple(quotients), form, (anchor_at, pos))
         if pos >= max_steps:
             cf = ContinuedFraction(tuple(quotients), None, truncated=True)

@@ -11,9 +11,9 @@ A verdict steps the forms of its two ratios in lockstep
 (engine.same_anthyphairesis) and stops at the first disagreement, so it
 costs the common prefix of the two expansions, not their periods.  A
 rational ratio against an irrational one, or a ratio above 1 against
-one below, differs without a step.  Whole expansions are built only
-where they are shown: by anth_of_ratio and decided_anth, and for the
-one pair a PropReport carries.
+one below, differs without a step.  Whole expansions are for display
+only: anth_of_ratio builds them, and a PropReport carries one pair of
+them, which may be truncated and never decides anything.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .engine import (
     run_anthyphairesis,
     same_anthyphairesis,
 )
-from .errors import DomainError, IndeterminateError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
 
 LINE = "line"
@@ -107,7 +107,8 @@ class PropReport:
     or conclusion ratio cannot be formed; both are None when there is no
     hypothesis pair or a hypothesis ratio does not even exist.  Only
     that pair is expanded, after the verdicts, and a side equal to the
-    other is expanded once.
+    other is expanded once.  A shown expansion is truncated when it does
+    not close within max_steps; the verdicts stand regardless.
     """
 
     proposition: str
@@ -147,17 +148,6 @@ def _expand(x: QuadSurd, max_steps: int) -> ContinuedFraction:
     return ContinuedFraction((0,) + tail.preperiod, tail.period, tail.truncated)
 
 
-def _decided(x: QuadSurd, max_steps: int) -> ContinuedFraction:
-    """The expansion of x, or IndeterminateError when it is truncated."""
-    cf = _expand(x, max_steps)
-    if cf.truncated:
-        raise IndeterminateError(
-            "expansion truncated before any period appeared; the proportion "
-            "is undecided at this step budget"
-        )
-    return cf
-
-
 def _same(x: QuadSurd, y: QuadSurd, max_steps: int) -> bool:
     """Whether the positive values x and y have one expansion.
 
@@ -184,17 +174,6 @@ def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> Contin
     max_steps quotients were emitted before any period appeared.
     """
     return _expand(_ratio(a, b, max_steps), max_steps)
-
-
-def decided_anth(
-    a: Magnitude, b: Magnitude, max_steps: int = 10_000
-) -> ContinuedFraction:
-    """The expansion of a : b, for use in a verdict.
-
-    A truncated expansion is unknown, not unequal: it raises
-    IndeterminateError instead of being returned.
-    """
-    return _decided(_ratio(a, b, max_steps), max_steps)
 
 
 def ratio_eq(
@@ -326,8 +305,8 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
         if pair is None:
             return (None, None)
         x, y = value(pair[0]), value(pair[1])
-        lhs = _decided(x, max_steps)
-        return (lhs, lhs if x == y else _decided(y, max_steps))
+        lhs = _expand(x, max_steps)
+        return (lhs, lhs if x == y else _expand(y, max_steps))
 
     for lhs, rhs in rule.hypotheses:
         if not _same(value(lhs), value(rhs), max_steps):
@@ -423,7 +402,8 @@ def check_proposition(
 
     Unknown names, wrong arity, wrong roles and a negative budget are
     caller errors; every value-level hypothesis failure is reported, not
-    raised.
+    raised.  IndeterminateError comes only from a verdict the lockstep
+    leaves open, never from the expansions the report shows.
     """
     _budget(max_steps)
     if name not in PROPOSITIONS:

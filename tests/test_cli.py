@@ -291,11 +291,47 @@ class TestRatio:
         assert code == 1 and err.startswith("error: ")
 
     def test_truncation_is_undecided(self, capsys):
+        # two states of the sqrt(139) cycle share three quotients; one step
+        # buys two lockstep rounds, which leave the verdict open
         code, _, err = run(
-            capsys, "ratio", "eq", "0,1,1,139", "1", "0,1,1,139", "1",
-            "--max-steps", "2",
+            capsys, "ratio", "eq", "11,1,18,139", "1", "7,1,15,139", "1",
+            "--max-steps", "1",
         )
         assert code == 3 and err.startswith("undecided: ")
+
+    def test_verdicts_come_from_the_lockstep(self, capsys, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a verdict compared two expansions")
+
+        monkeypatch.setattr(cli.ContinuedFraction, "__eq__", refuse)
+        # sqrt(10**12 + 39) has period 532572, far past the default budget,
+        # so its shown expansion is truncated while the verdict is decided
+        big = "0,1,1,1000000000039"
+        cases = [
+            (("eq", "0,1,1,2", "1", "2", "0,1,1,2"), "equal"),
+            (("eq", "0,1,1,2", "1", "0,1,1,3", "1"), "unequal"),
+            (("eq", "3/2", "1", "3", "2"), "equal"),
+            (("mixed", "17/5", "1", "17", "5"), "equal"),
+            (("mixed", "0,1,1,2", "1", "3", "2"), "unequal"),
+            (("mixed", big, "1", "3", "1"), "unequal"),
+            (("eq", big, "1", "0,2,1,1000000000039", "2"), "equal"),
+        ]
+        for argv, verdict in cases:
+            code, out, err = run(capsys, "ratio", *argv)
+            assert code == 0 and err == "", argv
+            lhs, _, last = out.splitlines()
+            assert last == "verdict    : " + verdict, argv
+            assert lhs.endswith(", ...]") == (big in argv), argv
+        code, out, _ = run(capsys, "ratio", "mixed", big, "1", "3", "1", "--json")
+        result = json.loads(out)["result"]
+        assert code == 0 and result["verdict"] == "unequal"
+        assert result["lhs"]["truncated"] is True and result["lhs"]["period"] is None
+        assert result["rhs"] == {"preperiod": ["3"], "period": None, "truncated": False}
+
+    def test_mixed_rejects_bad_numbers(self, capsys):
+        code, out, err = run(capsys, "ratio", "mixed", "0,1,1,2", "1", "0", "2")
+        assert code == 1 and out == ""
+        assert err == "error: mixed_ratio_eq: m and n must be integers >= 1\n"
 
     def test_eq_json_round(self, capsys):
         code, out, _ = run(capsys, "ratio", "eq", "0,1,1,2", "1", "2", "0,1,1,2", "--json")

@@ -435,6 +435,32 @@ class TestRunAnthyphairesis:
         with pytest.raises(InternalInvariantError, match="sign pattern"):
             run_anthyphairesis(root2)
 
+    def test_output_is_canonical_without_canonicalize(self, monkeypatch):
+        want = {
+            QuadraticForm(DEFECT, 7, 20, 14): ((1, 1, 1, 1), (2,)),
+            QuadraticForm(EXCESS, 1, 0, 139): (
+                (11,), (1, 3, 1, 3, 7, 1, 1, 2, 11, 2, 1, 1, 7, 3, 1, 3, 1, 22)
+            ),
+        }
+        for form, (pre, per) in want.items():
+            assert canonicalize_cf(ContinuedFraction(pre, per)) == ContinuedFraction(pre, per)
+
+        def refuse(cf):
+            raise AssertionError("run_anthyphairesis called canonicalize_cf")
+
+        monkeypatch.setattr(engine, "canonicalize_cf", refuse)
+        for form, (pre, per) in want.items():
+            cf, _ = run_anthyphairesis(form)
+            assert (cf.preperiod, cf.period, cf.truncated) == (pre, per, False), form
+
+    def test_preperiod_that_repeats_the_period_end_is_an_invariant_error(self, monkeypatch):
+        # sqrt(2) stepped by a rule that always answers k = 2 and the
+        # anchor (1, 2, 1): the quotients [2, 2] would end the preperiod
+        # with the period's last entry, which a true expansion never does
+        monkeypatch.setattr(engine, "_step", lambda a, b, c, s, j: (2, 1, 2, 1, 1))
+        with pytest.raises(InternalInvariantError, match="preperiod"):
+            run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 2))
+
     def test_rejects_unexpandable(self):
         with pytest.raises(DomainError):
             run_anthyphairesis(QuadraticForm(EXCESS, 3, 1, 1))

@@ -30,7 +30,6 @@ from anthyphairesis import (
     square_ratio_witness,
     surd_cf,
 )
-from anthyphairesis.ratios import decided_anth
 
 SQRT2 = QuadSurd(0, 1, 1, 2)
 SQRT3 = QuadSurd(0, 1, 1, 3)
@@ -202,11 +201,11 @@ def _prefixed(prefix, z):
 
 
 def _full_expansion_eq(a, b, c, d, steps):
-    """Equality of two whole expansions, the lockstep's oracle; None if undecided."""
-    try:
-        return decided_anth(a, b, steps) == decided_anth(c, d, steps)
-    except IndeterminateError:
+    """Equality of two whole expansions, the lockstep's oracle; None if either is truncated."""
+    lhs, rhs = anth_of_ratio(a, b, steps), anth_of_ratio(c, d, steps)
+    if lhs.truncated or rhs.truncated:
         return None
+    return lhs == rhs
 
 
 def _ratio_value(rng, d):
@@ -272,18 +271,15 @@ class TestLockstep:
             if rng.random() < 0.3:
                 m, n = rng.randint(1, 30), rng.randint(1, 30)
             for steps in (0, 1, 3, 10_000):
-                try:
-                    want = decided_anth(line(a), line(b), steps) == euclid_cf(m, n)
-                except IndeterminateError:
-                    want = None
+                lhs = anth_of_ratio(line(a), line(b), steps)
+                want = None if lhs.truncated else lhs == euclid_cf(m, n)
                 got = mixed_ratio_eq(line(a), line(b), m, n, max_steps=steps)
                 assert got == (x == Fraction(m, n))
                 assert want is None or got == want
 
     def test_decides_what_full_expansion_could_not(self):
         x, one = line(BIG), line(1)
-        with pytest.raises(IndeterminateError):
-            decided_anth(x, one)  # its period outruns the default budget
+        assert anth_of_ratio(x, one).truncated  # its period outruns the default budget
         assert not mixed_ratio_eq(x, one, 3, 1)
         assert ratio_eq(x, one, line(2 * BIG), line(2))
         report = check_proposition("alternando", [x, one, line(2 * BIG), line(2)])
@@ -512,10 +508,14 @@ class TestPropositions:
             check_proposition("area_v9", _lines(1, 1, 1))
 
     def test_truncation_propagates(self):
+        # the lockstep decides both verdicts; the shown pair is only
+        # truncated by the budget, and that raises nothing
         big = QuadSurd(0, 1, 1, 139)
         mags = _lines(big, 1, QuadSurd(0, 2, 1, 139), 2)
-        with pytest.raises(IndeterminateError):
-            check_proposition("fundamental", mags, max_steps=2)
+        report = check_proposition("fundamental", mags, max_steps=2)
+        assert report.hypotheses_hold and report.conclusion_holds
+        for cf in (report.lhs_cf, report.rhs_cf):
+            assert cf.truncated and cf.preperiod == (11, 1)
 
     def test_failed_condition_needs_no_expansion(self):
         # sqrt(139) : 1 against 3*sqrt(139) : 2 fails the cross product,
