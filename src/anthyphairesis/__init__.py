@@ -16,8 +16,6 @@ from .exactarith import (
     isqrt,
     rational_sqrt,
     square_free_split,
-    surd_floor,
-    surd_sign,
 )
 from .engine import (
     DEFECT,
@@ -79,8 +77,6 @@ __all__ = [
     "isqrt",
     "rational_sqrt",
     "square_free_split",
-    "surd_floor",
-    "surd_sign",
     "DEFECT",
     "EXCESS",
     "MIXED",

@@ -148,6 +148,7 @@ def _root_text(form: QuadraticForm) -> str:
 def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
               form: QuadraticForm) -> int:
     cf, trace = run_anthyphairesis(form, args.max_steps)
+    code = EXIT_UNDECIDED if cf.truncated else EXIT_OK
     result = {
         **_form_json(form),
         "quotients": [_s(k) for k in trace.quotients],
@@ -155,6 +156,8 @@ def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
     }
     if args.json:  # the states are replayed on read; text shows them under --trace
         result["states"] = [_form_json(st) for st in trace.states]
+        _emit(args, command, input_obj, result, [])  # the text lines would factor disc
+        return code
     lines = [
         _kv("form", form),
         _kv("disc", form.disc),
@@ -177,7 +180,7 @@ def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
         if cf.truncated:
             lines.append("  step budget exhausted")
     _emit(args, command, input_obj, result, lines)
-    return EXIT_UNDECIDED if cf.truncated else EXIT_OK
+    return code
 
 
 def _run_plain_cf(args: argparse.Namespace, command: str, input_obj: Any,

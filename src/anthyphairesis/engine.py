@@ -54,10 +54,10 @@ class QuadraticForm:
     (b + s*sqrt(disc)) / (2a) of a*x^2 = b*x + c, disc = b^2 + 4ac > 0,
     and every kind steps by the one rule x = k + 1/y on that triple.
 
-    Mixed and smaller-root defect forms arise only as transient states
-    while a defect relation is being driven toward an excess one; the
-    public constructors and the CLI only ever hand out excess and
-    larger-root defect forms.
+    Mixed and smaller-root defect forms arise as states on the way from
+    a defect relation to an excess one, and minimal_form returns them
+    for roots whose minimal polynomial has that sign pattern: 3 - sqrt(2)
+    is defect-(1, 6, 7) and -1 + 2*sqrt(2) is mixed(1, 2, 7).
     """
 
     kind: str
@@ -70,8 +70,7 @@ class QuadraticForm:
         if self.kind not in _KINDS:
             raise DomainError("QuadraticForm: unknown kind %r" % (self.kind,))
         for name, x in (("A", self.A), ("B", self.B), ("C", self.C)):
-            # exact type first: the engine builds one form per step
-            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+            if isinstance(x, bool) or not isinstance(x, int):
                 raise DomainError("QuadraticForm: %s must be an int" % name)
         if self.A < 1 or self.C < 1:
             raise DomainError("QuadraticForm: A and C must be >= 1")
@@ -500,6 +499,8 @@ def surd_cf(x: Union[QuadSurd, Fraction, int], max_steps: int = 10_000) -> Conti
     the exact tail value.  Values below 1 are allowed and give a head
     quotient of 0.
     """
+    if max_steps < 0:
+        raise DomainError("surd_cf: max_steps must be >= 0")
     val = as_surd(x)
     if not val > 0:
         raise DomainError("surd_cf: value must be positive, got %s" % val)
@@ -619,12 +620,11 @@ def state_space_size(disc: int) -> int:
     return count
 
 
-def minimal_form(x: Union[QuadSurd, Fraction, int]) -> Union[QuadraticForm, Fraction]:
-    """Primitive form whose designated root is x, for exact x > 1.
+def minimal_form(x: Union[QuadSurd, Fraction, int]) -> QuadraticForm:
+    """Primitive form whose designated root is x, for irrational exact x > 1.
 
-    Rational x has no form: the value itself is returned as a Fraction
-    and expansion falls to the Euclidean algorithm.  For irrational x
-    the form is the signed triple (P, Q, -R) of the minimal polynomial
+    A rational x has no form and is a DomainError; euclid_cf expands it.
+    The form is the signed triple (P, Q, -R) of the minimal polynomial
     P*x^2 - Q*x + R = 0, with P = w^2, Q = 2*u*w, R = u^2 - v^2*d, and
     root selector the sign of v.
     """
@@ -632,7 +632,7 @@ def minimal_form(x: Union[QuadSurd, Fraction, int]) -> Union[QuadraticForm, Frac
     if not val > 1:
         raise DomainError("minimal_form: requires x > 1, got %s" % val)
     if val.is_rational:
-        return val.as_fraction()
+        raise DomainError("minimal_form: %s is rational; use euclid_cf" % val)
     u, v, w, d = val.u, val.v, val.w, val.d
     p = w * w
     q = 2 * u * w

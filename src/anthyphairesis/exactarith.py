@@ -99,8 +99,9 @@ class QuadSurd:
 
     The radicand a caller supplies is factored once, here.  Arithmetic
     results (``+ - * /``, ``inverse``, negation, and through them
-    ``floor``, comparisons and ``decimal``) inherit the operands'
-    normalized radicand and are never factored again.
+    ``decimal``) inherit the operands' normalized radicand and are never
+    factored again.  ``sign``, ``floor`` and comparisons are integer
+    arithmetic on the stored components and never factor either.
     """
 
     u: int
@@ -294,17 +295,10 @@ class QuadSurd:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            o = self._coerce(other)
-            return (self.u, self.v, self.w, self.d) == (o.u, o.v, o.w, o.d)
-        if isinstance(other, QuadSurd):
-            return (self.u, self.v, self.w, self.d) == (
-                other.u,
-                other.v,
-                other.w,
-                other.d,
-            )
-        return NotImplemented
+        o = self._coerce(other)  # type: ignore[arg-type]
+        if o is NotImplemented:
+            return NotImplemented
+        return (self.u, self.v, self.w, self.d) == (o.u, o.v, o.w, o.d)
 
     def __hash__(self) -> int:
         if self.is_rational:
@@ -312,24 +306,20 @@ class QuadSurd:
         return hash((self.u, self.v, self.w, self.d))
 
     def floor(self) -> int:
-        """Exact integer floor, via verified candidate adjustment.
+        """Exact integer floor, read off one integer square root.
 
-        A candidate is read off from an integer square root, then moved
-        until both defining inequalities f <= x < f + 1 are certified by
-        exact sign tests.  The loop runs at most a couple of times.
+        For v != 0, d is squarefree and > 1, so v*v*d is not a square and
+        |v|*sqrt(d) = r + t with r = isqrt(v*v*d) and 0 < t < 1.  Then
+        floor((u + r + t)/w) = (u + r) // w and floor((u - r - t)/w) =
+        (u - r - 1) // w: an integer plus a fraction in (0, 1) never
+        reaches the next multiple of w >= 1.
         """
         if self.v == 0:
             return self.u // self.w
-        # first guess: floor((u + v*floor-ish(sqrt(d)))/w)
-        root = isqrt(self.v * self.v * self.d)
-        if self.v < 0:
-            root = -(root + 1)
-        f = (self.u + root) // self.w
-        while self._cmp(f) < 0:
-            f -= 1
-        while self._cmp(f + 1) >= 0:
-            f += 1
-        return f
+        r = isqrt(self.v * self.v * self.d)
+        if self.v > 0:
+            return (self.u + r) // self.w
+        return (self.u - r - 1) // self.w
 
     # -- display ----------------------------------------------------------
 
@@ -398,13 +388,3 @@ def rational_sqrt(x: Union[Fraction, int]) -> QuadSurd:
         return QuadSurd(0)
     # sqrt(p/q) = sqrt(p*q)/q
     return QuadSurd(0, 1, fr.denominator, fr.numerator * fr.denominator)
-
-
-def surd_sign(x: Numeric) -> int:
-    """Sign of an exact value: -1, 0 or +1."""
-    return as_surd(x).sign()
-
-
-def surd_floor(x: Numeric) -> int:
-    """Exact floor of an exact value."""
-    return as_surd(x).floor()

@@ -82,7 +82,7 @@ class Magnitude:
 
 def line(x: ValueLike) -> Magnitude:
     """A line magnitude from an exact positive value."""
-    return Magnitude(as_surd(x), LINE)
+    return Magnitude(x, LINE)
 
 
 def rectangle(p: Magnitude, q: Magnitude) -> Magnitude:
@@ -118,18 +118,18 @@ class PropReport:
     rhs_cf: Optional[ContinuedFraction]
 
 
-def _budget(max_steps: int) -> None:
+def _budget(max_steps: int, caller: str) -> None:
     if max_steps < 0:
-        raise DomainError("anth_of_ratio: max_steps must be >= 0")
+        raise DomainError("%s: max_steps must be >= 0" % caller)
 
 
-def _ratio(a: Magnitude, b: Magnitude, max_steps: int) -> QuadSurd:
-    """The value of the ratio a : b, once its arguments are vetted."""
+def _ratio(a: Magnitude, b: Magnitude, max_steps: int, caller: str) -> QuadSurd:
+    """The value of the ratio a : b; errors name the public function caller."""
     if not isinstance(a, Magnitude) or not isinstance(b, Magnitude):
-        raise DomainError("anth_of_ratio: arguments must be magnitudes")
+        raise DomainError("%s: arguments must be magnitudes" % caller)
     if a.role != b.role:
-        raise DomainError("anth_of_ratio: a ratio relates magnitudes of one role")
-    _budget(max_steps)
+        raise DomainError("%s: a ratio relates magnitudes of one role" % caller)
+    _budget(max_steps, caller)
     return a.value / b.value
 
 
@@ -173,7 +173,7 @@ def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> Contin
     Rational ratios are Euclidean.  The result is truncated when
     max_steps quotients were emitted before any period appeared.
     """
-    return _expand(_ratio(a, b, max_steps), max_steps)
+    return _expand(_ratio(a, b, max_steps, "anth_of_ratio"), max_steps)
 
 
 def ratio_eq(
@@ -186,7 +186,8 @@ def ratio_eq(
     IndeterminateError is raised when max_steps leaves the verdict
     open; see engine.same_anthyphairesis.
     """
-    return _same(_ratio(a, b, max_steps), _ratio(c, d, max_steps), max_steps)
+    x = _ratio(a, b, max_steps, "ratio_eq")
+    return _same(x, _ratio(c, d, max_steps, "ratio_eq"), max_steps)
 
 
 def cross_product_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
@@ -218,7 +219,7 @@ def mixed_ratio_eq(
     for k in (m, n):
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise DomainError("mixed_ratio_eq: m and n must be integers >= 1")
-    return _same(_ratio(a, b, max_steps), as_surd(Fraction(m, n)), max_steps)
+    return _same(_ratio(a, b, max_steps, "mixed_ratio_eq"), as_surd(Fraction(m, n)), max_steps)
 
 
 def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
@@ -296,7 +297,7 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
     def value(spec: _RatioSpec) -> QuadSurd:
         if spec not in values:
             num, den = spec
-            values[spec] = _ratio(_form(num, m), _form(den, m), max_steps)
+            values[spec] = _ratio(_form(num, m), _form(den, m), max_steps, "check_proposition")
         return values[spec]
 
     def shown(pair: Optional[tuple[_RatioSpec, _RatioSpec]]) -> tuple:
@@ -405,7 +406,7 @@ def check_proposition(
     raised.  IndeterminateError comes only from a verdict the lockstep
     leaves open, never from the expansions the report shows.
     """
-    _budget(max_steps)
+    _budget(max_steps, "check_proposition")
     if name not in PROPOSITIONS:
         raise DomainError(
             "check_proposition: unknown proposition %r (known: %s)"

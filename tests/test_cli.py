@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anthyphairesis.cli as cli
-from anthyphairesis import InternalInvariantError, __version__
+from anthyphairesis import InternalInvariantError, __version__, exactarith
 
 
 def run(capsys, *argv):
@@ -153,19 +153,33 @@ class TestAnth:
         assert "preperiod  : %s\n" % head in out
         assert "steps      : 10\n" in out
 
+    def test_json_factors_no_root_it_does_not_print(self, capsys, monkeypatch):
+        calls = []
+        real = exactarith.square_free_split
+        monkeypatch.setattr(
+            exactarith, "square_free_split", lambda n: calls.append(n) or real(n)
+        )
+        code, out, _ = run(capsys, "anth", "sqrt", "12", "--json")
+        assert code == 0 and calls == []
+        assert json.loads(out)["result"]["period"] == ["2", "6"]
+        code, out, _ = run(capsys, "anth", "sqrt", "12")
+        assert code == 0 and calls == [48]
+        assert "root       : 2*sqrt(3) ~ 3.464101\n" in out
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, name",
         [
-            ("ratio", "eq", "2", "1,1,1,2", "3", "1", "--max-steps", "-1"),
-            ("anth", "surd", "0", "1", "2", "2", "--max-steps", "-1"),
-            ("anth", "surd", "2", "0", "3", "1", "--max-steps", "-1"),
-            ("anth", "rational", "3", "2", "--max-steps", "-1"),
+            (("ratio", "eq", "2", "1,1,1,2", "3", "1", "--max-steps", "-1"), "ratio_eq"),
+            (("anth", "surd", "0", "1", "2", "2", "--max-steps", "-1"), "anth_of_ratio"),
+            (("anth", "surd", "2", "0", "3", "1", "--max-steps", "-1"), "anth_of_ratio"),
+            (("anth", "rational", "3", "2", "--max-steps", "-1"), "anth_of_ratio"),
         ],
+        ids=["argv0", "argv1", "argv2", "argv3"],
     )
-    def test_negative_budget_is_an_error(self, capsys, argv):
+    def test_negative_budget_is_an_error(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == "error: anth_of_ratio: max_steps must be >= 0\n"
+        assert err == "error: %s: max_steps must be >= 0\n" % name
 
     def test_truncation_exit_code(self, capsys):
         code, out, _ = run(capsys, "anth", "sqrt", "139", "--max-steps", "2", "--trace")

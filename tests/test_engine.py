@@ -602,6 +602,11 @@ class TestSurdCf:
         cf = surd_cf(QuadSurd(0, 1, 1, 139), max_steps=2)
         assert cf.truncated and cf.preperiod == (11, 1)
 
+    @pytest.mark.parametrize("x", [QuadSurd(0, 1, 1, 2), Fraction(3, 2), QuadSurd(-1, 1, 1, 2)])
+    def test_negative_budget_is_rejected(self, x):
+        with pytest.raises(DomainError, match=r"^surd_cf: max_steps must be >= 0$"):
+            surd_cf(x, -1)
+
     @pytest.mark.parametrize("n, period", [(10**6 + 3, 458), (10**9 + 7, 12352)])
     def test_agrees_with_engine_on_large_fields(self, n, period):
         cf, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n), max_steps=100_000)
@@ -735,8 +740,11 @@ class TestMinimalForm:
         assert minimal_form(QuadSurd(-1, 2, 1, 2)) == QuadraticForm(MIXED, 1, 2, 7)
 
     def test_rational_returns_fraction(self):
-        assert minimal_form(Fraction(7, 2)) == Fraction(7, 2)
-        assert minimal_form(5) == Fraction(5)
+        # a rational has no form: the caller expands it with euclid_cf
+        with pytest.raises(DomainError, match=r"minimal_form: 7/2 is rational; use euclid_cf"):
+            minimal_form(Fraction(7, 2))
+        with pytest.raises(DomainError, match=r"minimal_form: 5 is rational; use euclid_cf"):
+            minimal_form(5)
 
     def test_rejects_at_most_one(self):
         with pytest.raises(DomainError):

@@ -27,8 +27,6 @@ from anthyphairesis import (
     rational_sqrt,
     square_free_split,
     surd_cf,
-    surd_floor,
-    surd_sign,
 )
 
 ORACLE_TRIALS = 10_000
@@ -85,6 +83,11 @@ class TestNormalization:
         assert QuadSurd(3, 0, 1) == 3
         assert QuadSurd(1, 0, 2) == Fraction(1, 2)
         assert hash(QuadSurd(3, 0, 1)) == hash(Fraction(3))
+        assert Fraction(1, 2) == QuadSurd(1, 0, 2) and 3 == QuadSurd(3)
+        for x in (QuadSurd(1), QuadSurd(0, 1, 1, 2)):
+            for other in (True, 1.0, None, "1"):
+                assert x != other and other != x
+        assert QuadSurd(0, 1, 1, 2) != 1 and QuadSurd(1, 1, 2, 5) != Fraction(1, 2)
 
 
 class TestIntegerHelpers:
@@ -184,12 +187,12 @@ class TestArithmetic:
 
 class TestOrdering:
     def test_sign_cases(self):
-        assert surd_sign(QuadSurd(0)) == 0
-        assert surd_sign(QuadSurd(1, 1, 1, 2)) == 1
-        assert surd_sign(QuadSurd(-1, -1, 1, 2)) == -1
-        assert surd_sign(QuadSurd(-1, 1, 1, 2)) == 1  # sqrt(2) > 1
-        assert surd_sign(QuadSurd(1, -1, 1, 2)) == -1  # 1 < sqrt(2)
-        assert surd_sign(QuadSurd(3, -2, 1, 2)) == 1  # 3 > 2*sqrt(2)
+        assert as_surd(QuadSurd(0)).sign() == 0
+        assert as_surd(QuadSurd(1, 1, 1, 2)).sign() == 1
+        assert as_surd(QuadSurd(-1, -1, 1, 2)).sign() == -1
+        assert as_surd(QuadSurd(-1, 1, 1, 2)).sign() == 1  # sqrt(2) > 1
+        assert as_surd(QuadSurd(1, -1, 1, 2)).sign() == -1  # 1 < sqrt(2)
+        assert as_surd(QuadSurd(3, -2, 1, 2)).sign() == 1  # 3 > 2*sqrt(2)
 
     def test_comparisons(self):
         r2 = QuadSurd(0, 1, 1, 2)
@@ -200,13 +203,13 @@ class TestOrdering:
         assert phi < Fraction(13, 8)
 
     def test_floor_goldens(self):
-        assert surd_floor(QuadSurd(0, 1, 1, 2)) == 1
-        assert surd_floor(QuadSurd(1, 1, 2, 5)) == 1
-        assert surd_floor(QuadSurd(3, -1, 1, 2)) == 1
-        assert surd_floor(QuadSurd(0, -1, 1, 2)) == -2
-        assert surd_floor(QuadSurd(-1, -1, 2, 2)) == -2
-        assert surd_floor(Fraction(-7, 2)) == -4
-        assert surd_floor(5) == 5
+        assert as_surd(QuadSurd(0, 1, 1, 2)).floor() == 1
+        assert as_surd(QuadSurd(1, 1, 2, 5)).floor() == 1
+        assert as_surd(QuadSurd(3, -1, 1, 2)).floor() == 1
+        assert as_surd(QuadSurd(0, -1, 1, 2)).floor() == -2
+        assert as_surd(QuadSurd(-1, -1, 2, 2)).floor() == -2
+        assert as_surd(Fraction(-7, 2)).floor() == -4
+        assert as_surd(5).floor() == 5
 
     def test_decimal_rendering(self):
         assert QuadSurd(0, 1, 1, 2).decimal() == "1.414213"
@@ -398,6 +401,28 @@ def test_comparisons_build_no_values(monkeypatch):
     assert x > 1 and x >= 0 and y < 1 and not x < y and x > y and y <= x
     assert x.floor() == 2 and y.floor() == -2
     assert built == []
+
+
+def test_floor_makes_no_comparison(monkeypatch):
+    """The floor is read off one integer square root, never corrected by sign tests."""
+    rng = random.Random(909)
+    calls = []
+    real = QuadSurd._cmp
+    monkeypatch.setattr(
+        QuadSurd, "_cmp", lambda self, other: calls.append(other) or real(self, other)
+    )
+    for _ in range(500):
+        d = rng.choice([2, 3, 5, 6, 7, 10, 1_000_003, 1_000_000_007])
+        x = QuadSurd(
+            rng.randint(-(2**80), 2**80),
+            rng.choice([-1, 1]) * rng.randint(1, 2**80),
+            rng.randint(1, 2**80),
+            d,
+        )
+        f = x.floor()
+        assert not x.is_rational and calls == []
+        assert _nonneg_by_integers(x.u - f * x.w, x.v, x.d)
+        assert not _nonneg_by_integers(x.u - (f + 1) * x.w, x.v, x.d)
 
 
 # -- results of arithmetic skip the factoring of their radicand -----------------

@@ -327,7 +327,7 @@ class TestLockstep:
             "ratio_eq": lambda: ratio_eq(*mags, max_steps=-1),
             "mixed_ratio_eq": lambda: mixed_ratio_eq(mags[0], mags[1], 2, 1, max_steps=-1),
         }
-        with pytest.raises(DomainError, match="anth_of_ratio: max_steps must be >= 0"):
+        with pytest.raises(DomainError, match="%s: max_steps must be >= 0" % check):
             calls[check]()
 
 
