@@ -233,6 +233,9 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
     expansion: Optional[ContinuedFraction] = None
 
     if args.quotients is not None:
+        # the quotients are given, so nothing spends the budget; still reject a bad one
+        if args.max_steps < 0:
+            raise DomainError("convergents: max_steps must be >= 0")
         if args.source:
             raise DomainError("convergents: give either 'sqrt N' or --quotients, not both")
         try:
@@ -378,6 +381,9 @@ def _emit_verdict(args: argparse.Namespace, command: str, input_obj: Any,
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
+    if args.mode == "cross" and args.max_steps < 0:
+        # cross products take no budget; still reject a bad one, as eq and mixed do
+        raise DomainError("ratio cross: max_steps must be >= 0")
     # eq and mixed take their verdicts from the lockstep; the expansions
     # they print are display only and may be truncated
     if args.mode == "mixed":

@@ -21,6 +21,27 @@ excess state has a negative conjugate (x*x' = -c/a), so its successor
 is reduced: the cycle starts at the first excess state or one step
 later.  A run anchors on that first reduced state, and the first return
 to the anchor closes the primitive period.
+
+Half of a symmetric period is enough.  Galois also showed that -1/x'
+expands to the reversed period of x; for a reduced triple (a, b, c)
+that root is rev(a, b, c) = (c, b, a).  Number the cycle's states from
+the anchor (state 0) and its quotients q[i] likewise, read around the
+period.  A centre h is an integer with q[i] == q[h - i] for all i, and a
+state equals another exactly when their quotient sequences agree, so
+centres show as states:
+
+- h = 2m - 1 when state m is its own reverse, a == c;
+- h = 2m when the successor of state m is rev of state m;
+- h = -2 when rev(anchor) steps to the anchor, checked once with one
+  step whose quotient is the period's last.  Every sqrt(N) has it: its
+  anchor is (N - a0^2, 2a0, 1), and rev(anchor) is a0 + sqrt(N).
+
+Two centres differ by a period, and the centres of a primitive period p
+are h1 + pZ, so the first two found from -2 upwards, h1 < h2, give
+p = h2 - h1 and the unstepped quotients by reflection about h2.  The
+cycle walk stops about h2 / 2 steps in: ceil(p/2) + O(1) for sqrt(N)
+(h1 = -2) and fewer than p for any symmetric cycle.  A cycle that never
+meets its reverse has no centre and is walked to the return, p steps.
 """
 
 from __future__ import annotations
@@ -140,11 +161,13 @@ class ContinuedFraction:
         if self.period is not None:
             object.__setattr__(self, "period", tuple(self.period))
         pre, per = self.preperiod, self.period
-        for i, k in enumerate(pre):
-            if not isinstance(k, int) or k < 0 or (i > 0 and k < 1):
+        least = 0  # the head may be 0
+        for k in pre:
+            if not isinstance(k, int) or k < least:
                 raise DomainError(
                     "ContinuedFraction: quotients must be positive (head may be 0)"
                 )
+            least = 1
         if per is not None:
             if self.truncated:
                 raise DomainError("ContinuedFraction: a truncated expansion has no period")
@@ -229,9 +252,11 @@ class ExpansionTrace:
 
     states[t] is the form whose quotient is quotients[t]; the final
     state is the first one seen twice (or the frontier if truncated).
-    repeat_at = (i, j) says states[i] == states[j] triggered detection.
-    The run keeps only the quotients and its start form: states is
-    replayed from start on first access, then cached.
+    repeat_at = (i, j) says states[i] == states[j]: i is the anchor and
+    j - i the primitive period, which a symmetric cycle knows before it
+    has stepped that far.  The run keeps only the quotients and its
+    start form: states is replayed from start on first access, then
+    cached.
     """
 
     quotients: tuple[int, ...]
@@ -387,8 +412,11 @@ def run_anthyphairesis(
     finite expansion.  Otherwise steps are taken until the first reduced
     state recurs (the expansion is then eventually periodic and the
     canonical preperiod/period pair is returned) or the step budget is
-    exhausted, in which case the result is flagged truncated.  The run
-    holds the quotients, the current triple and the anchor, nothing else.
+    exhausted, in which case the result is flagged truncated.  Past the
+    anchor the reduced step is inlined, and a symmetric cycle is walked
+    only to its second centre and mirrored (see the module docstring).
+    The run still holds O(1) states besides the quotients: the current
+    triple, the anchor and at most two centres.
     """
     if max_steps < 0:
         raise DomainError("run_anthyphairesis: max_steps must be >= 0")
@@ -404,38 +432,87 @@ def run_anthyphairesis(
 
     j = isqrt(disc)
     a, b, c, s = _triple(form)
-    quotients: list[int] = []
-    anchor: Optional[tuple[int, int, int]] = None  # first reduced triple, s = +1
-    anchor_at = 0
+    pre: list[int] = []
     after_excess = False
-    while True:
-        pos = len(quotients)
-        if anchor is None:
-            excess = c > 0 and s > 0 and b >= 0
-            if excess and disc < (b + 2 * a) ** 2:
-                anchor, anchor_at = (a, b, c), pos
-            elif after_excess:
-                raise InternalInvariantError(
-                    "run: state t=%d follows an excess state but is not reduced" % pos
-                )
-            after_excess = excess
-        elif (a, b, c) == anchor:
-            # canonical as it stands: the first return closes the primitive
-            # period, and the unreduced state before the anchor cannot
-            # share the period's last quotient (it would equal that state)
-            if anchor_at and quotients[anchor_at - 1] == quotients[-1]:
-                raise InternalInvariantError(
-                    "run: the preperiod's last quotient repeats the period's last"
-                )
-            cf = ContinuedFraction(tuple(quotients[:anchor_at]), tuple(quotients[anchor_at:]))
-            return cf, ExpansionTrace(tuple(quotients), form, (anchor_at, pos))
-        if pos >= max_steps:
-            cf = ContinuedFraction(tuple(quotients), None, truncated=True)
-            return cf, ExpansionTrace(tuple(quotients), form, None)
+    while True:  # defect chain, up to the anchor (the first reduced state)
+        excess = c > 0 and s > 0 and b >= 0
+        if excess and disc < (b + 2 * a) ** 2:
+            break
+        if after_excess:
+            raise InternalInvariantError(
+                "run: state t=%d follows an excess state but is not reduced" % len(pre)
+            )
+        after_excess = excess
+        if len(pre) >= max_steps:
+            return _truncated(pre, form)
         k, a, b, c, s = _step(a, b, c, s, j)
         if not ((c > 0 and s > 0) or (c < 0 and b > 0)):
             _form(a, b, c, s)  # raises: no form has this sign pattern
-        quotients.append(k)
+        pre.append(k)
+
+    # reduced cycle: s = +1 throughout, so the rule is inlined.  The
+    # anchor's predecessor is rev of the successor of rev(anchor), and
+    # that step's quotient is the period's last.
+    anchor_at = len(pre)
+    a0, b0, c0 = a, b, c
+    last, *rev_next = _step(c, b, a, 1, j)
+    centres = [-2] if rev_next == [a, b, c, 1] else []
+    period: list[int] = []
+    room = max_steps - anchor_at
+    while True:
+        m = len(period)
+        if a == c:  # state m is its own reverse
+            centres.append(2 * m - 1)
+            if len(centres) == 2:
+                break
+        elif m and a == a0 and b == b0 and c == c0:
+            break  # back at the anchor with no centre: the full period
+        if m >= room:
+            return _truncated(pre + period, form)
+        two_a = 2 * a
+        k = (b + j) // two_a
+        a1 = (b - a * k) * k + c
+        if k < 1 or a1 < 1:
+            raise InternalInvariantError(
+                "step: successor left the positive cone (k=%d, leading coefficient %d)"
+                % (k, -a1)
+            )
+        period.append(k)
+        b1 = two_a * k - b
+        if a1 == c and b1 == b:  # state m + 1 is rev of state m
+            centres.append(2 * m)
+            if len(centres) == 2:
+                break
+        a, b, c = a1, b1, a
+
+    if len(centres) == 2:
+        # q[i] == q[h - i] for every centre h: two give the primitive period
+        # h2 - h1, and reflecting about h2 fills in what was not stepped
+        h1, h2 = centres
+        n = len(period)
+        period += period[max(h1 + 1, 0): h2 - n + 1][::-1]
+        if h1 == -2:
+            period.append(last)
+        if anchor_at + len(period) > max_steps:
+            return _truncated((pre + period)[:max_steps], form)
+    # canonical as it stands: the primitive period is closed, and the
+    # unreduced state before the anchor cannot share the period's last
+    # quotient (it would equal that state)
+    if anchor_at and pre[-1] == period[-1]:
+        raise InternalInvariantError(
+            "run: the preperiod's last quotient repeats the period's last"
+        )
+    cf = ContinuedFraction(tuple(pre), tuple(period))
+    quotients = cf.preperiod + cf.period
+    return cf, ExpansionTrace(quotients, form, (anchor_at, len(quotients)))
+
+
+def _truncated(
+    quotients: list[int], form: QuadraticForm
+) -> tuple[ContinuedFraction, ExpansionTrace]:
+    """The result of a run whose step budget ran out after these quotients."""
+    qs = tuple(quotients)
+    return ContinuedFraction(qs, None, truncated=True), ExpansionTrace(qs, form, None)
 
 
 def same_anthyphairesis(f: QuadraticForm, g: QuadraticForm, max_steps: int = 10_000) -> bool:

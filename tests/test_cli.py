@@ -173,8 +173,11 @@ class TestAnth:
             (("anth", "surd", "0", "1", "2", "2", "--max-steps", "-1"), "anth_of_ratio"),
             (("anth", "surd", "2", "0", "3", "1", "--max-steps", "-1"), "anth_of_ratio"),
             (("anth", "rational", "3", "2", "--max-steps", "-1"), "anth_of_ratio"),
+            # these two spend no budget, and reject a bad one before parsing
+            (("ratio", "cross", "1", "2", "x", "6", "--max-steps", "-1"), "ratio cross"),
+            (("convergents", "--quotients", "1,x", "--max-steps", "-1"), "convergents"),
         ],
-        ids=["argv0", "argv1", "argv2", "argv3"],
+        ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5"],
     )
     def test_negative_budget_is_an_error(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)

@@ -129,6 +129,18 @@ class TestContinuedFraction:
         ContinuedFraction((0, 2))  # leading 0 is fine
         ContinuedFraction((), None, truncated=True)  # nothing seen yet
 
+    def test_quotient_types_and_messages(self):
+        # bool is an int: True counts as 1, and False as 0 (a head only)
+        assert ContinuedFraction((True, True), (True,)) == ContinuedFraction((1, 1), (1,))
+        assert ContinuedFraction((False, 2)).preperiod == (0, 2)
+        pre_msg = "quotients must be positive \\(head may be 0\\)"
+        for pre in ((1, False), (-1,), (2, -1), (1, 1.0), (1.0,), ("x",), ("x", -1), (1, "x")):
+            with pytest.raises(DomainError, match=pre_msg):
+                ContinuedFraction(pre)
+        for per in ((False,), (-1,), (2, 0), (1.0,), ("x",), (1, "x")):
+            with pytest.raises(DomainError, match="period entries must be >= 1"):
+                ContinuedFraction((1,), per)
+
     def test_head(self):
         cf = ContinuedFraction((1,), (2,))
         assert cf.head(5) == (1, 2, 2, 2, 2)
@@ -300,6 +312,21 @@ def _seen_dict_run(form, max_steps):
         states.append(engine._form(*triple))
 
 
+def _is_symmetric(period):
+    """Whether the reversed period is a rotation of it (no engine code)."""
+    word = tuple(period)
+    return any((word + word)[i:i + len(word)] == word[::-1] for i in range(len(word)))
+
+
+def _assert_as_oracle(form, budget):
+    """One run against the seen-dict recurrence: result, trace and states."""
+    cf, trace = run_anthyphairesis(form, budget)
+    want_cf, *want = _seen_dict_run(form, budget)
+    assert (str(cf), cf.truncated) == (str(want_cf), want_cf.truncated), (form, budget)
+    assert [trace.quotients, trace.repeat_at, trace.states] == want, (form, budget)
+    return cf, trace
+
+
 class TestRunAnthyphairesis:
     def test_sqrt2_full_report(self):
         cf, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 2))
@@ -391,10 +418,7 @@ class TestRunAnthyphairesis:
                 drawn[kind, smaller] += 1
         for form in forms:
             for budget in (0, 1, 3, 50, 10_000):
-                cf, trace = run_anthyphairesis(form, budget)
-                want_cf, *want = _seen_dict_run(form, budget)
-                assert str(cf) == str(want_cf) and cf.truncated == want_cf.truncated
-                assert [trace.quotients, trace.repeat_at, trace.states] == want, form
+                _, trace = _assert_as_oracle(form, budget)
                 if trace.repeat_at is not None:
                     # Galois: the cycle starts at the first excess state or one step later
                     first_excess = next(
@@ -466,6 +490,83 @@ class TestRunAnthyphairesis:
             run_anthyphairesis(QuadraticForm(EXCESS, 3, 1, 1))
         with pytest.raises(DomainError):
             run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 2), max_steps=-1)
+
+
+class TestMirroredCycle:
+    """The reduced cycle stops at its second centre of symmetry and mirrors the rest."""
+
+    def test_every_sqrt_below_2000(self):
+        for n in range(2, 2000):
+            if not is_perfect_square(n):
+                cf, _ = _assert_as_oracle(QuadraticForm(EXCESS, 1, 0, n), 10_000)
+                # the period of sqrt(N) is a palindrome followed by 2*a0
+                assert cf.period[-1] == 2 * cf.preperiod[0]
+                assert cf.period[:-1] == cf.period[-2::-1]
+
+    def test_symmetric_families(self):
+        symmetric = 0
+        for n in range(1, 500):
+            for a, b in ((2, 0), (1, 1), (3, 3)):
+                form = QuadraticForm(EXCESS, a, b, n)
+                if form.is_expandable and not is_perfect_square(form.disc):
+                    symmetric += _is_symmetric(_assert_as_oracle(form, 10_000)[0].period)
+        assert symmetric > 1000
+
+    def test_periods_one_and_two(self):
+        for form, period in (
+            (QuadraticForm(EXCESS, 1, 0, 2), (2,)),
+            (QuadraticForm(EXCESS, 1, 0, 3), (1, 2)),
+            (QuadraticForm(EXCESS, 1, 1, 1), (1,)),
+        ):
+            for budget in range(5):
+                _assert_as_oracle(form, budget)
+            assert _assert_as_oracle(form, 10_000)[0].period == period
+
+    def test_every_anchor_on_a_symmetric_cycle(self):
+        # a reduced start is its own anchor, so the centres fall at every
+        # offset from it, odd and even
+        for n in (7, 13, 19, 46, 139, 151):
+            _, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n))
+            for start in trace.states[1:]:
+                for budget in (0, 1, 2, 3, 5, 10_000):
+                    _assert_as_oracle(start, budget)
+
+    def test_non_symmetric_cycles_walk_the_full_period(self):
+        rng = random.Random(1029)
+        walked = 0
+        for form in _expandable_forms(rng, 1500, 400):
+            if form.kind == EXCESS:
+                continue
+            for budget in (0, 3, 50, 10_000):
+                cf, _ = _assert_as_oracle(form, budget)
+            walked += not _is_symmetric(cf.period)
+        assert walked > 100
+
+    def test_every_budget_across_the_mirrored_half(self):
+        forms = [
+            QuadraticForm(EXCESS, 1, 0, 139),
+            QuadraticForm(EXCESS, 1, 0, 1000003),
+            QuadraticForm(EXCESS, 3, 3, 2),
+            QuadraticForm(DEFECT, 7, 200, 1234),
+        ]
+        _, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 151))
+        forms += trace.states[3:5]
+        for form in forms:
+            cf, _ = run_anthyphairesis(form)
+            anchor_at, p = len(cf.preperiod), len(cf.period)
+            for budget in range(max(anchor_at + p // 2 - 2, 0), anchor_at + p + 2):
+                _assert_as_oracle(form, budget)
+
+    def test_cycle_step_invariant_is_checked(self, monkeypatch):
+        # a wrong square root is the only way in: excess(1, 2, 1) is its own
+        # anchor, the one _step (on its reverse) passes, and the cycle loop raises
+        form = QuadraticForm(EXCESS, 1, 2, 1)
+        monkeypatch.setattr(engine, "isqrt", lambda n: 100)  # k too big
+        with pytest.raises(InternalInvariantError, match="leading coefficient 2498"):
+            run_anthyphairesis(form)
+        monkeypatch.setattr(engine, "isqrt", lambda n: 0)  # k too small
+        with pytest.raises(InternalInvariantError, match="k=0"):
+            run_anthyphairesis(form)
 
 
 def _expandable_forms(rng, count, lim):
