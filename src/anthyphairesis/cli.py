@@ -242,7 +242,9 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
             qs_all = tuple(int(t) for t in args.quotients.split(","))
         except ValueError:
             raise DomainError("convergents: --quotients must be comma separated integers")
-        expansion = ContinuedFraction(qs_all)  # validates the quotients
+        if min(qs_all) < 1:  # a head 0 too: convergents() takes none
+            raise DomainError("convergents: quotients must be integers >= 1")
+        expansion = ContinuedFraction(qs_all)
         count = args.count if args.count is not None else len(qs_all)
         if count > len(qs_all):
             raise DomainError(

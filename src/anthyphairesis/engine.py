@@ -146,6 +146,11 @@ class QuadraticForm:
 class ContinuedFraction:
     """Quotient sequence of an expansion, possibly eventually periodic.
 
+    The public constructor validates its input and stores the quotients
+    as plain int tuples, so True is stored and printed as 1.  The
+    engine's own results skip that pass: each of their quotients was
+    checked once, where the engine made it.
+
     A truncated expansion records only what was seen before the step
     budget ran out.  It compares unequal to everything, including
     itself: equality of truncated data is unknown, and pretending
@@ -157,10 +162,8 @@ class ContinuedFraction:
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        if self.period is not None:
-            object.__setattr__(self, "period", tuple(self.period))
-        pre, per = self.preperiod, self.period
+        pre = tuple(self.preperiod)
+        per = None if self.period is None else tuple(self.period)
         least = 0  # the head may be 0
         for k in pre:
             if not isinstance(k, int) or k < least:
@@ -176,8 +179,25 @@ class ContinuedFraction:
             for k in per:
                 if not isinstance(k, int) or k < 1:
                     raise DomainError("ContinuedFraction: period entries must be >= 1")
+            per = tuple(map(int, per))
         elif not pre and not self.truncated:
             raise DomainError("ContinuedFraction: empty expansion")
+        object.__setattr__(self, "preperiod", tuple(map(int, pre)))
+        object.__setattr__(self, "period", per)
+
+    @classmethod
+    def _checked(
+        cls,
+        preperiod: tuple[int, ...],
+        period: Optional[tuple[int, ...]] = None,
+        truncated: bool = False,
+    ) -> "ContinuedFraction":
+        """An expansion from int tuples its builder has already checked."""
+        cf = object.__new__(cls)
+        object.__setattr__(cf, "preperiod", preperiod)
+        object.__setattr__(cf, "period", period)
+        object.__setattr__(cf, "truncated", truncated)
+        return cf
 
     @property
     def is_finite(self) -> bool:
@@ -278,7 +298,14 @@ class ExpansionTrace:
 
 
 def euclid_cf(m: int, n: int) -> ContinuedFraction:
-    """Finite expansion of the ratio m : n by plain Euclidean division."""
+    """Finite expansion of the ratio m : n by plain Euclidean division.
+
+    m and n are ints or Fractions, so every quotient is an int; each
+    after the first is >= 1, and the last is >= 2 unless it is the only
+    one, so the result is canonical.
+    """
+    if not (isinstance(m, (int, Fraction)) and isinstance(n, (int, Fraction))):
+        raise DomainError("euclid_cf: arguments must be ints or Fractions")
     if m < 1 or n < 1:
         raise DomainError("euclid_cf: both arguments must be >= 1")
     qs = []
@@ -286,7 +313,7 @@ def euclid_cf(m: int, n: int) -> ContinuedFraction:
         k, r = divmod(m, n)
         qs.append(k)
         m, n = n, r
-    return ContinuedFraction(tuple(qs))
+    return ContinuedFraction._checked(tuple(qs))
 
 
 def canonicalize_cf(cf: ContinuedFraction) -> ContinuedFraction:
@@ -458,17 +485,17 @@ def run_anthyphairesis(
     last, *rev_next = _step(c, b, a, 1, j)
     centres = [-2] if rev_next == [a, b, c, 1] else []
     period: list[int] = []
+    # the loop steps states 0 .. room, one more than the budget allows, so it
+    # needs no budget test of its own: a result that outruns the budget is
+    # cut to it after the loop
     room = max_steps - anchor_at
-    while True:
-        m = len(period)
+    for m in range(room + 1):
         if a == c:  # state m is its own reverse
             centres.append(2 * m - 1)
             if len(centres) == 2:
                 break
         elif m and a == a0 and b == b0 and c == c0:
             break  # back at the anchor with no centre: the full period
-        if m >= room:
-            return _truncated(pre + period, form)
         two_a = 2 * a
         k = (b + j) // two_a
         a1 = (b - a * k) * k + c
@@ -484,6 +511,8 @@ def run_anthyphairesis(
             if len(centres) == 2:
                 break
         a, b, c = a1, b1, a
+    else:  # the budget ran out with the period still open
+        return _truncated((pre + period)[:max_steps], form)
 
     if len(centres) == 2:
         # q[i] == q[h - i] for every centre h: two give the primitive period
@@ -502,7 +531,9 @@ def run_anthyphairesis(
         raise InternalInvariantError(
             "run: the preperiod's last quotient repeats the period's last"
         )
-    cf = ContinuedFraction(tuple(pre), tuple(period))
+    # every quotient passed k >= 1 where it was made, in _step or in the
+    # cycle loop, so the tuples are stored without a second scan
+    cf = ContinuedFraction._checked(tuple(pre), tuple(period))
     quotients = cf.preperiod + cf.period
     return cf, ExpansionTrace(quotients, form, (anchor_at, len(quotients)))
 
@@ -512,7 +543,7 @@ def _truncated(
 ) -> tuple[ContinuedFraction, ExpansionTrace]:
     """The result of a run whose step budget ran out after these quotients."""
     qs = tuple(quotients)
-    return ContinuedFraction(qs, None, truncated=True), ExpansionTrace(qs, form, None)
+    return ContinuedFraction._checked(qs, None, True), ExpansionTrace(qs, form, None)
 
 
 def same_anthyphairesis(f: QuadraticForm, g: QuadraticForm, max_steps: int = 10_000) -> bool:

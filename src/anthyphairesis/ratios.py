@@ -142,10 +142,11 @@ def _expand(x: QuadSurd, max_steps: int) -> ContinuedFraction:
         cf, _ = run_anthyphairesis(minimal_form(x), max_steps)
         return cf
     if max_steps == 0:
-        return ContinuedFraction((), None, truncated=True)
-    # no period entry is 0, so the prefixed expansion stays canonical
+        return ContinuedFraction._checked((), None, True)
+    # no period entry is 0, so the prefixed engine result stays canonical
+    # and checked
     tail, _ = run_anthyphairesis(minimal_form(x.inverse()), max_steps - 1)
-    return ContinuedFraction((0,) + tail.preperiod, tail.period, tail.truncated)
+    return ContinuedFraction._checked((0,) + tail.preperiod, tail.period, tail.truncated)
 
 
 def _same(x: QuadSurd, y: QuadSurd, max_steps: int) -> bool:

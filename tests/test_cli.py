@@ -247,6 +247,12 @@ class TestConvergents:
         code, _, err = run(capsys, "convergents", "sqrt")
         assert code == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("quotients", ["1,0", "2,-1", "0,2", "0", "3,1,0"])
+    def test_nonpositive_quotient_names_convergents(self, capsys, quotients):
+        code, out, err = run(capsys, "convergents", "--quotients", quotients)
+        assert code == 1 and out == ""
+        assert err == "error: convergents: quotients must be integers >= 1\n"
+
 
 class TestTheodorus:
     def test_survey_rows(self, capsys):

@@ -23,12 +23,14 @@ from anthyphairesis import (
     InternalInvariantError,
     QuadSurd,
     QuadraticForm,
+    anth_of_ratio,
     canonicalize_cf,
     convergents,
     defect_step,
     euclid_cf,
     excess_step,
     is_perfect_square,
+    line,
     minimal_form,
     period_to_form,
     remainder,
@@ -102,6 +104,15 @@ class TestEuclid:
         with pytest.raises(DomainError):
             euclid_cf(3, 0)
 
+    def test_quotients_are_ints_or_rejected(self):
+        # the result skips the validating constructor: a float never reaches it
+        for m, n in ((3.0, 2), (3, 2.0), (3.5, 1.5)):
+            with pytest.raises(DomainError, match="ints or Fractions"):
+                euclid_cf(m, n)
+        cf = euclid_cf(Fraction(7, 2), True)
+        assert cf == ContinuedFraction((3, 2))
+        assert all(type(k) is int for k in cf.preperiod)
+
     @settings(deadline=None)
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     def test_reconstructs_the_fraction(self, m, n):
@@ -140,6 +151,14 @@ class TestContinuedFraction:
         for per in ((False,), (-1,), (2, 0), (1.0,), ("x",), (1, "x")):
             with pytest.raises(DomainError, match="period entries must be >= 1"):
                 ContinuedFraction((1,), per)
+
+    def test_quotients_are_stored_as_ints(self):
+        cf = ContinuedFraction((False, True), (True,))
+        assert str(cf) == "[0, 1; (1)]"
+        assert cf == ContinuedFraction((0, 1), (1,))
+        assert hash(cf) == hash(ContinuedFraction((0, 1), (1,)))
+        for cf in (cf, ContinuedFraction([True, 2], [3, True]), ContinuedFraction((True,))):
+            assert all(type(k) is int for k in cf.preperiod + (cf.period or ()))
 
     def test_head(self):
         cf = ContinuedFraction((1,), (2,))
@@ -319,11 +338,21 @@ def _is_symmetric(period):
 
 
 def _assert_as_oracle(form, budget):
-    """One run against the seen-dict recurrence: result, trace and states."""
+    """One run against the seen-dict recurrence: result, trace and states.
+
+    The result skips the validating constructor, so it is also checked
+    to be what that constructor would build from the same quotients.
+    """
     cf, trace = run_anthyphairesis(form, budget)
     want_cf, *want = _seen_dict_run(form, budget)
     assert (str(cf), cf.truncated) == (str(want_cf), want_cf.truncated), (form, budget)
     assert [trace.quotients, trace.repeat_at, trace.states] == want, (form, budget)
+    per = cf.period
+    assert type(cf.preperiod) is tuple and (per is None or type(per) is tuple)
+    assert all(type(k) is int for k in cf.preperiod + (per or ())), (form, budget)
+    if not cf.truncated:
+        public = ContinuedFraction(cf.preperiod, per, cf.truncated)
+        assert cf == public and hash(cf) == hash(public), (form, budget)
     return cf, trace
 
 
@@ -476,6 +505,41 @@ class TestRunAnthyphairesis:
         for form, (pre, per) in want.items():
             cf, _ = run_anthyphairesis(form)
             assert (cf.preperiod, cf.period, cf.truncated) == (pre, per, False), form
+
+    def test_results_skip_the_validating_constructor(self, monkeypatch):
+        sqrt139 = QuadraticForm(EXCESS, 1, 0, 139)  # anchor at 1, period 18, 9 stepped
+        mirrored = QuadraticForm(DEFECT, 83, 260, 197)
+        walked = QuadraticForm(DEFECT, 9, 122, 266, smaller_root=True)
+        runs = [
+            (QuadraticForm(EXCESS, 1, 0, 1000003), 10_000),
+            (mirrored, 10_000),
+            (walked, 10_000),
+            (sqrt139, 0),
+            (sqrt139, 5),  # inside the stepped half
+            (sqrt139, 15),  # inside the mirrored half
+            (walked, 10),
+            (QuadraticForm(EXCESS, 2, 3, 2), 10_000),  # square discriminant: Euclid
+        ]
+        want = [run_anthyphairesis(form, budget)[0] for form, budget in runs]
+        below_one = [(line(1), line(QuadSurd(0, 1, 1, 2)), budget) for budget in (0, 1, 10_000)]
+        below_one.append((line(2), line(7), 10_000))
+        want_below = [anth_of_ratio(*args) for args in below_one]
+        assert _is_symmetric(want[1].period) and want[1].preperiod
+        assert not _is_symmetric(want[2].period) and want[2].preperiod
+        assert [cf.truncated for cf in want[3:7]] == [True] * 4
+
+        def refuse(self):
+            raise AssertionError("ContinuedFraction validated an engine result")
+
+        monkeypatch.setattr(ContinuedFraction, "__post_init__", refuse)
+        got = [run_anthyphairesis(form, budget)[0] for form, budget in runs]
+        got_below = [anth_of_ratio(*args) for args in below_one]
+        for cf, w in zip(got + got_below, want + want_below):
+            assert (cf.preperiod, cf.period, cf.truncated) == (w.preperiod, w.period, w.truncated)
+        assert [str(cf) for cf in got_below] == ["[...]", "[0, ...]", "[0, 1; (2)]", "[0, 3, 2]"]
+        # the oracle still builds its results through the public constructor
+        with pytest.raises(AssertionError, match="validated"):
+            surd_cf(QuadSurd(0, 1, 1, 2))
 
     def test_preperiod_that_repeats_the_period_end_is_an_invariant_error(self, monkeypatch):
         # sqrt(2) stepped by a rule that always answers k = 2 and the
