@@ -54,18 +54,42 @@ from .ratios import (
     rectangle,
     square_ratio_witness,
 )
-from .areas import (
-    AreaIdentityReport,
-    apply_in_defect,
-    apply_in_excess,
-    check_ii4,
-    check_ii5,
-    check_ii6,
-    mean_proportional,
-)
-from .properties import PASS, SUITES, VACUOUS, PropertyResult, run_property, run_suite
 
 __version__ = "0.1.0"
+
+# Only `verify` needs these two modules, so they load on first use of
+# one of their names (PEP 562) and a command that expands or compares
+# never imports them.
+_LAZY = {
+    **dict.fromkeys(
+        ("areas", "AreaIdentityReport", "apply_in_defect", "apply_in_excess", "check_ii4",
+         "check_ii5", "check_ii6", "mean_proportional"),
+        "areas",
+    ),
+    **dict.fromkeys(
+        ("properties", "PASS", "SUITES", "VACUOUS", "PropertyResult", "run_property",
+         "run_suite"),
+        "properties",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    import importlib
+
+    value = importlib.import_module("." + module, __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "DomainError",

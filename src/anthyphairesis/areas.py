@@ -8,24 +8,26 @@ display the arithmetic, not just a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._value import Frozen
 from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, rational_sqrt
 
 RationalLike = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
-class AreaIdentityReport:
+class AreaIdentityReport(Frozen):
     """Outcome of one identity check: both sides, evaluated exactly."""
 
-    identity: str
-    lhs: QuadSurd
-    rhs: QuadSurd
-    holds: bool
+    __slots__ = _fields = ("identity", "lhs", "rhs", "holds")
+
+    def __init__(self, identity: str, lhs: QuadSurd, rhs: QuadSurd, holds: bool) -> None:
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
 
 
 def _positive_fraction(name: str, x: RationalLike) -> Fraction:

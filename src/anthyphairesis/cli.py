@@ -10,7 +10,6 @@ answer was reached).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -31,7 +30,6 @@ from .engine import (
 )
 from .errors import DomainError, IndeterminateError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square
-from .properties import run_suite
 from .ratios import (
     Magnitude,
     anth_of_ratio,
@@ -85,6 +83,8 @@ def _surd_json(x: QuadSurd) -> dict[str, str]:
 def _emit(args: argparse.Namespace, command: str, input_obj: Any, result: Any,
           lines: list[str]) -> None:
     if getattr(args, "json", False):
+        import json  # loaded only by the commands that print it
+
         envelope = {
             "command": command,
             "input": input_obj,
@@ -264,6 +264,11 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         form = QuadraticForm(EXCESS, 1, 0, n)
         expansion, _ = run_anthyphairesis(form, args.max_steps)
         count = args.count if args.count is not None else 5
+        if expansion.truncated and count > len(expansion.preperiod):
+            raise IndeterminateError(
+                "convergents: sqrt(%d) gave only %d quotients within max_steps %d, "
+                "%d requested" % (n, len(expansion.preperiod), args.max_steps, count)
+            )
         qs = expansion.head(count)  # raises when a finite expansion is too short
         a, b = QuadSurd(0, 1, 1, n), as_surd(1)
         command = "convergents"
@@ -418,6 +423,8 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .properties import run_suite  # only verify loads the suites
+
     if args.trials < 1:
         raise DomainError("verify: --trials must be >= 1")
     suites = ("engine", "ratio", "areas") if args.suite == "all" else (args.suite,)

@@ -47,11 +47,10 @@ meets its reverse has no centre and is walked to the return, p steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
+from ._value import Frozen
 from .errors import DomainError, IndeterminateError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
 
@@ -59,11 +58,12 @@ EXCESS = "excess"
 DEFECT = "defect"
 MIXED = "mixed"
 
+_set = object.__setattr__  # stores a field past Frozen's refusing __setattr__
+
 _KINDS = (EXCESS, DEFECT, MIXED)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Frozen):
     """An integer relation pinning down a quadratic ratio a : b.
 
     kind "excess":  A*a^2 = B*a*b + C*b^2;  signed triple (A, B, C, +).
@@ -81,31 +81,42 @@ class QuadraticForm:
     is defect-(1, 6, 7) and -1 + 2*sqrt(2) is mixed(1, 2, 7).
     """
 
-    kind: str
-    A: int
-    B: int
-    C: int
-    smaller_root: bool = False
+    __slots__ = _fields = ("kind", "A", "B", "C", "smaller_root")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError("QuadraticForm: unknown kind %r" % (self.kind,))
-        for name, x in (("A", self.A), ("B", self.B), ("C", self.C)):
+    def __init__(self, kind: str, A: int, B: int, C: int, smaller_root: bool = False) -> None:
+        if kind not in _KINDS:
+            raise DomainError("QuadraticForm: unknown kind %r" % (kind,))
+        for name, x in (("A", A), ("B", B), ("C", C)):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise DomainError("QuadraticForm: %s must be an int" % name)
-        if self.A < 1 or self.C < 1:
+        if A < 1 or C < 1:
             raise DomainError("QuadraticForm: A and C must be >= 1")
-        if self.kind == EXCESS:
-            if self.B < 0:
+        if kind == EXCESS:
+            if B < 0:
                 raise DomainError("QuadraticForm: excess form needs B >= 0")
-        elif self.B < 1:
-            raise DomainError("QuadraticForm: %s form needs B >= 1" % self.kind)
-        if self.kind == DEFECT and self.B * self.B - 4 * self.A * self.C < 1:
+        elif B < 1:
+            raise DomainError("QuadraticForm: %s form needs B >= 1" % kind)
+        if kind == DEFECT and B * B - 4 * A * C < 1:
             raise DomainError(
                 "QuadraticForm: defect form needs B^2 - 4*A*C > 0 (real roots)"
             )
-        if self.smaller_root and self.kind != DEFECT:
+        if smaller_root and kind != DEFECT:
             raise DomainError("QuadraticForm: smaller_root applies to defect only")
+        _set(self, "kind", kind)
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "C", C)
+        _set(self, "smaller_root", smaller_root)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind, self.A, self.B, self.C, self.smaller_root) == (
+                other.kind, other.A, other.B, other.C, other.smaller_root
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.A, self.B, self.C, self.smaller_root))
 
     @property
     def disc(self) -> int:
@@ -142,8 +153,7 @@ class QuadraticForm:
         return "%s(%d, %d, %d)" % (tag, self.A, self.B, self.C)
 
 
-@dataclass(frozen=True, eq=False)
-class ContinuedFraction:
+class ContinuedFraction(Frozen):
     """Quotient sequence of an expansion, possibly eventually periodic.
 
     The public constructor validates its input and stores the quotients
@@ -157,13 +167,16 @@ class ContinuedFraction:
     otherwise is exactly the mistake this type exists to prevent.
     """
 
-    preperiod: tuple[int, ...]
-    period: Optional[tuple[int, ...]] = None
-    truncated: bool = False
+    __slots__ = _fields = ("preperiod", "period", "truncated")
 
-    def __post_init__(self) -> None:
-        pre = tuple(self.preperiod)
-        per = None if self.period is None else tuple(self.period)
+    def __init__(
+        self,
+        preperiod: Sequence[int],
+        period: Optional[Sequence[int]] = None,
+        truncated: bool = False,
+    ) -> None:
+        pre = tuple(preperiod)
+        per = None if period is None else tuple(period)
         least = 0  # the head may be 0
         for k in pre:
             if not isinstance(k, int) or k < least:
@@ -172,7 +185,7 @@ class ContinuedFraction:
                 )
             least = 1
         if per is not None:
-            if self.truncated:
+            if truncated:
                 raise DomainError("ContinuedFraction: a truncated expansion has no period")
             if not per:
                 raise DomainError("ContinuedFraction: period must be nonempty when present")
@@ -180,10 +193,11 @@ class ContinuedFraction:
                 if not isinstance(k, int) or k < 1:
                     raise DomainError("ContinuedFraction: period entries must be >= 1")
             per = tuple(map(int, per))
-        elif not pre and not self.truncated:
+        elif not pre and not truncated:
             raise DomainError("ContinuedFraction: empty expansion")
-        object.__setattr__(self, "preperiod", tuple(map(int, pre)))
-        object.__setattr__(self, "period", per)
+        _set(self, "preperiod", tuple(map(int, pre)))
+        _set(self, "period", per)
+        _set(self, "truncated", truncated)
 
     @classmethod
     def _checked(
@@ -194,9 +208,9 @@ class ContinuedFraction:
     ) -> "ContinuedFraction":
         """An expansion from int tuples its builder has already checked."""
         cf = object.__new__(cls)
-        object.__setattr__(cf, "preperiod", preperiod)
-        object.__setattr__(cf, "period", period)
-        object.__setattr__(cf, "truncated", truncated)
+        _set(cf, "preperiod", preperiod)
+        _set(cf, "period", period)
+        _set(cf, "truncated", truncated)
         return cf
 
     @property
@@ -247,8 +261,7 @@ class ContinuedFraction:
         return "[(%s)]" % per
 
 
-@dataclass(frozen=True)
-class SideDiameter:
+class SideDiameter(Frozen):
     """Parallel convergent rows p and q built from quotients.
 
     Seeds are p0 = 0, p1 = 1 and q0 = 1, q1 = k0; both rows obey
@@ -256,18 +269,18 @@ class SideDiameter:
     diagonal to side these are the side and diameter numbers.
     """
 
-    p: tuple[int, ...]
-    q: tuple[int, ...]
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if len(self.p) != len(self.q) or not self.p:
+    def __init__(self, p: tuple[int, ...], q: tuple[int, ...]) -> None:
+        if len(p) != len(q) or not p:
             raise DomainError("SideDiameter: p and q must be nonempty, equal length")
-        if self.p[0] != 0 or self.q[0] != 1:
+        if p[0] != 0 or q[0] != 1:
             raise DomainError("SideDiameter: seeds must be p0 = 0, q0 = 1")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
 
-@dataclass(frozen=True)
-class ExpansionTrace:
+class ExpansionTrace(Frozen):
     """Step-by-step record of one expansion run.
 
     states[t] is the form whose quotient is quotients[t]; the final
@@ -279,22 +292,36 @@ class ExpansionTrace:
     cached.
     """
 
-    quotients: tuple[int, ...]
-    start: QuadraticForm
-    repeat_at: Optional[tuple[int, int]] = None
+    _fields = ("quotients", "start", "repeat_at")
+    __slots__ = _fields + ("_states",)
 
-    @cached_property
+    def __init__(
+        self,
+        quotients: tuple[int, ...],
+        start: QuadraticForm,
+        repeat_at: Optional[tuple[int, int]] = None,
+    ) -> None:
+        _set(self, "quotients", quotients)
+        _set(self, "start", start)
+        _set(self, "repeat_at", repeat_at)
+
+    @property
     def states(self) -> tuple[QuadraticForm, ...]:
-        disc = self.start.disc
-        if is_perfect_square(disc):
-            return (self.start,)
-        j = isqrt(disc)
-        a, b, c, s = _triple(self.start)
+        try:
+            return self._states
+        except AttributeError:  # first read: replay the run from start
+            pass
         out = [self.start]
-        for _ in self.quotients:
-            _, a, b, c, s = _step(a, b, c, s, j)
-            out.append(_form(a, b, c, s))
-        return tuple(out)
+        disc = self.start.disc
+        if not is_perfect_square(disc):
+            j = isqrt(disc)
+            a, b, c, s = _triple(self.start)
+            for _ in self.quotients:
+                _, a, b, c, s = _step(a, b, c, s, j)
+                out.append(_form(a, b, c, s))
+        states = tuple(out)
+        _set(self, "_states", states)
+        return states
 
 
 def euclid_cf(m: int, n: int) -> ContinuedFraction:

@@ -10,10 +10,10 @@ exact no matter how large the components grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._value import Frozen
 from .errors import DomainError, InternalInvariantError
 
 Numeric = Union["QuadSurd", Fraction, int]
@@ -88,14 +88,13 @@ def square_free_split(n: int) -> tuple[int, int]:
     return s, d
 
 
-@dataclass(frozen=True)
-class QuadSurd:
+class QuadSurd(Frozen):
     """The real number (u + v*sqrt(d)) / w, normalized on construction.
 
     Normal form: w >= 1, gcd(u, v, w) == 1, d squarefree, and d == 1
     exactly when v == 0 (the rational case).  Because the normal form is
-    unique, dataclass equality and hashing coincide with equality of the
-    real numbers represented.
+    unique, comparing and hashing the four components coincide with
+    equality of the real numbers represented.
 
     The radicand a caller supplies is factored once, here.  Arithmetic
     results (``+ - * /``, ``inverse``, negation, and through them
@@ -104,13 +103,17 @@ class QuadSurd:
     arithmetic on the stored components and never factor either.
     """
 
-    u: int
-    v: int = 0
-    w: int = 1
-    d: int = 1
+    __slots__ = _fields = ("u", "v", "w", "d")
 
-    def __post_init__(self) -> None:
-        u, v, w, d = self.u, self.v, self.w, self.d
+    def __init__(self, u: int, v: int = 0, w: int = 1, d: int = 1) -> None:
+        self.__post_init__(u, v, w, d)
+
+    def __post_init__(self, u: int, v: int, w: int, d: int) -> None:
+        """The public constructor's checks and its one factoring of d.
+
+        A method of its own so that bench/tracer.py can count public
+        constructions apart from arithmetic results.
+        """
         for name, x in (("u", u), ("v", v), ("w", w), ("d", d)):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise DomainError("QuadSurd: component %s must be an int" % name)
@@ -131,7 +134,7 @@ class QuadSurd:
         Every normalization step but the factoring of d: arithmetic on
         normalized operands stays in their field.
         """
-        x = object.__new__(cls)
+        x = _new(cls)
         x._settle(u, v, w, d)
         return x
 
@@ -148,10 +151,10 @@ class QuadSurd:
             u, v, w = u // g, v // g, w // g
         if u == 0 and v == 0:
             w = 1
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "d", d)
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_w(self, w)
+        _set_d(self, d)
 
     # -- classification ------------------------------------------------
 
@@ -349,6 +352,12 @@ class QuadSurd:
         sign = "-" if n < 0 else ""
         q, r = divmod(abs(n), scale)
         return "%s%d.%0*d" % (sign, q, places, r)
+
+
+_new = object.__new__
+# the slots' own setters store a field past the refusing __setattr__, and
+# are quicker than object.__setattr__ on the arithmetic path
+_set_u, _set_v, _set_w, _set_d = (QuadSurd.__dict__[n].__set__ for n in QuadSurd._fields)
 
 
 def _sign(u: int, v: int, d: int) -> int:

@@ -11,11 +11,11 @@ a failure, because properties must not crash on their own inputs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import areas as ar
+from ._value import Record
 from .engine import (
     DEFECT,
     EXCESS,
@@ -55,17 +55,30 @@ VACUOUS = "vacuous"
 _FIELDS = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30)
 
 
-@dataclass
-class PropertyResult:
+class PropertyResult(Record):
     """Aggregated outcome of one property over many trials."""
 
-    suite: str
-    name: str
-    trials: int
-    vacuous: int
-    passed: int
-    failed: int
-    first_failure: Optional[str] = None
+    __slots__ = _fields = (
+        "suite", "name", "trials", "vacuous", "passed", "failed", "first_failure"
+    )
+
+    def __init__(
+        self,
+        suite: str,
+        name: str,
+        trials: int,
+        vacuous: int,
+        passed: int,
+        failed: int,
+        first_failure: Optional[str] = None,
+    ) -> None:
+        self.suite = suite
+        self.name = name
+        self.trials = trials
+        self.vacuous = vacuous
+        self.passed = passed
+        self.failed = failed
+        self.first_failure = first_failure
 
 
 # -- shared generators -------------------------------------------------------

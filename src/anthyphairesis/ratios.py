@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+from ._value import Frozen
 from .engine import (
     ContinuedFraction,
     euclid_cf,
@@ -39,9 +39,10 @@ AREA = "area"
 
 ValueLike = Union[QuadSurd, Fraction, int]
 
+_set = object.__setattr__  # stores a field past Frozen's refusing __setattr__
 
-@dataclass(frozen=True)
-class Magnitude:
+
+class Magnitude(Frozen):
     """A positive exact value tagged as a line or an area.
 
     Areas enter the calculus as rectangles, i.e. products of two lines
@@ -49,16 +50,24 @@ class Magnitude:
     a ratio is always line to line or area to area.
     """
 
-    value: QuadSurd
-    role: str = LINE
+    __slots__ = _fields = ("value", "role")
 
-    def __post_init__(self) -> None:
-        if self.role not in (LINE, AREA):
+    def __init__(self, value: ValueLike, role: str = LINE) -> None:
+        if role not in (LINE, AREA):
             raise DomainError("Magnitude: role must be %r or %r" % (LINE, AREA))
-        val = as_surd(self.value)
+        val = as_surd(value)
         if not val > 0:
             raise DomainError("Magnitude: value must be positive, got %s" % val)
-        object.__setattr__(self, "value", val)
+        _set(self, "value", val)
+        _set(self, "role", role)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.value, self.role) == (other.value, other.role)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.role))
 
     def __add__(self, other: "Magnitude") -> "Magnitude":
         if not isinstance(other, Magnitude):
@@ -92,8 +101,7 @@ def rectangle(p: Magnitude, q: Magnitude) -> Magnitude:
     return Magnitude(p.value * q.value, AREA)
 
 
-@dataclass(frozen=True)
-class PropReport:
+class PropReport(Frozen):
     """Verdict of one proposition check on concrete magnitudes.
 
     hypotheses_hold reports the value-level hypotheses (proportions,
@@ -111,11 +119,23 @@ class PropReport:
     not close within max_steps; the verdicts stand regardless.
     """
 
-    proposition: str
-    hypotheses_hold: bool
-    conclusion_holds: bool
-    lhs_cf: Optional[ContinuedFraction]
-    rhs_cf: Optional[ContinuedFraction]
+    __slots__ = _fields = (
+        "proposition", "hypotheses_hold", "conclusion_holds", "lhs_cf", "rhs_cf"
+    )
+
+    def __init__(
+        self,
+        proposition: str,
+        hypotheses_hold: bool,
+        conclusion_holds: bool,
+        lhs_cf: Optional[ContinuedFraction],
+        rhs_cf: Optional[ContinuedFraction],
+    ) -> None:
+        _set(self, "proposition", proposition)
+        _set(self, "hypotheses_hold", hypotheses_hold)
+        _set(self, "conclusion_holds", conclusion_holds)
+        _set(self, "lhs_cf", lhs_cf)
+        _set(self, "rhs_cf", rhs_cf)
 
 
 def _budget(max_steps: int, caller: str) -> None:
@@ -130,7 +150,10 @@ def _ratio(a: Magnitude, b: Magnitude, max_steps: int, caller: str) -> QuadSurd:
     if a.role != b.role:
         raise DomainError("%s: a ratio relates magnitudes of one role" % caller)
     _budget(max_steps, caller)
-    return a.value / b.value
+    try:
+        return a.value / b.value
+    except DomainError as exc:  # the two values lie in distinct fields
+        raise DomainError("%s: %s" % (caller, exc)) from None
 
 
 def _expand(x: QuadSurd, max_steps: int) -> ContinuedFraction:
@@ -273,11 +296,18 @@ _Term = Union[int, tuple[str, int, int]]
 _RatioSpec = tuple[_Term, _Term]
 
 
-@dataclass(frozen=True)
-class _Rule:
-    hypotheses: tuple[tuple[_RatioSpec, _RatioSpec], ...]
-    conclusion: Union[tuple[_RatioSpec, _RatioSpec], tuple[int, int]]
-    condition: Optional[Callable[..., bool]] = None
+class _Rule(Frozen):
+    __slots__ = _fields = ("hypotheses", "conclusion", "condition")
+
+    def __init__(
+        self,
+        hypotheses: tuple[tuple[_RatioSpec, _RatioSpec], ...],
+        conclusion: Union[tuple[_RatioSpec, _RatioSpec], tuple[int, int]],
+        condition: Optional[Callable[..., bool]] = None,
+    ) -> None:
+        _set(self, "hypotheses", hypotheses)
+        _set(self, "conclusion", conclusion)
+        _set(self, "condition", condition)
 
 
 def _form(term: _Term, m: Sequence[Magnitude]) -> Magnitude:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anthyphairesis.cli as cli
-from anthyphairesis import InternalInvariantError, __version__, exactarith
+from anthyphairesis import InternalInvariantError, __version__, exactarith, properties
 
 
 def run(capsys, *argv):
@@ -226,6 +226,29 @@ class TestConvergents:
         code, _, err = run(capsys, "convergents", "sqrt", "4", "--count", "3")
         assert code == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("budget, got", [("2", 2), ("0", 0)])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_truncated_expansion_short_of_the_count_is_undecided(
+        self, capsys, budget, got, json_flag
+    ):
+        code, out, err = run(capsys, "convergents", "sqrt", "3", "--max-steps", budget, *json_flag)
+        assert code == 3 and out == ""
+        assert err == (
+            "undecided: convergents: sqrt(3) gave only %d quotients within max_steps %s, "
+            "5 requested (raise --max-steps)\n" % (got, budget)
+        )
+
+    def test_truncated_expansion_with_enough_quotients_prints_its_rows(self, capsys):
+        code, out, err = run(capsys, "convergents", "sqrt", "3", "--max-steps", "2", "--count", "2")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "expansion  : [1, 1, ...]",
+            "n  k  p  q  remainder  value",
+            "0  -  0  1  b          1",
+            "1  1  1  1  a - b      -1 + sqrt(3)",
+            "2  1  1  2  2*b - a    2 - sqrt(3)",
+        ]
+
     def test_explicit_quotients(self, capsys):
         code, out, _ = run(capsys, "convergents", "--quotients", "1,2,2", "--json")
         assert code == 0
@@ -298,6 +321,24 @@ class TestRatio:
         code, out, err = run(capsys, "ratio", "cross", "0,1,1,2", "1", "0,1,1,3", "1")
         assert code == 1 and out == ""
         assert "distinct quadratic fields" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("eq", "3", "1,1,1,2", "0,1,1,3", "0,1,1,2"),
+                "ratio_eq: values lie in distinct quadratic fields (sqrt(3) vs sqrt(2))",
+            ),
+            (
+                ("mixed", "1,1,1,2", "0,1,1,3", "2", "1"),
+                "mixed_ratio_eq: values lie in distinct quadratic fields (sqrt(2) vs sqrt(3))",
+            ),
+        ],
+    )
+    def test_ratio_across_fields_names_the_function(self, capsys, argv, message):
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, "ratio", *argv, *flags)
+            assert (code, out, err) == (1, "", "error: %s\n" % message)
 
     def test_mixed(self, capsys):
         code, out, _ = run(capsys, "ratio", "mixed", "17/5", "1", "17", "5")
@@ -401,7 +442,7 @@ class TestVerify:
         def boom(*_args, **_kw):
             raise InternalInvariantError("forced for the exit code contract")
 
-        monkeypatch.setattr(cli, "run_suite", boom)
+        monkeypatch.setattr(properties, "run_suite", boom)
         code, _, err = run(capsys, "verify", "--suite", "areas", "--trials", "1")
         assert code == 2 and err.startswith("internal invariant violated: ")
 

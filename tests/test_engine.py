@@ -457,13 +457,13 @@ class TestRunAnthyphairesis:
 
     def test_states_are_built_only_when_read(self, monkeypatch):
         built = [0]
-        real = QuadraticForm.__post_init__
+        real = QuadraticForm.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             built[0] += 1
-            real(self)
+            real(self, *args, **kwargs)
 
-        monkeypatch.setattr(QuadraticForm, "__post_init__", counting)
+        monkeypatch.setattr(QuadraticForm, "__init__", counting)
         form = QuadraticForm(EXCESS, 1, 0, 1000003)
         built[0] = 0
         cf, trace = run_anthyphairesis(form)
@@ -528,10 +528,10 @@ class TestRunAnthyphairesis:
         assert not _is_symmetric(want[2].period) and want[2].preperiod
         assert [cf.truncated for cf in want[3:7]] == [True] * 4
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("ContinuedFraction validated an engine result")
 
-        monkeypatch.setattr(ContinuedFraction, "__post_init__", refuse)
+        monkeypatch.setattr(ContinuedFraction, "__init__", refuse)
         got = [run_anthyphairesis(form, budget)[0] for form, budget in runs]
         got_below = [anth_of_ratio(*args) for args in below_one]
         for cf, w in zip(got + got_below, want + want_below):

@@ -6,7 +6,6 @@ far above the oracle's rounding error, so disagreement means a bug.
 """
 
 import random
-from dataclasses import astuple
 from fractions import Fraction
 
 import mpmath
@@ -443,7 +442,8 @@ def test_arithmetic_results_are_in_normal_form(x, y):
     if not y.is_zero:
         results += [x / y, y.inverse()]
     for r in results:
-        assert (r.u, r.v, r.w, r.d) == astuple(QuadSurd(r.u, r.v, r.w, r.d))
+        again = QuadSurd(r.u, r.v, r.w, r.d)
+        assert (r.u, r.v, r.w, r.d) == (again.u, again.v, again.w, again.d)
         assert (r.d == 1) == (r.v == 0)
 
 

@@ -98,6 +98,31 @@ class TestAnthOfRatio:
         with pytest.raises(DomainError):
             anth_of_ratio(line(SQRT2), line(SQRT3))
 
+    @pytest.mark.parametrize(
+        "call, caller",
+        [
+            (lambda: anth_of_ratio(line(SQRT2), line(SQRT3)), "anth_of_ratio"),
+            (
+                lambda: ratio_eq(line(3), line(1 + SQRT2), line(SQRT3), line(SQRT2)),
+                "ratio_eq",
+            ),
+            (lambda: mixed_ratio_eq(line(1 + SQRT2), line(SQRT3), 2, 1), "mixed_ratio_eq"),
+            (
+                lambda: PROPOSITIONS["alternando"][1](
+                    [line(SQRT2), line(SQRT3), line(1), line(1)], 100
+                ),
+                "check_proposition",
+            ),
+        ],
+    )
+    def test_cross_field_ratio_error_names_the_caller(self, call, caller):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) in (
+            "%s: values lie in distinct quadratic fields (sqrt(%d) vs sqrt(%d))"
+            % (caller, p, q) for p, q in ((2, 3), (3, 2))
+        )
+
     @pytest.mark.parametrize("a, b", [(SQRT2, 1), (1, SQRT2), (3, 2)])
     def test_negative_budget_is_rejected_for_every_ratio(self, a, b):
         with pytest.raises(DomainError):
