@@ -203,10 +203,14 @@ def _cmd_anth(args: argparse.Namespace) -> int:
         return _run_form(args, "anth form", input_obj, form)
 
     if args.mode == "sqrt":
+        if args.N < 1:
+            raise DomainError("anth sqrt: N must be >= 1, got %d" % args.N)
         form = QuadraticForm(EXCESS, 1, 0, args.N)
         return _run_form(args, "anth sqrt", {"radicand": _s(args.N)}, form)
 
     if args.mode == "rational":
+        if args.M < 1 or args.N < 1:
+            raise DomainError("anth rational: M and N must be >= 1")
         cf = anth_of_ratio(line(args.M), line(args.N), args.max_steps)
         input_obj = {"M": _s(args.M), "N": _s(args.N)}
         head = _kv("ratio", "%d : %d" % (args.M, args.N))
@@ -261,15 +265,22 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
             n = int(args.source[1])
         except ValueError:
             raise DomainError("convergents: N must be an integer")
+        if n < 1:
+            raise DomainError("convergents: N must be >= 1, got %d" % n)
         form = QuadraticForm(EXCESS, 1, 0, n)
         expansion, _ = run_anthyphairesis(form, args.max_steps)
         count = args.count if args.count is not None else 5
-        if expansion.truncated and count > len(expansion.preperiod):
-            raise IndeterminateError(
-                "convergents: sqrt(%d) gave only %d quotients within max_steps %d, "
-                "%d requested" % (n, len(expansion.preperiod), args.max_steps, count)
+        have = len(expansion.preperiod)
+        if expansion.period is None and count > have:
+            if expansion.truncated:
+                raise IndeterminateError(
+                    "convergents: sqrt(%d) gave only %d quotients within max_steps %d, "
+                    "%d requested" % (n, have, args.max_steps, count)
+                )
+            raise DomainError(
+                "convergents: sqrt(%d) has only %d quotients, %d requested" % (n, have, count)
             )
-        qs = expansion.head(count)  # raises when a finite expansion is too short
+        qs = expansion.head(count)
         a, b = QuadSurd(0, 1, 1, n), as_surd(1)
         command = "convergents"
         input_obj = {"radicand": _s(n), "count": _s(count)}
@@ -391,8 +402,9 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     if args.mode == "cross" and args.max_steps < 0:
         # cross products take no budget; still reject a bad one, as eq and mixed do
         raise DomainError("ratio cross: max_steps must be >= 0")
-    # eq and mixed take their verdicts from the lockstep; the expansions
-    # they print are display only and may be truncated
+    # eq and mixed take their verdicts from the library, which decides
+    # every pair; the expansions they print are display only and may be
+    # truncated
     if args.mode == "mixed":
         a, b = _parse_magnitude(args.A), _parse_magnitude(args.B)
         equal = mixed_ratio_eq(a, b, args.M, args.N, args.max_steps)
@@ -546,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio = sub.add_parser("ratio", help="proportion verdicts for magnitudes")
     ratio_sub = p_ratio.add_subparsers(dest="mode", required=True, metavar="mode")
 
-    p_eq = ratio_sub.add_parser("eq", help="compare two ratios by lockstep expansion")
+    p_eq = ratio_sub.add_parser("eq", help="compare two ratios by their expansions")
     p_eq.add_argument(
         "magnitudes", nargs=4, metavar="MAG",
         help="magnitude literal: 'u,v,w,D', 'p/q' or an integer",

@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._value import Frozen
-from .errors import DomainError, IndeterminateError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
 
 EXCESS = "excess"
@@ -573,57 +573,33 @@ def _truncated(
     return ContinuedFraction._checked(qs, None, True), ExpansionTrace(qs, form, None)
 
 
-def same_anthyphairesis(f: QuadraticForm, g: QuadraticForm, max_steps: int = 10_000) -> bool:
+def same_anthyphairesis(f: QuadraticForm, g: QuadraticForm) -> bool:
     """Whether two forms' designated roots have the same expansion.
 
-    Proportion as equal anthyphairesis, decided by stepping both forms
-    together from their primitive triples (each divided by its content).
-    A root has exactly one primitive triple, so equal roots show as
-    equal triples before any step.  A step keeps the discriminant, so
-    forms of different discriminants are unequal without a step.  Any
-    other pair is stepped until the first round whose two quotients
-    differ, and is then unequal.
-
-    IndeterminateError is raised only after 2 * max_steps rounds with no
-    disagreement.  That decides every pair whose expansions each close
-    within max_steps: two eventually periodic words with periods p1, p2
-    that agree on max(preperiod) + p1 + p2 quotients are equal
-    (Fine-Wilf), and that count is at most 2 * max_steps.  A square
-    discriminant (a rational root) is a DomainError: compare fractions.
+    Proportion as equal anthyphairesis, decided without a step.  A root
+    has exactly one primitive triple (a, b, c, s), its signed triple
+    divided by its content: the form its eventually periodic expansion
+    is generated by, as period_to_form rebuilds one from a period.  An
+    expansion determines its root, so two expansions are equal exactly
+    when the primitive triples are.  A square discriminant (a rational
+    root) is a DomainError: compare fractions.
     """
-    if max_steps < 0:
-        raise DomainError("same_anthyphairesis: max_steps must be >= 0")
-    triples = []
     for form in (f, g):
         if not form.is_expandable:
             raise DomainError(
                 "same_anthyphairesis: designated root of %s must exceed 1" % (form,)
             )
-        a, b, c, s = _triple(form)
-        h = math.gcd(a, b, c)
-        triples.append((a // h, b // h, c // h, s))
-    (a1, b1, c1, s1), (a2, b2, c2, s2) = triples
-    disc = b1 * b1 + 4 * a1 * c1
-    other = b2 * b2 + 4 * a2 * c2
-    j = isqrt(disc)
-    if j * j == disc or is_perfect_square(other):
+    if is_perfect_square(f.disc) or is_perfect_square(g.disc):
         raise DomainError(
             "same_anthyphairesis: a square discriminant has a rational root; "
             "compare the fractions"
         )
-    if other != disc:
-        return False
-    if triples[0] == triples[1]:
-        return True
-    for _ in range(2 * max_steps):
-        k1, a1, b1, c1, s1 = _step(a1, b1, c1, s1, j)
-        k2, a2, b2, c2, s2 = _step(a2, b2, c2, s2, j)
-        if k1 != k2:
-            return False
-    raise IndeterminateError(
-        "%d lockstep rounds without a differing quotient; the proportion is "
-        "undecided at this step budget" % (2 * max_steps)
-    )
+    triples = []
+    for form in (f, g):
+        a, b, c, s = _triple(form)
+        h = math.gcd(a, b, c)
+        triples.append((a // h, b // h, c // h, s))
+    return triples[0] == triples[1]
 
 
 def surd_cf(x: Union[QuadSurd, Fraction, int], max_steps: int = 10_000) -> ContinuedFraction:

@@ -4,16 +4,17 @@ Two pairs of magnitudes are proportional exactly when their
 reciprocal-subtraction expansions coincide.  Nothing here relies on an
 Archimedean comparison axiom: every verdict comes from the expansions
 or from exact cross products, and the calculus is deliberately
-restricted to pairs whose expansion is finite or eventually periodic
-(anything else is reported as undecided, never silently decided).
+restricted to pairs whose expansion is finite or eventually periodic.
 
-A verdict steps the forms of its two ratios in lockstep
-(engine.same_anthyphairesis) and stops at the first disagreement, so it
-costs the common prefix of the two expansions, not their periods.  A
-rational ratio against an irrational one, or a ratio above 1 against
-one below, differs without a step.  Whole expansions are for display
-only: anth_of_ratio builds them, and a PropReport carries one pair of
-them, which may be truncated and never decides anything.
+In that class a ratio's expansion and its primitive form (its Logos,
+the form whose steps generate that expansion) determine each other, so
+a verdict compares the primitive forms of its two ratios
+(engine.same_anthyphairesis) and takes no step.  Two rational ratios
+compare as fractions, and a rational ratio against an irrational one,
+or a ratio above 1 against one below, differs without a form.  Every
+verdict is decided, whatever the step budget.  Whole expansions are for
+display only: anth_of_ratio builds them, and a PropReport carries one
+pair of them, which may be truncated and never decides anything.
 """
 
 from __future__ import annotations
@@ -106,17 +107,18 @@ class PropReport(Frozen):
 
     hypotheses_hold reports the value-level hypotheses (proportions,
     orderings, existence of the needed ratios); conclusion_holds is
-    evaluated only under the hypotheses.  Both verdicts come from the
-    lockstep, which expands nothing.  The two expansions shown are the
-    conclusion's sides when they were formed, or the first hypothesis
-    pair when the conclusion equates two magnitudes.  When the
-    hypotheses fail they are the first unequal hypothesis pair, or the
-    first hypothesis pair when a condition, sum, difference, rectangle
-    or conclusion ratio cannot be formed; both are None when there is no
-    hypothesis pair or a hypothesis ratio does not even exist.  Only
-    that pair is expanded, after the verdicts, and a side equal to the
-    other is expanded once.  A shown expansion is truncated when it does
-    not close within max_steps; the verdicts stand regardless.
+    evaluated only under the hypotheses.  Both verdicts come from
+    comparing primitive forms, which expands nothing.  The two
+    expansions shown are the conclusion's sides when they were formed,
+    or the first hypothesis pair when the conclusion equates two
+    magnitudes.  When the hypotheses fail they are the first unequal
+    hypothesis pair, or the first hypothesis pair when a condition, sum,
+    difference, rectangle or conclusion ratio cannot be formed; both are
+    None when there is no hypothesis pair or a hypothesis ratio does not
+    even exist.  Only that pair is expanded, after the verdicts, and a
+    side equal to the other is expanded once.  A shown expansion is
+    truncated when it does not close within max_steps; the verdicts
+    stand regardless.
     """
 
     __slots__ = _fields = (
@@ -172,12 +174,12 @@ def _expand(x: QuadSurd, max_steps: int) -> ContinuedFraction:
     return ContinuedFraction._checked((0,) + tail.preperiod, tail.period, tail.truncated)
 
 
-def _same(x: QuadSurd, y: QuadSurd, max_steps: int) -> bool:
+def _same(x: QuadSurd, y: QuadSurd) -> bool:
     """Whether the positive values x and y have one expansion.
 
-    Only the lockstep of their forms steps, and only until the first
-    disagreement: a rational and an irrational value, or a value above 1
-    and one below (head quotients >= 1 and 0), differ without a step.
+    Two irrational values on one side of 1 compare their primitive
+    forms; a rational and an irrational value, or a value above 1 and
+    one below (head quotients >= 1 and 0), differ without a form.
     """
     if x.is_rational or y.is_rational:
         return x == y
@@ -185,7 +187,7 @@ def _same(x: QuadSurd, y: QuadSurd, max_steps: int) -> bool:
         return False
     if not x > 1:
         x, y = x.inverse(), y.inverse()
-    return same_anthyphairesis(minimal_form(x), minimal_form(y), max_steps)
+    return same_anthyphairesis(minimal_form(x), minimal_form(y))
 
 
 def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> ContinuedFraction:
@@ -205,13 +207,13 @@ def ratio_eq(
 ) -> bool:
     """Whether a : b and c : d have the same expansion.
 
-    The two ratios are stepped in lockstep only until their first
-    disagreement, so neither is expanded to its period.
-    IndeterminateError is raised when max_steps leaves the verdict
-    open; see engine.same_anthyphairesis.
+    The verdict compares the primitive forms of the two ratios and
+    expands neither (see engine.same_anthyphairesis), so it never raises
+    IndeterminateError.  max_steps is still validated; it bounds only
+    the expansions that a report or the command line shows.
     """
     x = _ratio(a, b, max_steps, "ratio_eq")
-    return _same(x, _ratio(c, d, max_steps, "ratio_eq"), max_steps)
+    return _same(x, _ratio(c, d, max_steps, "ratio_eq"))
 
 
 def cross_product_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
@@ -238,12 +240,13 @@ def mixed_ratio_eq(
     This is proportion between a magnitude pair and a number pair: the
     expansion of a : b must coincide with the Euclidean expansion of
     m : n.  An irrational ratio never does, and is answered without a
-    step.
+    step.  As for ratio_eq, max_steps is validated but bounds only the
+    shown expansions, and no verdict raises IndeterminateError.
     """
     for k in (m, n):
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise DomainError("mixed_ratio_eq: m and n must be integers >= 1")
-    return _same(_ratio(a, b, max_steps, "mixed_ratio_eq"), as_surd(Fraction(m, n)), max_steps)
+    return _same(_ratio(a, b, max_steps, "mixed_ratio_eq"), as_surd(Fraction(m, n)))
 
 
 def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
@@ -341,7 +344,7 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
         return (lhs, lhs if x == y else _expand(y, max_steps))
 
     for lhs, rhs in rule.hypotheses:
-        if not _same(value(lhs), value(rhs), max_steps):
+        if not _same(value(lhs), value(rhs)):
             return (False, False) + shown((lhs, rhs))
     first = rule.hypotheses[0] if rule.hypotheses else None
     try:
@@ -351,7 +354,7 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
         elif isinstance(lhs, int):
             verdict, pair = (True, m[lhs].value == m[rhs].value), first
         else:
-            verdict, pair = (True, _same(value(lhs), value(rhs), max_steps)), rule.conclusion
+            verdict, pair = (True, _same(value(lhs), value(rhs))), rule.conclusion
     except DomainError:
         # a condition, sum, difference, rectangle or conclusion ratio
         # does not exist for these values: the hypotheses fail
@@ -434,8 +437,9 @@ def check_proposition(
 
     Unknown names, wrong arity, wrong roles and a negative budget are
     caller errors; every value-level hypothesis failure is reported, not
-    raised.  IndeterminateError comes only from a verdict the lockstep
-    leaves open, never from the expansions the report shows.
+    raised.  No verdict raises IndeterminateError: max_steps is
+    validated, and it bounds only the two expansions the report shows,
+    which may be truncated.
     """
     _budget(max_steps, "check_proposition")
     if name not in PROPOSITIONS:

@@ -74,6 +74,28 @@ class TestAnth:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("anth", "sqrt", "0"), "anth sqrt: N must be >= 1, got 0"),
+            (("anth", "sqrt", "-5"), "anth sqrt: N must be >= 1, got -5"),
+            (("anth", "sqrt", "0", "--json", "--max-steps", "-1"), "anth sqrt: N must be >= 1, got 0"),
+            (("convergents", "sqrt", "0"), "convergents: N must be >= 1, got 0"),
+            (("convergents", "sqrt", "-5", "--json"), "convergents: N must be >= 1, got -5"),
+        ],
+    )
+    def test_radicand_below_one_names_the_command(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("0", "2"), ("2", "0"), ("-1", "2"), ("0", "0", "--json"), ("0", "2", "--max-steps", "-1")],
+    )
+    def test_rational_below_one_names_the_command(self, capsys, argv):
+        code, out, err = run(capsys, "anth", "rational", *argv)
+        assert (code, out, err) == (1, "", "error: anth rational: M and N must be >= 1\n")
+
     def test_form_modes(self, capsys):
         code, out, _ = run(capsys, "anth", "form", "5", "13", "7", "--kind", "defect")
         assert code == 0 and "expansion  : [1, 1; (5)]" in out
@@ -226,6 +248,18 @@ class TestConvergents:
         code, _, err = run(capsys, "convergents", "sqrt", "4", "--count", "3")
         assert code == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("4", "--count", "3"), "sqrt(4) has only 1 quotients, 3 requested"),
+            (("9", "--count", "2", "--json"), "sqrt(9) has only 1 quotients, 2 requested"),
+            (("4", "--max-steps", "0"), "sqrt(4) has only 1 quotients, 5 requested"),
+        ],
+    )
+    def test_short_finite_expansion_names_convergents(self, capsys, argv, message):
+        code, out, err = run(capsys, "convergents", "sqrt", *argv)
+        assert (code, out, err) == (1, "", "error: convergents: %s\n" % message)
+
     @pytest.mark.parametrize("budget, got", [("2", 2), ("0", 0)])
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     def test_truncated_expansion_short_of_the_count_is_undecided(
@@ -354,14 +388,25 @@ class TestRatio:
         code, _, err = run(capsys, "ratio", "eq", "0,1,0,2", "1", "1", "1")
         assert code == 1 and err.startswith("error: ")
 
-    def test_truncation_is_undecided(self, capsys):
-        # two states of the sqrt(139) cycle share three quotients; one step
-        # buys two lockstep rounds, which leave the verdict open
-        code, _, err = run(
-            capsys, "ratio", "eq", "11,1,18,139", "1", "7,1,15,139", "1",
-            "--max-steps", "1",
+    def test_truncated_expansions_beside_a_decided_verdict(self, capsys):
+        # two states of the sqrt(139) cycle share three quotients; the budget
+        # truncates the printed expansions and never the verdict
+        for budget, shown in (("0", "[...]"), ("1", "[1, ...]")):
+            code, out, err = run(
+                capsys, "ratio", "eq", "11,1,18,139", "1", "7,1,15,139", "1",
+                "--max-steps", budget,
+            )
+            assert (code, err) == (0, "")
+            assert out.splitlines() == [
+                "lhs        : " + shown,
+                "rhs        : " + shown,
+                "verdict    : unequal",
+            ]
+        code, out, err = run(
+            capsys, "ratio", "mixed", "11,1,18,139", "1", "1", "1", "--max-steps", "0"
         )
-        assert code == 3 and err.startswith("undecided: ")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["lhs        : [...]", "rhs        : [1]", "verdict    : unequal"]
 
     def test_verdicts_come_from_the_lockstep(self, capsys, monkeypatch):
         def refuse(self, other):

@@ -19,7 +19,6 @@ from anthyphairesis import (
     MIXED,
     ContinuedFraction,
     DomainError,
-    IndeterminateError,
     InternalInvariantError,
     QuadSurd,
     QuadraticForm,
@@ -657,74 +656,135 @@ def _count_steps(monkeypatch):
     return steps
 
 
+def _lockstep(f, g, max_steps):
+    """The stepping verdict the triple comparison replaced, kept as an oracle.
+
+    Both primitive triples are stepped together for 2 * max_steps rounds
+    and the pair is unequal at the first round whose quotients differ.
+    None means undecided: no difference within the budget.  That cannot
+    happen when both expansions close within max_steps, because two
+    eventually periodic words with periods p1, p2 that agree on
+    max(preperiod) + p1 + p2 quotients are equal (Fine-Wilf).
+    """
+    triples = []
+    for form in (f, g):
+        a, b, c, s = engine._triple(form)
+        h = math.gcd(a, b, c)
+        triples.append((a // h, b // h, c // h, s))
+    (a1, b1, c1, s1), (a2, b2, c2, s2) = triples
+    disc = b1 * b1 + 4 * a1 * c1
+    if b2 * b2 + 4 * a2 * c2 != disc:
+        return False  # a step keeps the discriminant
+    if triples[0] == triples[1]:
+        return True
+    j = math.isqrt(disc)
+    for _ in range(2 * max_steps):
+        k1, a1, b1, c1, s1 = engine._step(a1, b1, c1, s1, j)
+        k2, a2, b2, c2, s2 = engine._step(a2, b2, c2, s2, j)
+        if k1 != k2:
+            return False
+    return None
+
+
+def _verdict_forms(rng):
+    """Seeded forms of every kind, scaled copies, and sqrt(N) cycle states."""
+    forms = _expandable_forms(rng, 300, 9)
+    for n in (2, 3, 7, 13, 19, 46, 139):
+        _, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n))
+        forms += trace.states[1:]
+    return forms + [
+        QuadraticForm(f.kind, 3 * f.A, 3 * f.B, 3 * f.C, f.smaller_root) for f in forms[:40]
+    ]
+
+
+def _verdict_pairs(rng, forms, extra):
+    """Every pair within one primitive discriminant, and extra random pairs."""
+    by_disc: dict[int, list] = {}
+    for f in forms:
+        g = math.gcd(f.A, f.B, f.C)
+        by_disc.setdefault(f.disc // (g * g), []).append(f)
+    pairs = [(f, g) for group in by_disc.values() for f in group for g in group]
+    return pairs + [tuple(rng.sample(forms, 2)) for _ in range(extra)]
+
+
 class TestSameAnthyphairesis:
     def test_agrees_with_full_expansion_equality(self):
-        """The lockstep against comparing two whole expansions (the oracle).
+        """The triple comparison against two whole expansions and the lockstep.
 
         Pairs come from one discriminant (the states of seven sqrt(N)
         expansions, and seeded forms of every kind, scaled or not) and
-        from different ones.  Wherever both runs close, the lockstep must decide and
-        agree; where they do not, a verdict it still gives must match the
-        one at a large budget.
+        from different ones.  The verdict takes no budget and must equal
+        full-expansion equality on every pair.  The lockstep oracle must
+        agree wherever it decides, and must decide whenever both
+        expansions close within its budget.
         """
         rng = random.Random(20261018)
-        forms = _expandable_forms(rng, 300, 9)
-        for n in (2, 3, 7, 13, 19, 46, 139):
-            _, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n))
-            forms += trace.states[1:]
-        forms += [
-            QuadraticForm(f.kind, 3 * f.A, 3 * f.B, 3 * f.C, f.smaller_root) for f in forms[:40]
-        ]
-        by_disc: dict[int, list] = {}
-        for f in forms:
-            g = math.gcd(f.A, f.B, f.C)
-            by_disc.setdefault(f.disc // (g * g), []).append(f)
-        pairs = [(f, g) for group in by_disc.values() for f in group for g in group]
-        pairs += [tuple(rng.sample(forms, 2)) for _ in range(500)]
+        forms = _verdict_forms(rng)
+        pairs = _verdict_pairs(rng, forms, 500)
         budgets = (0, 1, 3, 50, 10_000)
         cfs = {(f, n): run_anthyphairesis(f, n)[0] for f in forms for n in budgets}
         outcomes = set()
         for f, g in pairs:
             truth = cfs[f, 10_000] == cfs[g, 10_000]
             assert not cfs[f, 10_000].truncated and not cfs[g, 10_000].truncated
+            assert same_anthyphairesis(f, g) == truth, (f, g)
+            outcomes.add(truth)
             for steps in budgets:
-                cf, cg = cfs[f, steps], cfs[g, steps]
-                try:
-                    got = same_anthyphairesis(f, g, steps)
-                except IndeterminateError:
-                    assert cf.truncated or cg.truncated, (f, g, steps)
+                closed = not (cfs[f, steps].truncated or cfs[g, steps].truncated)
+                lock = _lockstep(f, g, steps)
+                if lock is None:
+                    assert not closed, (f, g, steps)
                     outcomes.add("undecided")
-                    continue
-                assert got == truth, (f, g, steps)
-                outcomes.add(got if not (cf.truncated or cg.truncated) else "early")
-        assert outcomes == {True, False, "undecided", "early"}
+                else:
+                    assert lock == truth, (f, g, steps)
+        assert outcomes == {True, False, "undecided"}
+
+    def test_agrees_with_sympy(self):
+        """An oracle outside the engine: the two roots as sympy surds.
+
+        r = (b + s*sqrt(D)) / (2a) from each form's signed triple; the
+        roots are equal exactly when their difference expands to 0.
+        """
+        rng = random.Random(1829)
+        forms = _verdict_forms(rng)
+        kinds = {(f.kind, f.smaller_root) for f in forms}
+        assert kinds == {(EXCESS, False), (MIXED, False), (DEFECT, False), (DEFECT, True)}
+        roots = {}
+        for f in forms:
+            a, b, c, s = engine._triple(f)
+            roots[f] = (b + s * sympy.sqrt(b * b + 4 * a * c)) / (2 * a)
+        verdicts = set()
+        for f, g in _verdict_pairs(rng, forms, 300):
+            want = sympy.expand(roots[f] - roots[g]) == 0
+            assert same_anthyphairesis(f, g) == want, (f, g)
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_equal_roots_are_equal_before_a_step(self, monkeypatch):
         steps = _count_steps(monkeypatch)
         big = QuadraticForm(EXCESS, 1, 0, 10**12 + 39)
-        assert same_anthyphairesis(big, big, 0)
+        assert same_anthyphairesis(big, big)
         # excess(2, 0, 4) is twice excess(1, 0, 2): same root sqrt(2)
         root2 = QuadraticForm(EXCESS, 1, 0, 2)
-        assert same_anthyphairesis(QuadraticForm(EXCESS, 2, 0, 4), root2, 0)
+        assert same_anthyphairesis(QuadraticForm(EXCESS, 2, 0, 4), root2)
         # a step keeps the discriminant: 4 * 3 against 4 * 2
-        assert not same_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 3), root2, 0)
+        assert not same_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 3), root2)
         assert steps == []
 
-    def test_unequal_roots_cost_their_common_prefix(self, monkeypatch):
+    def test_unequal_roots_take_no_step(self, monkeypatch):
         # states of the sqrt(139) cycle whose words begin (1, 3, 1, 3, ...)
-        # and (1, 3, 1, 22, ...): they differ in round 4
+        # and (1, 3, 1, 22, ...): the lockstep needed 4 rounds to tell them apart
         f, g = QuadraticForm(EXCESS, 18, 22, 1), QuadraticForm(EXCESS, 15, 14, 6)
         steps = _count_steps(monkeypatch)
-        with pytest.raises(IndeterminateError):
-            same_anthyphairesis(f, g, 1)  # 2 rounds
-        steps.clear()
-        assert not same_anthyphairesis(f, g, 2)  # 4 rounds
-        assert len(steps) == 2 * 4
+        assert not same_anthyphairesis(f, g)
+        assert steps == []
+        assert _lockstep(f, g, 1) is None and _lockstep(f, g, 2) is False
+        assert len(steps) == 2 * (2 + 4)
 
     def test_rejects_what_it_cannot_step(self):
         root2 = QuadraticForm(EXCESS, 1, 0, 2)
-        with pytest.raises(DomainError, match="max_steps"):
-            same_anthyphairesis(root2, root2, -1)
+        with pytest.raises(TypeError):
+            same_anthyphairesis(root2, root2, 10)  # no step budget to give
         with pytest.raises(DomainError, match="must exceed 1"):
             same_anthyphairesis(root2, QuadraticForm(EXCESS, 3, 1, 1))
         with pytest.raises(DomainError, match="square discriminant"):

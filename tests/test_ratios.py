@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from anthyphairesis import engine
 from anthyphairesis import (
@@ -11,7 +12,6 @@ from anthyphairesis import (
     LINE,
     ContinuedFraction,
     DomainError,
-    IndeterminateError,
     Magnitude,
     PROPOSITIONS,
     QuadSurd,
@@ -160,13 +160,13 @@ class TestRatioEq:
         # sqrt(2):1 expands [1; (2)], sqrt(3):1 expands [1; (1, 2)]
         assert not ratio_eq(line(SQRT2), line(1), line(SQRT3), line(1))
 
-    def test_truncation_is_undecided(self):
-        # the verdict needs 4 lockstep rounds, and max_steps buys 2 * max_steps
+    def test_decided_at_every_budget(self):
+        # the two expansions share their first three quotients
         pairs = (line(X139), line(1), line(Y139), line(1))
-        with pytest.raises(IndeterminateError):
-            ratio_eq(*pairs, max_steps=1)
-        for steps in (2, 3, 10_000):
+        for steps in (0, 1, 2, 3, 10_000):
             assert not ratio_eq(*pairs, max_steps=steps)
+        # a budget that truncates the shown expansion leaves the verdict decided
+        assert anth_of_ratio(*pairs[:2], max_steps=1).truncated
 
 
 class TestCrossProductEq:
@@ -226,11 +226,17 @@ def _prefixed(prefix, z):
 
 
 def _full_expansion_eq(a, b, c, d, steps):
-    """Equality of two whole expansions, the lockstep's oracle; None if either is truncated."""
+    """Equality of two whole expansions, the verdicts' oracle; None if either is truncated."""
     lhs, rhs = anth_of_ratio(a, b, steps), anth_of_ratio(c, d, steps)
     if lhs.truncated or rhs.truncated:
         return None
     return lhs == rhs
+
+
+def _sympy_eq(a, b, c, d):
+    """a : b == c : d by sympy's exact surds, an oracle outside the package."""
+    a, b, c, d = ((m.value.u + m.value.v * sympy.sqrt(m.value.d)) / m.value.w for m in (a, b, c, d))
+    return sympy.expand(a * d - b * c) == 0
 
 
 def _ratio_value(rng, d):
@@ -261,7 +267,7 @@ def _ratio_pairs(rng):
 
 
 class TestLockstep:
-    """Verdicts step two forms together and stop at the first disagreement."""
+    """Verdicts compare primitive forms; the budget bounds only shown expansions."""
 
     def test_agrees_with_full_expansion_equality(self):
         rng = random.Random(1829)
@@ -272,18 +278,13 @@ class TestLockstep:
             # both orientations, and each ratio below 1 against one above
             for pairs in ((a, b, c, d), (b, a, d, c), (a, b, d, c), (c, d, a, b)):
                 truth = _full_expansion_eq(*pairs, 100_000)
-                assert truth is not None
+                assert truth is not None and truth == _sympy_eq(*pairs)
                 for steps in (0, 1, 3, 10_000):
                     want = _full_expansion_eq(*pairs, steps)
-                    try:
-                        got = ratio_eq(*pairs, max_steps=steps)
-                    except IndeterminateError:
-                        assert want is None, (pairs, steps)
-                        outcomes.add("undecided")
-                        continue
+                    got = ratio_eq(*pairs, max_steps=steps)
                     assert got == truth, (pairs, steps)
                     outcomes.add(got if want is not None else "decided early")
-        assert outcomes == {True, False, "undecided", "decided early"}
+        assert outcomes == {True, False, "decided early"}
 
     def test_mixed_agrees_with_full_expansion_equality(self):
         rng = random.Random(1830)
@@ -312,6 +313,7 @@ class TestLockstep:
         assert report.lhs_cf == report.rhs_cf == ContinuedFraction((0, 2))
 
     def test_verdict_costs_its_first_disagreement(self, monkeypatch):
+        """A verdict takes no step at all, even where the expansions share a prefix."""
         steps = []
         real = engine._step
         monkeypatch.setattr(engine, "_step", lambda *t: steps.append(t) or real(*t))
@@ -324,9 +326,9 @@ class TestLockstep:
         for prefix in ([], [2, 1, 5], [1] * 30):
             # shared prefix: the given quotients, then (1, 3, 1)
             a, c = line(_prefixed(prefix, X139)), line(_prefixed(prefix, Y139))
-            steps.clear()
+            assert not ratio_eq(a, one, c, one, max_steps=0)
             assert not ratio_eq(a, one, c, one)
-            assert len(steps) <= 2 * (len(prefix) + 3 + 1)
+        assert steps == []
 
     def test_shown_pair_only_is_expanded(self, monkeypatch):
         runs = []
@@ -533,7 +535,7 @@ class TestPropositions:
             check_proposition("area_v9", _lines(1, 1, 1))
 
     def test_truncation_propagates(self):
-        # the lockstep decides both verdicts; the shown pair is only
+        # comparing forms decides both verdicts; the shown pair is only
         # truncated by the budget, and that raises nothing
         big = QuadSurd(0, 1, 1, 139)
         mags = _lines(big, 1, QuadSurd(0, 2, 1, 139), 2)
