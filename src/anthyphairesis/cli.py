@@ -231,6 +231,14 @@ def _cmd_anth(args: argparse.Namespace) -> int:
 # -- convergents --------------------------------------------------------------
 
 
+def _count(args: argparse.Namespace, default: int) -> int:
+    """The rows convergents should produce: --count, else default; at least 1."""
+    count = default if args.count is None else args.count
+    if count < 1:
+        raise DomainError("convergents: count must be >= 1")
+    return count
+
+
 def _cmd_convergents(args: argparse.Namespace) -> int:
     a: Optional[QuadSurd] = None
     b: Optional[QuadSurd] = None
@@ -249,7 +257,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         if min(qs_all) < 1:  # a head 0 too: convergents() takes none
             raise DomainError("convergents: quotients must be integers >= 1")
         expansion = ContinuedFraction(qs_all)
-        count = args.count if args.count is not None else len(qs_all)
+        count = _count(args, len(qs_all))
         if count > len(qs_all):
             raise DomainError(
                 "convergents: %d quotients cannot support count %d without a period"
@@ -269,7 +277,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
             raise DomainError("convergents: N must be >= 1, got %d" % n)
         form = QuadraticForm(EXCESS, 1, 0, n)
         expansion, _ = run_anthyphairesis(form, args.max_steps)
-        count = args.count if args.count is not None else 5
+        count = _count(args, 5)
         have = len(expansion.preperiod)
         if expansion.period is None and count > have:
             if expansion.truncated:
@@ -285,8 +293,6 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         command = "convergents"
         input_obj = {"radicand": _s(n), "count": _s(count)}
 
-    if count < 1:
-        raise DomainError("convergents: count must be >= 1")
     sd = convergents(qs, count)
 
     rows = []

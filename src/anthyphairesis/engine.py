@@ -463,10 +463,11 @@ def run_anthyphairesis(
     """Full expansion of a form's designated root, with its state trace.
 
     A square discriminant routes to the Euclidean algorithm and yields a
-    finite expansion.  Otherwise steps are taken until the first reduced
-    state recurs (the expansion is then eventually periodic and the
-    canonical preperiod/period pair is returned) or the step budget is
-    exhausted, in which case the result is flagged truncated.  Past the
+    finite expansion; that rational root may be 1, which expands to [1].
+    Otherwise steps are taken until the first reduced state recurs (the
+    expansion is then eventually periodic and the canonical
+    preperiod/period pair is returned) or the step budget is exhausted,
+    in which case the result is flagged truncated.  Past the
     anchor the reduced step is inlined, and a symmetric cycle is walked
     only to its second centre and mirrored (see the module docstring).
     The run still holds O(1) states besides the quotients: the current
@@ -474,15 +475,16 @@ def run_anthyphairesis(
     """
     if max_steps < 0:
         raise DomainError("run_anthyphairesis: max_steps must be >= 0")
-    if not form.is_expandable:
-        raise DomainError(
-            "run_anthyphairesis: designated root of %s must exceed 1" % (form,)
-        )
     disc = form.disc
+    too_small = "run_anthyphairesis: designated root of %s must exceed 1"
     if is_perfect_square(disc):
         fr = form.root_fraction()
+        if fr < 1:  # a rational root may be 1 itself: sqrt(1) : 1 is [1]
+            raise DomainError(too_small % (form,))
         cf = euclid_cf(fr.numerator, fr.denominator)
         return cf, ExpansionTrace(cf.preperiod, form, None)
+    if not form.is_expandable:
+        raise DomainError(too_small % (form,))
 
     j = isqrt(disc)
     a, b, c, s = _triple(form)

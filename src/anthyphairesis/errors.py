@@ -3,8 +3,12 @@
 Three failure modes are kept apart on purpose:
 
 * ``DomainError`` -- the caller violated a stated precondition (bad input).
-* ``IndeterminateError`` -- the computation was cut off before it could
-  decide anything (step budget exhausted); the answer is unknown, not false.
+* ``IndeterminateError`` -- a step budget ran out before an answer was
+  reached; the answer is unknown, not false.  No library function raises
+  it: every proportion verdict is decided whatever the budget, and a
+  truncated expansion is returned flagged as such.  The command line
+  raises it, and exits 3, only when ``convergents sqrt N`` is truncated
+  below ``--count`` quotients.
 * ``InternalInvariantError`` -- a branch that the underlying theory rules
   out was reached.  This is a bug in the library, never a caller problem.
 """
@@ -15,7 +19,11 @@ class DomainError(ValueError):
 
 
 class IndeterminateError(RuntimeError):
-    """A truncated expansion was asked to support a definite verdict."""
+    """A step budget ran out before an answer was reached.
+
+    Only the command line raises it (exit 3), for a ``convergents sqrt N``
+    run truncated below ``--count``; no library function does.
+    """
 
 
 class InternalInvariantError(AssertionError):

@@ -9,6 +9,7 @@ exact no matter how large the components grow.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -39,6 +40,11 @@ def is_perfect_square(n: int) -> bool:
 _TRIAL_DIVISION_LIMIT = 1 << 21
 
 
+# The magnitudes of one proportion share a field, so builds ask for the
+# same few radicands over and over: the last 32 splits are remembered.
+# typed=True keeps an equal bool, float or Fraction from reading an int's
+# split.  Errors are not cached; __wrapped__ is the uncached split.
+@functools.lru_cache(maxsize=32, typed=True)
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n >= 1 as s*s*d with d squarefree; return (s, d).
 
@@ -96,11 +102,13 @@ class QuadSurd(Frozen):
     unique, comparing and hashing the four components coincide with
     equality of the real numbers represented.
 
-    The radicand a caller supplies is factored once, here.  Arithmetic
-    results (``+ - * /``, ``inverse``, negation, and through them
-    ``decimal``) inherit the operands' normalized radicand and are never
-    factored again.  ``sign``, ``floor`` and comparisons are integer
-    arithmetic on the stored components and never factor either.
+    The radicand a caller supplies is split here, by square_free_split,
+    which remembers its last 32 radicands, so the values of one field
+    built in a row factor it once.  Arithmetic results (``+ - * /``,
+    ``inverse``, negation, and through them ``decimal``) inherit the
+    operands' normalized radicand and are never factored again.
+    ``sign``, ``floor`` and comparisons are integer arithmetic on the
+    stored components and never factor either.
     """
 
     __slots__ = _fields = ("u", "v", "w", "d")

@@ -14,7 +14,8 @@ compare as fractions, and a rational ratio against an irrational one,
 or a ratio above 1 against one below, differs without a form.  Every
 verdict is decided, whatever the step budget.  Whole expansions are for
 display only: anth_of_ratio builds them, and a PropReport carries one
-pair of them, which may be truncated and never decides anything.
+pair of them, expanded when first read, which may be truncated and
+never decides anything.
 """
 
 from __future__ import annotations
@@ -115,15 +116,15 @@ class PropReport(Frozen):
     hypothesis pair, or the first hypothesis pair when a condition, sum,
     difference, rectangle or conclusion ratio cannot be formed; both are
     None when there is no hypothesis pair or a hypothesis ratio does not
-    even exist.  Only that pair is expanded, after the verdicts, and a
-    side equal to the other is expanded once.  A shown expansion is
-    truncated when it does not close within max_steps; the verdicts
-    stand regardless.
+    even exist.  check_proposition keeps the two ratio values of that
+    pair and expands them when lhs_cf or rhs_cf is first read, then
+    stores both; a side equal to the other is expanded once.  A shown
+    expansion is truncated when it does not close within max_steps; the
+    verdicts stand regardless.
     """
 
-    __slots__ = _fields = (
-        "proposition", "hypotheses_hold", "conclusion_holds", "lhs_cf", "rhs_cf"
-    )
+    _fields = ("proposition", "hypotheses_hold", "conclusion_holds", "lhs_cf", "rhs_cf")
+    __slots__ = _fields + ("_shown",)
 
     def __init__(
         self,
@@ -138,6 +139,31 @@ class PropReport(Frozen):
         _set(self, "conclusion_holds", conclusion_holds)
         _set(self, "lhs_cf", lhs_cf)
         _set(self, "rhs_cf", rhs_cf)
+
+    @classmethod
+    def _deferred(
+        cls, proposition: str, hypotheses_hold: bool, conclusion_holds: bool,
+        x: QuadSurd, y: QuadSurd, max_steps: int,
+    ) -> "PropReport":
+        """A report showing the ratios x and y, expanded on first read."""
+        report = object.__new__(cls)
+        _set(report, "proposition", proposition)
+        _set(report, "hypotheses_hold", hypotheses_hold)
+        _set(report, "conclusion_holds", conclusion_holds)
+        _set(report, "_shown", (x, y, max_steps))
+        return report
+
+    def __getattr__(self, name: str) -> object:
+        # Python calls this only for an unset slot: lhs_cf and rhs_cf of
+        # a deferred report, until the first read expands and stores both
+        if name not in ("lhs_cf", "rhs_cf"):
+            raise AttributeError(
+                "%r object has no attribute %r" % (type(self).__name__, name)
+            )
+        lhs, rhs = _expand_pair(*self._shown)
+        _set(self, "lhs_cf", lhs)
+        _set(self, "rhs_cf", rhs)
+        return lhs if name == "lhs_cf" else rhs
 
 
 def _budget(max_steps: int, caller: str) -> None:
@@ -172,6 +198,12 @@ def _expand(x: QuadSurd, max_steps: int) -> ContinuedFraction:
     # and checked
     tail, _ = run_anthyphairesis(minimal_form(x.inverse()), max_steps - 1)
     return ContinuedFraction._checked((0,) + tail.preperiod, tail.period, tail.truncated)
+
+
+def _expand_pair(x: QuadSurd, y: QuadSurd, max_steps: int) -> tuple:
+    """The expansions of x and y; one serves both when they are equal."""
+    lhs = _expand(x, max_steps)
+    return lhs, (lhs if x == y else _expand(y, max_steps))
 
 
 def _same(x: QuadSurd, y: QuadSurd) -> bool:
@@ -325,7 +357,10 @@ def _form(term: _Term, m: Sequence[Magnitude]) -> Magnitude:
 
 
 def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
-    """(hypotheses_hold, conclusion_holds, lhs_cf, rhs_cf) of one check."""
+    """(hypotheses_hold, conclusion_holds, shown) of one check.
+
+    shown is the pair of ratio values a report shows, unexpanded, or None.
+    """
     values: dict[_RatioSpec, QuadSurd] = {}
 
     def value(spec: _RatioSpec) -> QuadSurd:
@@ -334,18 +369,12 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
             values[spec] = _ratio(_form(num, m), _form(den, m), max_steps, "check_proposition")
         return values[spec]
 
-    def shown(pair: Optional[tuple[_RatioSpec, _RatioSpec]]) -> tuple:
-        # only the pair a report shows is expanded, and one expansion
-        # serves both sides when they are equal
-        if pair is None:
-            return (None, None)
-        x, y = value(pair[0]), value(pair[1])
-        lhs = _expand(x, max_steps)
-        return (lhs, lhs if x == y else _expand(y, max_steps))
+    def shown(pair: Optional[tuple[_RatioSpec, _RatioSpec]]) -> Optional[tuple]:
+        return None if pair is None else (value(pair[0]), value(pair[1]))
 
     for lhs, rhs in rule.hypotheses:
         if not _same(value(lhs), value(rhs)):
-            return (False, False) + shown((lhs, rhs))
+            return False, False, shown((lhs, rhs))
     first = rule.hypotheses[0] if rule.hypotheses else None
     try:
         lhs, rhs = rule.conclusion
@@ -359,7 +388,13 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
         # a condition, sum, difference, rectangle or conclusion ratio
         # does not exist for these values: the hypotheses fail
         verdict, pair = (False, False), first
-    return verdict + shown(pair)
+    return verdict + (shown(pair),)
+
+
+def _expanded(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
+    """(hypotheses_hold, conclusion_holds, lhs_cf, rhs_cf) of one check."""
+    hyp, concl, shown = _evaluate(rule, m, max_steps)
+    return (hyp, concl) + ((None, None) if shown is None else _expand_pair(*shown, max_steps))
 
 
 _AB_CD = ((_a, _b), (_c, _d))
@@ -425,7 +460,7 @@ _RULES: dict[str, tuple[tuple[str, ...], _Rule]] = {
 }
 
 PROPOSITIONS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    name: (roles, functools.partial(_evaluate, rule))
+    name: (roles, functools.partial(_expanded, rule))
     for name, (roles, rule) in _RULES.items()
 }
 
@@ -439,7 +474,7 @@ def check_proposition(
     caller errors; every value-level hypothesis failure is reported, not
     raised.  No verdict raises IndeterminateError: max_steps is
     validated, and it bounds only the two expansions the report shows,
-    which may be truncated.
+    which may be truncated and are expanded when first read.
     """
     _budget(max_steps, "check_proposition")
     if name not in PROPOSITIONS:
@@ -447,7 +482,7 @@ def check_proposition(
             "check_proposition: unknown proposition %r (known: %s)"
             % (name, ", ".join(sorted(PROPOSITIONS)))
         )
-    roles, fn = PROPOSITIONS[name]
+    roles, rule = _RULES[name]
     if len(magnitudes) != len(roles):
         raise DomainError(
             "check_proposition: %s takes %d magnitudes, got %d"
@@ -462,9 +497,11 @@ def check_proposition(
                 % (name, role, i, mag.role)
             )
     try:
-        hyp, concl, lhs, rhs = fn(list(magnitudes), max_steps)
+        hyp, concl, shown = _evaluate(rule, list(magnitudes), max_steps)
     except DomainError:
         # a hypothesis ratio does not exist for these values (distinct
         # fields); that is a failed hypothesis, not a caller error
-        hyp, concl, lhs, rhs = False, False, None, None
-    return PropReport(name, hyp, concl, lhs, rhs)
+        hyp, concl, shown = False, False, None
+    if shown is None:
+        return PropReport(name, hyp, concl, None, None)
+    return PropReport._deferred(name, hyp, concl, *shown, max_steps)

@@ -69,6 +69,20 @@ class TestAnth:
         assert "period     : -" in out
         assert "root       : 2" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("anth", "sqrt", "1"),
+            ("anth", "form", "1", "0", "1", "--kind", "excess"),
+            ("convergents", "sqrt", "1", "--count", "1"),
+        ],
+    )
+    def test_sqrt_one_expands_to_one(self, capsys, argv):
+        # sqrt(1) : 1 is the rational ratio 1 : 1, as `anth rational 1 1` prints
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert "expansion  : [1]\n" in out
+
     def test_bad_radicand(self, capsys):
         code, out, err = run(capsys, "anth", "sqrt", "0")
         assert code == 1 and out == ""
@@ -303,6 +317,20 @@ class TestConvergents:
         assert code == 1 and "not both" in err
         code, _, err = run(capsys, "convergents", "sqrt")
         assert code == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sqrt", "2", "--count", "-1"),
+            ("sqrt", "2", "--count", "0"),
+            ("sqrt", "3", "--count", "-1", "--max-steps", "2"),
+            ("--quotients", "1,2", "--count", "-1"),
+            ("--quotients", "1,2", "--count", "0", "--json"),
+        ],
+    )
+    def test_count_below_one_names_convergents(self, capsys, argv):
+        code, out, err = run(capsys, "convergents", *argv)
+        assert (code, out, err) == (1, "", "error: convergents: count must be >= 1\n")
 
     @pytest.mark.parametrize("quotients", ["1,0", "2,-1", "0,2", "0", "3,1,0"])
     def test_nonpositive_quotient_names_convergents(self, capsys, quotients):

@@ -390,6 +390,26 @@ class TestRunAnthyphairesis:
         cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 2, 3, 2))
         assert cf == ContinuedFraction((2,))
 
+    def test_rational_root_of_one_expands_to_one(self):
+        # sqrt(1) : 1 is 1 : 1; the square-discriminant route takes it
+        # before the "exceeds 1" test that every irrational root must pass
+        for form in (
+            QuadraticForm(EXCESS, 1, 0, 1),
+            QuadraticForm(EXCESS, 2, 1, 1),  # 2x^2 = x + 1
+            QuadraticForm(DEFECT, 1, 3, 2, smaller_root=True),  # roots 1 and 2
+        ):
+            for budget in (0, 10_000):
+                cf, trace = run_anthyphairesis(form, budget)
+                assert cf == euclid_cf(1, 1) == ContinuedFraction((1,))
+                assert trace.states == (form,) and trace.repeat_at is None
+        message = r"run_anthyphairesis: designated root of excess\(4, 0, 1\) must exceed 1"
+        with pytest.raises(DomainError, match=message):
+            run_anthyphairesis(QuadraticForm(EXCESS, 4, 0, 1))  # root 1/2
+        # the verdict path still takes no rational root
+        assert not QuadraticForm(EXCESS, 1, 0, 1).is_expandable
+        with pytest.raises(DomainError, match="must exceed 1"):
+            same_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 2), QuadraticForm(EXCESS, 1, 0, 1))
+
     def test_truncation(self):
         cf, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 139), max_steps=2)
         assert cf.truncated

@@ -466,3 +466,53 @@ def test_arithmetic_never_factors_again(monkeypatch):
     assert x.decimal() == "142.857357"
     assert (1 / x - x.inverse()).is_zero  # inverse, division, negation
     assert calls == []
+
+
+class TestSplitMemo:
+    """square_free_split remembers its last splits; __wrapped__ is the uncached oracle."""
+
+    def test_memo_equals_the_uncached_split(self):
+        split, oracle = square_free_split, square_free_split.__wrapped__
+        for n in range(1, 300_001):
+            assert split(n) == oracle(n), n
+        rng = random.Random(20261018)
+        seen = [int(10 ** rng.uniform(0, 16)) for _ in range(40)]
+        # repeats from a short window, as the values of one field ask for
+        for n in seen + [rng.choice(seen[-8:]) for _ in range(200)]:
+            assert split(n) == oracle(n), n
+
+    def test_results_are_immutable_int_pairs(self):
+        s, d = result = square_free_split(360)
+        assert result == (6, 10) and type(result) is tuple
+        assert type(s) is int and type(d) is int
+
+    def test_errors_are_raised_on_every_call(self):
+        square_free_split.cache_clear()
+        for _ in range(3):
+            with pytest.raises(
+                DomainError, match="square_free_split: argument must be >= 1, got 0"
+            ):
+                square_free_split(0)
+        assert square_free_split.cache_info().currsize == 0
+
+    def test_an_equal_value_of_another_type_is_split_apart(self):
+        assert square_free_split(4) == (2, 1)
+        with pytest.raises(TypeError):
+            square_free_split(4.0)  # as the uncached split does
+        assert square_free_split(True) == square_free_split.__wrapped__(True)
+
+    def test_one_field_is_factored_once(self):
+        square_free_split.cache_clear()
+        rng = random.Random(7)
+        for _ in range(500):
+            u, v, w = rng.randint(-99, 99), rng.randint(1, 99), rng.randint(1, 99)
+            x = QuadSurd(u, v, w, 1000003)
+            assert x == QuadSurd._in_field(u, v, w, 1000003)
+        info = square_free_split.cache_info()
+        assert (info.misses, info.hits) == (1, 499)
+
+    def test_memo_stays_bounded(self):
+        for n in range(10**6, 10**6 + 100):
+            square_free_split(n)
+        info = square_free_split.cache_info()
+        assert info.maxsize == 32 and info.currsize <= info.maxsize

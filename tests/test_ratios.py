@@ -1,12 +1,14 @@
 """Proportion calculus: ratio equality, cross products, propositions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from anthyphairesis import engine
+from anthyphairesis import engine, ratios
 from anthyphairesis import (
     AREA,
     LINE,
@@ -14,6 +16,7 @@ from anthyphairesis import (
     DomainError,
     Magnitude,
     PROPOSITIONS,
+    PropReport,
     QuadSurd,
     anth_of_ratio,
     as_surd,
@@ -30,6 +33,7 @@ from anthyphairesis import (
     square_ratio_witness,
     surd_cf,
 )
+from anthyphairesis.properties import _constructive_inputs
 
 SQRT2 = QuadSurd(0, 1, 1, 2)
 SQRT3 = QuadSurd(0, 1, 1, 3)
@@ -551,3 +555,97 @@ class TestPropositions:
         report = check_proposition("fundamental", mags, max_steps=2)
         assert not report.hypotheses_hold and not report.conclusion_holds
         assert report.lhs_cf is None and report.rhs_cf is None
+
+
+def _cf_key(cf):
+    """Fields of an expansion; a truncated one is unequal even to itself."""
+    return None if cf is None else (cf.preperiod, cf.period, cf.truncated)
+
+
+def _eager(name, mags, max_steps):
+    """The report's fields from the eager path, which expands at call time."""
+    try:
+        return PROPOSITIONS[name][1](list(mags), max_steps)
+    except DomainError:
+        return False, False, None, None
+
+
+def _seeded_cases():
+    """Hypotheses that hold, fail, or name a ratio across fields, per proposition."""
+    rng = random.Random(1418)
+    cases = []
+    for name in sorted(PROPOSITIONS):
+        for _ in range(2):
+            mags = _constructive_inputs(name, rng)
+            first = mags[0]
+            broken = [Magnitude(first.value * 2 + 1, first.role)] + mags[1:]
+            # sqrt(31) lies outside every generated field (d <= 30)
+            apart = mags[:1] + [Magnitude(QuadSurd(0, 1, 1, 31), mags[1].role)] + mags[2:]
+            cases += [(name, mags), (name, broken), (name, apart)]
+    return cases
+
+
+class TestDeferredShownPair:
+    """check_proposition expands its shown pair when lhs_cf or rhs_cf is first read."""
+
+    @pytest.mark.parametrize(
+        "name, mags, runs",
+        [
+            ("plus_unit", CONSTRUCTIVE["plus_unit"], 1),  # equal sides: one expansion
+            ("alternando", CONSTRUCTIVE["alternando"], 1),
+            ("alternando", BROKEN["alternando"], 2),  # the unequal hypothesis pair
+            ("plus_unit", BROKEN["plus_unit"], 2),
+        ],
+    )
+    def test_expands_on_first_read_only(self, monkeypatch, name, mags, runs):
+        calls = []
+        real = ratios._expand
+        monkeypatch.setattr(ratios, "_expand", lambda x, n: calls.append(x) or real(x, n))
+        report = check_proposition(name, mags)
+        report.hypotheses_hold, report.conclusion_holds
+        assert calls == []
+        lhs = report.lhs_cf
+        assert len(calls) == runs
+        assert (report.rhs_cf is lhs) == (runs == 1)
+        repr(report), hash(report), report == report, copy.deepcopy(report)
+        assert len(calls) == runs
+
+    def test_rhs_read_first_stores_both(self):
+        report = check_proposition("alternando", BROKEN["alternando"])
+        assert report.rhs_cf == R3 and report.lhs_cf == R2
+
+    def test_other_names_still_raise(self):
+        report = check_proposition("alternando", CONSTRUCTIVE["alternando"])
+        with pytest.raises(AttributeError, match="'PropReport' object has no attribute 'nope'"):
+            report.nope
+        assert not hasattr(report, "nope") and report.lhs_cf == report.rhs_cf
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 3, 10_000])
+    def test_deferred_report_equals_the_eager_one(self, max_steps):
+        seen_none = seen_cut = 0
+        for name, mags in _seeded_cases():
+            hyp, concl, lhs, rhs = _eager(name, mags, max_steps)
+            want = (hyp, concl, _cf_key(lhs), _cf_key(rhs))
+            eager = PropReport(name, hyp, concl, lhs, rhs)
+            cut = any(cf is not None and cf.truncated for cf in (lhs, rhs))
+            seen_none += lhs is None
+            seen_cut += cut
+
+            def fresh():
+                return check_proposition(name, mags, max_steps)
+
+            r = fresh()
+            got = (r.hypotheses_hold, r.conclusion_holds, _cf_key(r.lhs_cf), _cf_key(r.rhs_cf))
+            assert got == want, (name, mags)
+            assert (r.lhs_cf is r.rhs_cf) == (lhs is rhs)
+            assert repr(fresh()) == repr(eager)
+            for clone in (
+                pickle.loads(pickle.dumps(fresh())),
+                copy.deepcopy(fresh()),
+                copy.copy(fresh()),
+            ):
+                assert type(clone) is PropReport and repr(clone) == repr(eager)
+            if not cut:
+                assert fresh() == eager and hash(fresh()) == hash(eager)
+        assert seen_none > 0
+        assert seen_cut > 0 or max_steps == 10_000
