@@ -26,6 +26,7 @@ from .engine import (
     remainder,
     run_anthyphairesis,
     state_space_size,
+    _budget,
     _triple,
 )
 from .errors import DomainError, IndeterminateError, InternalInvariantError
@@ -246,8 +247,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
 
     if args.quotients is not None:
         # the quotients are given, so nothing spends the budget; still reject a bad one
-        if args.max_steps < 0:
-            raise DomainError("convergents: max_steps must be >= 0")
+        _budget(args.max_steps, "convergents")
         if args.source:
             raise DomainError("convergents: give either 'sqrt N' or --quotients, not both")
         try:
@@ -405,15 +405,12 @@ def _emit_verdict(args: argparse.Namespace, command: str, input_obj: Any,
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    if args.mode == "cross" and args.max_steps < 0:
-        # cross products take no budget; still reject a bad one, as eq and mixed do
-        raise DomainError("ratio cross: max_steps must be >= 0")
     # eq and mixed take their verdicts from the library, which decides
-    # every pair; the expansions they print are display only and may be
-    # truncated
+    # every pair without a budget; --max-steps bounds only the expansions
+    # they print, which are display only and may be truncated
     if args.mode == "mixed":
         a, b = _parse_magnitude(args.A), _parse_magnitude(args.B)
-        equal = mixed_ratio_eq(a, b, args.M, args.N, args.max_steps)
+        equal = mixed_ratio_eq(a, b, args.M, args.N)
         input_obj = {
             "A": _surd_json(a.value),
             "B": _surd_json(b.value),
@@ -431,7 +428,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
         return _emit_verdict(args, "ratio cross", input_obj, equal,
                              a.value * d.value, b.value * c.value,
                              _surd_json, ("a*d", "b*c"))
-    equal = ratio_eq(a, b, c, d, args.max_steps)
+    equal = ratio_eq(a, b, c, d)
     return _emit_verdict(args, "ratio eq", input_obj, equal,
                          anth_of_ratio(a, b, args.max_steps),
                          anth_of_ratio(c, d, args.max_steps))
@@ -574,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cross = ratio_sub.add_parser("cross", help="compare by exact cross products")
     p_cross.add_argument("magnitudes", nargs=4, metavar="MAG")
-    common(p_cross)
+    p_cross.add_argument("--json", action="store_true", help="emit a JSON report")
     p_cross.set_defaults(func=_cmd_ratio)
 
     p_mixed = ratio_sub.add_parser(

@@ -457,6 +457,14 @@ def defect_step(form: QuadraticForm) -> tuple[int, QuadraticForm]:
     return _checked_step(form, "defect_step", "designated root must exceed 1")
 
 
+def _budget(max_steps: int, caller: str) -> None:
+    """Reject a step budget that is not an integer >= 0; errors name caller."""
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int):
+        raise DomainError("%s: max_steps must be an integer, got %r" % (caller, max_steps))
+    if max_steps < 0:
+        raise DomainError("%s: max_steps must be >= 0" % caller)
+
+
 def run_anthyphairesis(
     form: QuadraticForm, max_steps: int = 10_000
 ) -> tuple[ContinuedFraction, ExpansionTrace]:
@@ -473,8 +481,7 @@ def run_anthyphairesis(
     The run still holds O(1) states besides the quotients: the current
     triple, the anchor and at most two centres.
     """
-    if max_steps < 0:
-        raise DomainError("run_anthyphairesis: max_steps must be >= 0")
+    _budget(max_steps, "run_anthyphairesis")
     disc = form.disc
     too_small = "run_anthyphairesis: designated root of %s must exceed 1"
     if is_perfect_square(disc):
@@ -612,8 +619,7 @@ def surd_cf(x: Union[QuadSurd, Fraction, int], max_steps: int = 10_000) -> Conti
     the exact tail value.  Values below 1 are allowed and give a head
     quotient of 0.
     """
-    if max_steps < 0:
-        raise DomainError("surd_cf: max_steps must be >= 0")
+    _budget(max_steps, "surd_cf")
     val = as_surd(x)
     if not val > 0:
         raise DomainError("surd_cf: value must be positive, got %s" % val)

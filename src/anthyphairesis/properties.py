@@ -286,7 +286,7 @@ def _prop_fundamental_equivalence(rng: random.Random) -> str:
     x2 = x1 if rng.random() < 0.4 else _small_ratio(rng, d)
     a, b = _pair_with_ratio(rng, d, x1)
     c, dd = _pair_with_ratio(rng, d, x2)
-    by_anth = ratio_eq(a, b, c, dd, max_steps=50_000)
+    by_anth = ratio_eq(a, b, c, dd)
     by_cross = cross_product_eq(a, b, c, dd)
     assert by_anth == by_cross, (
         "expansion equality and cross products disagree: %s vs %s" % (by_anth, by_cross)
@@ -311,12 +311,10 @@ def _prop_equivalence_relation(rng: random.Random) -> str:
     a, b = _pair_with_ratio(rng, d, x)
     c, dd = _pair_with_ratio(rng, d, x)
     e, f = _pair_with_ratio(rng, d, x)
-    assert ratio_eq(a, b, a, b, max_steps=50_000), "reflexivity failed"
-    assert ratio_eq(a, b, c, dd, max_steps=50_000) == ratio_eq(
-        c, dd, a, b, max_steps=50_000
-    ), "symmetry failed"
-    if ratio_eq(a, b, c, dd, max_steps=50_000) and ratio_eq(c, dd, e, f, max_steps=50_000):
-        assert ratio_eq(a, b, e, f, max_steps=50_000), "transitivity failed"
+    assert ratio_eq(a, b, a, b), "reflexivity failed"
+    assert ratio_eq(a, b, c, dd) == ratio_eq(c, dd, a, b), "symmetry failed"
+    if ratio_eq(a, b, c, dd) and ratio_eq(c, dd, e, f):
+        assert ratio_eq(a, b, e, f), "transitivity failed"
     return PASS
 
 
@@ -325,12 +323,12 @@ def _prop_mixed_ratio(rng: random.Random) -> str:
     b = _small_surd(rng, d)
     m, n = rng.randint(1, 30), rng.randint(1, 30)
     a = b * Fraction(m, n)
-    assert mixed_ratio_eq(line(a), line(b), m, n, max_steps=50_000), (
+    assert mixed_ratio_eq(line(a), line(b), m, n), (
         "ratio %d:%d was not recognized against its own multiples" % (m, n)
     )
     other_m, other_n = rng.randint(1, 30), rng.randint(1, 30)
     want = Fraction(other_m, other_n) == Fraction(m, n)
-    got = mixed_ratio_eq(line(a), line(b), other_m, other_n, max_steps=50_000)
+    got = mixed_ratio_eq(line(a), line(b), other_m, other_n)
     assert got == want, "mixed proportion verdict disagrees with the fractions"
     return PASS
 
@@ -400,7 +398,7 @@ def _constructive_inputs(name: str, rng: random.Random) -> list[Magnitude]:
         values = [b * big, b, dd * big, dd]
     else:  # topics_scaling
         values = [b * x, b, e]
-    roles, _ = PROPOSITIONS[name]
+    roles = PROPOSITIONS[name]
     return [
         rectangle(line(v), line(r)) if role == AREA else line(v)
         for v, role in zip(values, roles)
@@ -410,7 +408,7 @@ def _constructive_inputs(name: str, rng: random.Random) -> list[Magnitude]:
 def _make_checker_property(name: str) -> Callable[[random.Random], str]:
     def prop(rng: random.Random) -> str:
         mags = _constructive_inputs(name, rng)
-        report = check_proposition(name, mags, max_steps=50_000)
+        report = check_proposition(name, mags)
         if not report.hypotheses_hold:
             raise AssertionError(
                 "%s: constructed hypotheses were not recognized" % name

@@ -11,16 +11,16 @@ the form whose steps generate that expansion) determine each other, so
 a verdict compares the primitive forms of its two ratios
 (engine.same_anthyphairesis) and takes no step.  Two rational ratios
 compare as fractions, and a rational ratio against an irrational one,
-or a ratio above 1 against one below, differs without a form.  Every
-verdict is decided, whatever the step budget.  Whole expansions are for
-display only: anth_of_ratio builds them, and a PropReport carries one
-pair of them, expanded when first read, which may be truncated and
+or a ratio above 1 against one below, differs without a form.  A
+verdict is a function of its magnitudes only: ratio_eq and
+mixed_ratio_eq take no step budget.  Whole expansions are for display
+only: anth_of_ratio builds them, and a PropReport carries one pair of
+them, expanded when first read, which max_steps may truncate and which
 never decides anything.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -32,6 +32,7 @@ from .engine import (
     minimal_form,
     run_anthyphairesis,
     same_anthyphairesis,
+    _budget,
 )
 from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
@@ -119,8 +120,8 @@ class PropReport(Frozen):
     even exist.  check_proposition keeps the two ratio values of that
     pair and expands them when lhs_cf or rhs_cf is first read, then
     stores both; a side equal to the other is expanded once.  A shown
-    expansion is truncated when it does not close within max_steps; the
-    verdicts stand regardless.
+    expansion is truncated when it does not close within the max_steps
+    given to check_proposition, the only thing that budget bounds.
     """
 
     _fields = ("proposition", "hypotheses_hold", "conclusion_holds", "lhs_cf", "rhs_cf")
@@ -166,18 +167,12 @@ class PropReport(Frozen):
         return lhs if name == "lhs_cf" else rhs
 
 
-def _budget(max_steps: int, caller: str) -> None:
-    if max_steps < 0:
-        raise DomainError("%s: max_steps must be >= 0" % caller)
-
-
-def _ratio(a: Magnitude, b: Magnitude, max_steps: int, caller: str) -> QuadSurd:
+def _ratio(a: Magnitude, b: Magnitude, caller: str) -> QuadSurd:
     """The value of the ratio a : b; errors name the public function caller."""
     if not isinstance(a, Magnitude) or not isinstance(b, Magnitude):
         raise DomainError("%s: arguments must be magnitudes" % caller)
     if a.role != b.role:
         raise DomainError("%s: a ratio relates magnitudes of one role" % caller)
-    _budget(max_steps, caller)
     try:
         return a.value / b.value
     except DomainError as exc:  # the two values lie in distinct fields
@@ -231,21 +226,20 @@ def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> Contin
     Rational ratios are Euclidean.  The result is truncated when
     max_steps quotients were emitted before any period appeared.
     """
-    return _expand(_ratio(a, b, max_steps, "anth_of_ratio"), max_steps)
+    x = _ratio(a, b, "anth_of_ratio")
+    _budget(max_steps, "anth_of_ratio")
+    return _expand(x, max_steps)
 
 
-def ratio_eq(
-    a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude, max_steps: int = 10_000
-) -> bool:
+def ratio_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
     """Whether a : b and c : d have the same expansion.
 
     The verdict compares the primitive forms of the two ratios and
-    expands neither (see engine.same_anthyphairesis), so it never raises
-    IndeterminateError.  max_steps is still validated; it bounds only
-    the expansions that a report or the command line shows.
+    expands neither (see engine.same_anthyphairesis), so it takes no
+    step budget and never raises IndeterminateError.
     """
-    x = _ratio(a, b, max_steps, "ratio_eq")
-    return _same(x, _ratio(c, d, max_steps, "ratio_eq"))
+    x = _ratio(a, b, "ratio_eq")
+    return _same(x, _ratio(c, d, "ratio_eq"))
 
 
 def cross_product_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
@@ -264,21 +258,19 @@ def cross_product_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> 
     return a.value * d.value == b.value * c.value
 
 
-def mixed_ratio_eq(
-    a: Magnitude, b: Magnitude, m: int, n: int, max_steps: int = 10_000
-) -> bool:
+def mixed_ratio_eq(a: Magnitude, b: Magnitude, m: int, n: int) -> bool:
     """Whether the ratio a : b equals the number ratio m : n.
 
     This is proportion between a magnitude pair and a number pair: the
     expansion of a : b must coincide with the Euclidean expansion of
     m : n.  An irrational ratio never does, and is answered without a
-    step.  As for ratio_eq, max_steps is validated but bounds only the
-    shown expansions, and no verdict raises IndeterminateError.
+    step.  As for ratio_eq, there is no step budget, and the verdict
+    never raises IndeterminateError.
     """
     for k in (m, n):
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise DomainError("mixed_ratio_eq: m and n must be integers >= 1")
-    return _same(_ratio(a, b, max_steps, "mixed_ratio_eq"), as_surd(Fraction(m, n)))
+    return _same(_ratio(a, b, "mixed_ratio_eq"), as_surd(Fraction(m, n)))
 
 
 def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
@@ -356,7 +348,7 @@ def _form(term: _Term, m: Sequence[Magnitude]) -> Magnitude:
     return rectangle(m[i], m[j])
 
 
-def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
+def _evaluate(rule: _Rule, m: Sequence[Magnitude]):
     """(hypotheses_hold, conclusion_holds, shown) of one check.
 
     shown is the pair of ratio values a report shows, unexpanded, or None.
@@ -366,7 +358,7 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
     def value(spec: _RatioSpec) -> QuadSurd:
         if spec not in values:
             num, den = spec
-            values[spec] = _ratio(_form(num, m), _form(den, m), max_steps, "check_proposition")
+            values[spec] = _ratio(_form(num, m), _form(den, m), "check_proposition")
         return values[spec]
 
     def shown(pair: Optional[tuple[_RatioSpec, _RatioSpec]]) -> Optional[tuple]:
@@ -389,12 +381,6 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
         # does not exist for these values: the hypotheses fail
         verdict, pair = (False, False), first
     return verdict + (shown(pair),)
-
-
-def _expanded(rule: _Rule, m: Sequence[Magnitude], max_steps: int):
-    """(hypotheses_hold, conclusion_holds, lhs_cf, rhs_cf) of one check."""
-    hyp, concl, shown = _evaluate(rule, m, max_steps)
-    return (hyp, concl) + ((None, None) if shown is None else _expand_pair(*shown, max_steps))
 
 
 _AB_CD = ((_a, _b), (_c, _d))
@@ -459,10 +445,7 @@ _RULES: dict[str, tuple[tuple[str, ...], _Rule]] = {
     "area_mixed_perturbed": (_MIXED, _PERTURBED),
 }
 
-PROPOSITIONS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    name: (roles, functools.partial(_expanded, rule))
-    for name, (roles, rule) in _RULES.items()
-}
+PROPOSITIONS: dict[str, tuple[str, ...]] = {name: roles for name, (roles, _) in _RULES.items()}
 
 
 def check_proposition(
@@ -470,11 +453,12 @@ def check_proposition(
 ) -> PropReport:
     """Check a named proportion proposition on concrete magnitudes.
 
-    Unknown names, wrong arity, wrong roles and a negative budget are
-    caller errors; every value-level hypothesis failure is reported, not
-    raised.  No verdict raises IndeterminateError: max_steps is
-    validated, and it bounds only the two expansions the report shows,
-    which may be truncated and are expanded when first read.
+    Unknown names, wrong arity, wrong roles and a budget that is not an
+    integer >= 0 are caller errors; every value-level hypothesis failure
+    is reported, not raised.  No verdict takes a step or raises
+    IndeterminateError: max_steps bounds only the two expansions the
+    report shows, which may be truncated and are expanded when first
+    read.
     """
     _budget(max_steps, "check_proposition")
     if name not in PROPOSITIONS:
@@ -497,7 +481,7 @@ def check_proposition(
                 % (name, role, i, mag.role)
             )
     try:
-        hyp, concl, shown = _evaluate(rule, list(magnitudes), max_steps)
+        hyp, concl, shown = _evaluate(rule, list(magnitudes))
     except DomainError:
         # a hypothesis ratio does not exist for these values (distinct
         # fields); that is a failed hypothesis, not a caller error

@@ -1,6 +1,7 @@
 """Proportion calculus: ratio equality, cross products, propositions."""
 
 import copy
+import inspect
 import pickle
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import anthyphairesis
 from anthyphairesis import engine, ratios
 from anthyphairesis import (
     AREA,
@@ -26,6 +28,7 @@ from anthyphairesis import (
     euclid_cf,
     is_perfect_square,
     line,
+    minimal_form,
     mixed_ratio_eq,
     ratio_eq,
     rectangle,
@@ -111,12 +114,6 @@ class TestAnthOfRatio:
                 "ratio_eq",
             ),
             (lambda: mixed_ratio_eq(line(1 + SQRT2), line(SQRT3), 2, 1), "mixed_ratio_eq"),
-            (
-                lambda: PROPOSITIONS["alternando"][1](
-                    [line(SQRT2), line(SQRT3), line(1), line(1)], 100
-                ),
-                "check_proposition",
-            ),
         ],
     )
     def test_cross_field_ratio_error_names_the_caller(self, call, caller):
@@ -167,8 +164,7 @@ class TestRatioEq:
     def test_decided_at_every_budget(self):
         # the two expansions share their first three quotients
         pairs = (line(X139), line(1), line(Y139), line(1))
-        for steps in (0, 1, 2, 3, 10_000):
-            assert not ratio_eq(*pairs, max_steps=steps)
+        assert not ratio_eq(*pairs)
         # a budget that truncates the shown expansion leaves the verdict decided
         assert anth_of_ratio(*pairs[:2], max_steps=1).truncated
 
@@ -271,7 +267,7 @@ def _ratio_pairs(rng):
 
 
 class TestLockstep:
-    """Verdicts compare primitive forms; the budget bounds only shown expansions."""
+    """Verdicts compare primitive forms and take no budget; the oracle loops over budgets."""
 
     def test_agrees_with_full_expansion_equality(self):
         rng = random.Random(1829)
@@ -283,10 +279,11 @@ class TestLockstep:
             for pairs in ((a, b, c, d), (b, a, d, c), (a, b, d, c), (c, d, a, b)):
                 truth = _full_expansion_eq(*pairs, 100_000)
                 assert truth is not None and truth == _sympy_eq(*pairs)
+                got = ratio_eq(*pairs)
+                assert got == truth, pairs
                 for steps in (0, 1, 3, 10_000):
                     want = _full_expansion_eq(*pairs, steps)
-                    got = ratio_eq(*pairs, max_steps=steps)
-                    assert got == truth, (pairs, steps)
+                    assert want is None or want == got, (pairs, steps)
                     outcomes.add(got if want is not None else "decided early")
         assert outcomes == {True, False, "decided early"}
 
@@ -300,11 +297,11 @@ class TestLockstep:
             a = x * b
             if rng.random() < 0.3:
                 m, n = rng.randint(1, 30), rng.randint(1, 30)
+            got = mixed_ratio_eq(line(a), line(b), m, n)
+            assert got == (x == Fraction(m, n))
             for steps in (0, 1, 3, 10_000):
                 lhs = anth_of_ratio(line(a), line(b), steps)
                 want = None if lhs.truncated else lhs == euclid_cf(m, n)
-                got = mixed_ratio_eq(line(a), line(b), m, n, max_steps=steps)
-                assert got == (x == Fraction(m, n))
                 assert want is None or got == want
 
     def test_decides_what_full_expansion_could_not(self):
@@ -330,7 +327,6 @@ class TestLockstep:
         for prefix in ([], [2, 1, 5], [1] * 30):
             # shared prefix: the given quotients, then (1, 3, 1)
             a, c = line(_prefixed(prefix, X139)), line(_prefixed(prefix, Y139))
-            assert not ratio_eq(a, one, c, one, max_steps=0)
             assert not ratio_eq(a, one, c, one)
         assert steps == []
 
@@ -350,16 +346,52 @@ class TestLockstep:
         assert report.conclusion_holds and report.lhs_cf == report.rhs_cf
         assert len(runs) == 1
 
-    @pytest.mark.parametrize("check", ["check_proposition", "ratio_eq", "mixed_ratio_eq"])
+    @pytest.mark.parametrize("check", ["check_proposition"])
     def test_negative_budget_is_a_caller_error(self, check):
-        mags = _lines(2, 1, 4, 2)
-        calls = {
-            "check_proposition": lambda: check_proposition("alternando", mags, max_steps=-1),
-            "ratio_eq": lambda: ratio_eq(*mags, max_steps=-1),
-            "mixed_ratio_eq": lambda: mixed_ratio_eq(mags[0], mags[1], 2, 1, max_steps=-1),
-        }
         with pytest.raises(DomainError, match="%s: max_steps must be >= 0" % check):
-            calls[check]()
+            check_proposition("alternando", _lines(2, 1, 4, 2), max_steps=-1)
+
+
+# each public function that takes a step budget, called on a sqrt(139) input
+_BUDGETED = {
+    "run_anthyphairesis": lambda n: run_anthyphairesis(minimal_form(X139), n)[0],
+    "surd_cf": lambda n: surd_cf(X139, n),
+    "anth_of_ratio": lambda n: anth_of_ratio(line(X139), line(1), n),
+    "check_proposition": lambda n: check_proposition(
+        "plus_unit", _lines(X139, 1, 2 * X139, 2), n
+    ).lhs_cf,
+}
+
+
+class TestStepBudget:
+    """Only the functions that expand take max_steps, and each checks it."""
+
+    def test_only_expanding_functions_take_a_budget(self):
+        takers = set()
+        for name in anthyphairesis.__all__:
+            obj = getattr(anthyphairesis, name)
+            if not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # a builtin without a signature
+                continue
+            if "max_steps" in params:
+                takers.add(name)
+        assert takers == set(_BUDGETED)
+
+    @pytest.mark.parametrize("name", sorted(_BUDGETED))
+    def test_budget_one_truncates(self, name):
+        cf = _BUDGETED[name](1)
+        assert cf.truncated and len(cf.preperiod) == 1
+        assert not _BUDGETED[name](10_000).truncated
+
+    @pytest.mark.parametrize("name", sorted(_BUDGETED))
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, False, "3", None, Fraction(3)])
+    def test_a_budget_that_is_not_an_int_names_the_caller(self, name, budget):
+        with pytest.raises(DomainError) as info:
+            _BUDGETED[name](budget)
+        assert str(info.value) == "%s: max_steps must be an integer, got %r" % (name, budget)
 
 
 class TestCommensurability:
@@ -480,10 +512,12 @@ BROKEN_SHOWN = {
 class TestPropositions:
     def test_registry_shape(self):
         assert len(PROPOSITIONS) == 17
-        for name, (roles, fn) in PROPOSITIONS.items():
-            assert len(roles) in (3, 4, 6)
+        for name, roles in PROPOSITIONS.items():
+            assert type(roles) is tuple and len(roles) in (3, 4, 6)
             assert set(roles) <= {LINE, AREA}
-            assert callable(fn)
+            assert roles == ratios._RULES[name][0]
+        assert PROPOSITIONS["v9_cancel"] == (LINE,) * 3
+        assert PROPOSITIONS["area_mixed_perturbed"] == (AREA,) * 3 + (LINE,) * 3
         assert set(CONSTRUCTIVE) == set(PROPOSITIONS) == set(BROKEN)
 
     @pytest.mark.parametrize("name", sorted(PROPOSITIONS))
@@ -565,9 +599,12 @@ def _cf_key(cf):
 def _eager(name, mags, max_steps):
     """The report's fields from the eager path, which expands at call time."""
     try:
-        return PROPOSITIONS[name][1](list(mags), max_steps)
+        hyp, concl, shown = ratios._evaluate(ratios._RULES[name][1], list(mags))
     except DomainError:
         return False, False, None, None
+    if shown is None:
+        return hyp, concl, None, None
+    return (hyp, concl) + ratios._expand_pair(*shown, max_steps)
 
 
 def _seeded_cases():
