@@ -2,10 +2,10 @@
 
 The package expands ratios of quadratic surds by reciprocal
 subtraction using integer state machines on quadratic forms, decides
-proportion by comparing the resulting quotient sequences, builds the
-side-and-diameter convergents with their exact remainders, and checks
-the classical application-of-areas identities, all without floating
-point.
+proportion (equal expansions) by exact equality of the normalized ratio
+values, builds the side-and-diameter convergents with their exact
+remainders, and checks the classical application-of-areas identities,
+all without floating point.
 """
 
 from .errors import DomainError, IndeterminateError, InternalInvariantError
@@ -34,7 +34,6 @@ from .engine import (
     period_to_form,
     remainder,
     run_anthyphairesis,
-    same_anthyphairesis,
     state_space_size,
     surd_cf,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "period_to_form",
     "remainder",
     "run_anthyphairesis",
-    "same_anthyphairesis",
     "state_space_size",
     "surd_cf",
     "AREA",

@@ -377,21 +377,25 @@ def _cmd_theodorus(args: argparse.Namespace) -> int:
 
 
 def _parse_magnitude(text: str) -> Magnitude:
-    """A magnitude literal: 'u,v,w,D' surd, 'p/q' fraction or integer."""
+    """A magnitude literal: 'u,v,w,D' surd, 'p/q' fraction or integer.
+
+    Only a malformed literal is reported as one.  A well-formed literal
+    whose value is unusable (a zero w, a radicand below 1, a value that
+    is not positive) raises the value's own DomainError.
+    """
     try:
         if "," in text:
-            parts = [int(t) for t in text.split(",")]
-            if len(parts) != 4:
-                raise ValueError
-            return line(QuadSurd(*parts))
-        if "/" in text:
+            u, v, w, d = map(int, text.split(","))
+        elif "/" in text:
             num, den = text.split("/")
-            return line(Fraction(int(num), int(den)))
-        return line(int(text))
+            value = Fraction(int(num), int(den))
+        else:
+            value = int(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(
             "ratio: magnitude literal %r must be 'u,v,w,D', 'p/q' or an integer" % text
-        )
+        ) from None
+    return line(QuadSurd(u, v, w, d) if "," in text else value)
 
 
 def _emit_verdict(args: argparse.Namespace, command: str, input_obj: Any,

@@ -582,35 +582,6 @@ def _truncated(
     return ContinuedFraction._checked(qs, None, True), ExpansionTrace(qs, form, None)
 
 
-def same_anthyphairesis(f: QuadraticForm, g: QuadraticForm) -> bool:
-    """Whether two forms' designated roots have the same expansion.
-
-    Proportion as equal anthyphairesis, decided without a step.  A root
-    has exactly one primitive triple (a, b, c, s), its signed triple
-    divided by its content: the form its eventually periodic expansion
-    is generated by, as period_to_form rebuilds one from a period.  An
-    expansion determines its root, so two expansions are equal exactly
-    when the primitive triples are.  A square discriminant (a rational
-    root) is a DomainError: compare fractions.
-    """
-    for form in (f, g):
-        if not form.is_expandable:
-            raise DomainError(
-                "same_anthyphairesis: designated root of %s must exceed 1" % (form,)
-            )
-    if is_perfect_square(f.disc) or is_perfect_square(g.disc):
-        raise DomainError(
-            "same_anthyphairesis: a square discriminant has a rational root; "
-            "compare the fractions"
-        )
-    triples = []
-    for form in (f, g):
-        a, b, c, s = _triple(form)
-        h = math.gcd(a, b, c)
-        triples.append((a // h, b // h, c // h, s))
-    return triples[0] == triples[1]
-
-
 def surd_cf(x: Union[QuadSurd, Fraction, int], max_steps: int = 10_000) -> ContinuedFraction:
     """Expansion of any positive exact value by the generic recurrence.
 

@@ -264,8 +264,20 @@ class QuadSurd(Frozen):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        self._join_field(o)  # fail early with the field message, not "zero"
-        return self.__mul__(o.inverse())
+        d = self._join_field(o)  # the field message comes before "zero"
+        if o.is_zero:
+            raise DomainError("inverse: value is zero")
+        # ((a + b*sqrt(d))/p) / ((c + e*sqrt(d))/q)
+        #     = q*(a + b*sqrt(d))*(c - e*sqrt(d)) / (p*(c^2 - e^2*d)),
+        # normalized once where self * o.inverse() normalizes twice; the
+        # norm c^2 - e^2*d vanishes only at zero, d not being a square
+        c, e = o.u, o.v
+        return QuadSurd._in_field(
+            o.w * (self.u * c - self.v * e * d),
+            o.w * (self.v * c - self.u * e),
+            self.w * (c * c - e * e * d),
+            d,
+        )
 
     def __rtruediv__(self, other: Numeric) -> "QuadSurd":
         o = self._coerce(other)

@@ -2,18 +2,22 @@
 
 Two pairs of magnitudes are proportional exactly when their
 reciprocal-subtraction expansions coincide.  Nothing here relies on an
-Archimedean comparison axiom: every verdict comes from the expansions
-or from exact cross products, and the calculus is deliberately
-restricted to pairs whose expansion is finite or eventually periodic.
+Archimedean comparison axiom: every verdict comes from exact equality
+of values or from exact cross products, and the calculus is
+deliberately restricted to pairs whose expansion is finite or
+eventually periodic.
 
-In that class a ratio's expansion and its primitive form (its Logos,
-the form whose steps generate that expansion) determine each other, so
-a verdict compares the primitive forms of its two ratios
-(engine.same_anthyphairesis) and takes no step.  Two rational ratios
-compare as fractions, and a rational ratio against an irrational one,
-or a ratio above 1 against one below, differs without a form.  A
-verdict is a function of its magnitudes only: ratio_eq and
-mixed_ratio_eq take no step budget.  Whole expansions are for display
+In that class four descriptions of a positive ratio determine each
+other: its normal form (u + v*sqrt(d))/w, which QuadSurd keeps unique;
+its minimal polynomial w^2*x^2 - 2*u*w*x + (u^2 - v^2*d), divided by
+its content; the primitive signed triple of that polynomial (its Logos,
+the form engine.minimal_form returns and whose steps generate the
+expansion); and the expansion itself, a finite one for a rational
+ratio (Euclid) and an eventually periodic one for an irrational ratio
+(Euler and Lagrange), which in turn determines its value.  So two
+ratios have one expansion exactly when their normal forms are equal,
+and a verdict is that equality of values: it orders nothing, expands
+nothing and takes no step budget.  Whole expansions are for display
 only: anth_of_ratio builds them, and a PropReport carries one pair of
 them, expanded when first read, which max_steps may truncate and which
 never decides anything.
@@ -31,7 +35,6 @@ from .engine import (
     euclid_cf,
     minimal_form,
     run_anthyphairesis,
-    same_anthyphairesis,
     _budget,
 )
 from .errors import DomainError, InternalInvariantError
@@ -109,19 +112,19 @@ class PropReport(Frozen):
 
     hypotheses_hold reports the value-level hypotheses (proportions,
     orderings, existence of the needed ratios); conclusion_holds is
-    evaluated only under the hypotheses.  Both verdicts come from
-    comparing primitive forms, which expands nothing.  The two
-    expansions shown are the conclusion's sides when they were formed,
-    or the first hypothesis pair when the conclusion equates two
-    magnitudes.  When the hypotheses fail they are the first unequal
-    hypothesis pair, or the first hypothesis pair when a condition, sum,
-    difference, rectangle or conclusion ratio cannot be formed; both are
-    None when there is no hypothesis pair or a hypothesis ratio does not
-    even exist.  check_proposition keeps the two ratio values of that
-    pair and expands them when lhs_cf or rhs_cf is first read, then
-    stores both; a side equal to the other is expanded once.  A shown
-    expansion is truncated when it does not close within the max_steps
-    given to check_proposition, the only thing that budget bounds.
+    evaluated only under the hypotheses.  Both verdicts compare ratio
+    values, which expands nothing.  The two expansions shown are the
+    conclusion's sides when they were formed, or the first hypothesis
+    pair when the conclusion equates two magnitudes.  When the
+    hypotheses fail they are the first unequal hypothesis pair, or the
+    first hypothesis pair when a condition, sum, difference, rectangle
+    or conclusion ratio cannot be formed; both are None when there is no
+    hypothesis pair or a hypothesis ratio does not even exist.
+    check_proposition keeps the two ratio values of that pair and
+    expands them when lhs_cf or rhs_cf is first read, then stores both;
+    a side equal to the other is expanded once.  A shown expansion is
+    truncated when it does not close within the max_steps given to
+    check_proposition, the only thing that budget bounds.
     """
 
     _fields = ("proposition", "hypotheses_hold", "conclusion_holds", "lhs_cf", "rhs_cf")
@@ -201,22 +204,6 @@ def _expand_pair(x: QuadSurd, y: QuadSurd, max_steps: int) -> tuple:
     return lhs, (lhs if x == y else _expand(y, max_steps))
 
 
-def _same(x: QuadSurd, y: QuadSurd) -> bool:
-    """Whether the positive values x and y have one expansion.
-
-    Two irrational values on one side of 1 compare their primitive
-    forms; a rational and an irrational value, or a value above 1 and
-    one below (head quotients >= 1 and 0), differ without a form.
-    """
-    if x.is_rational or y.is_rational:
-        return x == y
-    if (x > 1) != (y > 1):
-        return False
-    if not x > 1:
-        x, y = x.inverse(), y.inverse()
-    return same_anthyphairesis(minimal_form(x), minimal_form(y))
-
-
 def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> ContinuedFraction:
     """Canonical expansion of the ratio a : b.
 
@@ -234,12 +221,12 @@ def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> Contin
 def ratio_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
     """Whether a : b and c : d have the same expansion.
 
-    The verdict compares the primitive forms of the two ratios and
-    expands neither (see engine.same_anthyphairesis), so it takes no
-    step budget and never raises IndeterminateError.
+    Equal expansions are equal ratio values (see the module docstring),
+    so the verdict compares the two normal forms and expands neither: it
+    takes no step budget and never raises IndeterminateError.
     """
     x = _ratio(a, b, "ratio_eq")
-    return _same(x, _ratio(c, d, "ratio_eq"))
+    return x == _ratio(c, d, "ratio_eq")
 
 
 def cross_product_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
@@ -263,14 +250,15 @@ def mixed_ratio_eq(a: Magnitude, b: Magnitude, m: int, n: int) -> bool:
 
     This is proportion between a magnitude pair and a number pair: the
     expansion of a : b must coincide with the Euclidean expansion of
-    m : n.  An irrational ratio never does, and is answered without a
-    step.  As for ratio_eq, there is no step budget, and the verdict
-    never raises IndeterminateError.
+    m : n, which holds exactly when a : b is the rational u/w with
+    u*n == m*w.  An irrational ratio never is.  As for ratio_eq, there
+    is no step budget, and the verdict never raises IndeterminateError.
     """
     for k in (m, n):
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise DomainError("mixed_ratio_eq: m and n must be integers >= 1")
-    return _same(_ratio(a, b, "mixed_ratio_eq"), as_surd(Fraction(m, n)))
+    x = _ratio(a, b, "mixed_ratio_eq")
+    return x.is_rational and x.u * n == m * x.w
 
 
 def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
@@ -365,7 +353,7 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude]):
         return None if pair is None else (value(pair[0]), value(pair[1]))
 
     for lhs, rhs in rule.hypotheses:
-        if not _same(value(lhs), value(rhs)):
+        if value(lhs) != value(rhs):
             return False, False, shown((lhs, rhs))
     first = rule.hypotheses[0] if rule.hypotheses else None
     try:
@@ -375,7 +363,7 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude]):
         elif isinstance(lhs, int):
             verdict, pair = (True, m[lhs].value == m[rhs].value), first
         else:
-            verdict, pair = (True, _same(value(lhs), value(rhs))), rule.conclusion
+            verdict, pair = (True, value(lhs) == value(rhs)), rule.conclusion
     except DomainError:
         # a condition, sum, difference, rectangle or conclusion ratio
         # does not exist for these values: the hypotheses fail

@@ -1,0 +1,168 @@
+"""Record the CLI transcript that tests/test_cli_transcript.py checks.
+
+    PYTHONPATH=src python tests/cli_transcript.py
+
+runs every argv of ARGVS in-process through cli.main and rewrites
+tests/cli_transcript.json with its exit code, stdout and stderr.  Run it
+only after an intended output change, and list each argv whose entry
+changed with the change that made it.
+
+The corpus: the README commands in text and --json, the commands the CI
+workflow runs on the installed entry point, one argv of each bench
+cli_session form, `verify --json --trials 3` for each suite at seeds 0
+and 1, every `ratio eq`, `mixed` and `cross` case (rational and
+irrational ratios, above and below 1, equal and unequal, distinct
+fields), and the budget and input errors the program reports itself.
+Usage errors that argparse reports are left out: their wording and line
+wrapping depend on the Python version and on the terminal width.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+PATH = Path(__file__).with_name("cli_transcript.json")
+
+_SPLIT_LIMIT_PRIME = str(10**31 + 57)  # past the trial-division limit of the split
+
+ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
+    # README, text and --json
+    "anth sqrt 2 --trace",
+    "anth sqrt 2 --trace --json",
+    "anth form 5 13 7 --kind defect --trace",
+    "anth form 5 13 7 --kind defect --trace --json",
+    "convergents sqrt 2",
+    "convergents sqrt 2 --json",
+    "theodorus --max 8",
+    "theodorus --max 8 --json",
+    "ratio eq 0,1,1,2 1 2 0,1,1,2",
+    "ratio eq 0,1,1,2 1 2 0,1,1,2 --json",
+    "verify --suite areas --trials 50",
+    "verify --suite areas --trials 50 --json",
+    # CI entry-point commands
+    "--version",
+    "anth sqrt 2 --json",
+    "verify --suite areas --trials 1",
+    "ratio eq 11,1,18,139 1 7,1,15,139 1 --max-steps 0",
+    "ratio mixed 11,1,18,139 1 3 1 --max-steps 0",
+    "ratio cross 0,1,1,2 1 2 0,1,1,2",
+    "anth sqrt 1",
+    "ratio eq 0,1,1,2 1 0,1,1,3 1",
+    # one argv of each cli_session form (bench/gen.py)
+    "anth sqrt 895",
+    "anth sqrt 4292 --json --trace",
+    "anth form 6 314 3884 --kind defect",
+    "anth surd -5 4 5 3 --json",
+    "anth rational 591400508 251610957",
+    "convergents sqrt 24 --json",
+    "theodorus --max 200 --json",
+    "ratio eq 222,2,2,37 1,3,2,37 74,6,12,37 0,1,3,37",
+    "ratio cross 84,12,6,19 2,2,3,19 122,16,3,19 4,2,3,19",
+    "ratio mixed 20,15,31,409 4,3,1,409 5 31",
+    "verify --suite engine --trials 2 --seed 895423",
+    "anth sqrt 1097893273231",
+    # verify reports
+    "verify --suite engine --trials 3 --json",
+    "verify --suite engine --trials 3 --seed 1 --json",
+    "verify --suite ratio --trials 3 --json",
+    "verify --suite ratio --trials 3 --seed 1 --json",
+    "verify --suite areas --trials 3 --json",
+    "verify --suite areas --trials 3 --seed 1 --json",
+    "verify --suite ratio --trials 2",
+    "verify --trials 0",
+    # expansions and their budget and input errors
+    "anth sqrt 0",
+    "anth sqrt -5",
+    "anth sqrt 4",
+    "anth sqrt 12",
+    "anth sqrt 12 --json",
+    "anth sqrt 3 --max-steps 2",
+    "anth sqrt 3 --max-steps -1",
+    "anth sqrt 10000000000000061 --max-steps 10",
+    "anth sqrt 10000000000000061 --max-steps 10 --json",
+    "anth form 1 0 1 --kind excess",
+    "anth form 4 0 1 --kind excess",
+    "anth rational 0 2",
+    "anth rational 2 0",
+    "anth rational -1 2",
+    "anth rational 1 1",
+    "anth rational 3 2 --max-steps -1",
+    "anth surd 0 1 2 2",
+    "anth surd 0 1 2 2 --trace --json",
+    "anth surd 2 0 3 1",
+    "anth surd 0 1 2 2 --max-steps -1",
+    "anth surd 3 0 2 1 --max-steps -1",
+    "anth surd 0 1 0 2",
+    "anth surd 0 1 1 -2",
+    "anth surd 0 1 1 " + _SPLIT_LIMIT_PRIME,
+    "convergents --quotients 1,2,2 --max-steps -1",
+    "convergents --quotients 1,2,3 --max-steps 0 --json",
+    "convergents sqrt 2 --count -1",
+    "convergents sqrt 3 --max-steps 2",
+    "convergents sqrt 4 --count 3",
+    "convergents sqrt 1 --count 1",
+    "theodorus --max 1",
+    # ratio eq: rational, irrational, above and below 1, distinct fields
+    "ratio eq 1 2 3 6",
+    "ratio eq 1 2 2 3",
+    "ratio eq 1/2 1 3 6 --json",
+    "ratio eq 2 1 0,1,1,2 1",
+    "ratio eq 0,1,1,2 1 1 0,1,1,2",
+    "ratio eq 1 0,1,1,2 2 0,2,1,2",
+    "ratio eq 0,2,1,8 2 0,1,1,2 1",
+    "ratio eq 1,1,1,5 2 1,1,2,5 1 --json",
+    "ratio eq 0,1,1,1000000000039 1 0,2,1,1000000000039 2 --max-steps 20",
+    "ratio eq 3 1,1,1,2 0,1,1,3 0,1,1,2",
+    "ratio eq 11,1,18,139 1 7,1,15,139 1 --max-steps 1",
+    "ratio eq 0,1,1,2 1 2 0,1,1,2 --max-steps -1",
+    "ratio eq 2 1,1,1,2 3 1",
+    "ratio eq 2 1,1,1,2 3 1 --max-steps -1",
+    # ratio mixed
+    "ratio mixed 3 2 3 2",
+    "ratio mixed 3 2 2 3 --json",
+    "ratio mixed 0,1,1,2 1 3 2",
+    "ratio mixed 0,1,1,1000000000039 1 3 1 --max-steps 20",
+    "ratio mixed 1,1,1,2 0,1,1,3 2 1",
+    "ratio mixed 0,1,1,2 0,1,1,3 3 1 --max-steps -1",
+    "ratio mixed 2 1 0 1",
+    # ratio cross
+    "ratio cross 1 2 3 6",
+    "ratio cross 1 2 2 3 --json",
+    "ratio cross 0,1,1,2 1 0,1,1,3 1",
+    # magnitude literals: malformed, and well formed with a bad value
+    "ratio eq 1,1,1 1 2 3",
+    "ratio eq x 1 2 3",
+    "ratio eq 1/0 1 2 3",
+    "ratio eq 0,1,0,2 1 2 0,1,1,2",
+    "ratio eq 0,1,1,-2 1 2 3",
+    "ratio eq -1 1 2 3",
+    "ratio eq 0/1 1 2 3",
+    "ratio mixed 0,1,0,2 1 1 1",
+    "ratio cross 1 0 2 3",
+    "ratio eq 0,1,1," + _SPLIT_LIMIT_PRIME + " 1 2 3",
+))
+
+
+def run(argv) -> dict:
+    """argv, exit code, stdout and stderr of one in-process CLI run."""
+    import anthyphairesis.cli as cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main() -> int:
+    entries = [run(argv) for argv in ARGVS]
+    PATH.write_text(json.dumps(entries, indent=1) + "\n")
+    print("wrote %d entries to %s" % (len(entries), PATH), file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,9 +32,9 @@ from anthyphairesis import (
     line,
     minimal_form,
     period_to_form,
+    ratio_eq,
     remainder,
     run_anthyphairesis,
-    same_anthyphairesis,
     state_space_size,
     surd_cf,
 )
@@ -405,7 +405,7 @@ class TestRunAnthyphairesis:
         message = r"run_anthyphairesis: designated root of excess\(4, 0, 1\) must exceed 1"
         with pytest.raises(DomainError, match=message):
             run_anthyphairesis(QuadraticForm(EXCESS, 4, 0, 1))  # root 1/2
-        # the verdict path still takes no rational root
+        # the triple-comparison oracle still takes no rational root
         assert not QuadraticForm(EXCESS, 1, 0, 1).is_expandable
         with pytest.raises(DomainError, match="must exceed 1"):
             same_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 2), QuadraticForm(EXCESS, 1, 0, 1))
@@ -676,6 +676,38 @@ def _count_steps(monkeypatch):
     return steps
 
 
+def _primitive(form):
+    """A form's signed triple (a, b, c, s) divided by its content."""
+    a, b, c, s = engine._triple(form)
+    h = math.gcd(a, b, c)
+    return a // h, b // h, c // h, s
+
+
+def same_anthyphairesis(f, g):
+    """Whether two forms' designated roots have the same expansion.
+
+    The triple-comparison verdict that value equality replaced, kept as
+    an oracle.  A root has exactly one primitive triple, its signed
+    triple divided by its content: the form its eventually periodic
+    expansion is generated by, as period_to_form rebuilds one from a
+    period.  An expansion determines its root, so two expansions are
+    equal exactly when the primitive triples are.  A root that does not
+    exceed 1, or a square discriminant (a rational root), is a
+    DomainError.
+    """
+    for form in (f, g):
+        if not form.is_expandable:
+            raise DomainError(
+                "same_anthyphairesis: designated root of %s must exceed 1" % (form,)
+            )
+    if is_perfect_square(f.disc) or is_perfect_square(g.disc):
+        raise DomainError(
+            "same_anthyphairesis: a square discriminant has a rational root; "
+            "compare the fractions"
+        )
+    return _primitive(f) == _primitive(g)
+
+
 def _lockstep(f, g, max_steps):
     """The stepping verdict the triple comparison replaced, kept as an oracle.
 
@@ -686,11 +718,7 @@ def _lockstep(f, g, max_steps):
     eventually periodic words with periods p1, p2 that agree on
     max(preperiod) + p1 + p2 quotients are equal (Fine-Wilf).
     """
-    triples = []
-    for form in (f, g):
-        a, b, c, s = engine._triple(form)
-        h = math.gcd(a, b, c)
-        triples.append((a // h, b // h, c // h, s))
+    triples = [_primitive(f), _primitive(g)]
     (a1, b1, c1, s1), (a2, b2, c2, s2) = triples
     disc = b1 * b1 + 4 * a1 * c1
     if b2 * b2 + 4 * a2 * c2 != disc:
@@ -779,6 +807,42 @@ class TestSameAnthyphairesis:
             assert same_anthyphairesis(f, g) == want, (f, g)
             verdicts.add(want)
         assert verdicts == {True, False}
+
+    def test_value_equality_agrees_with_the_triples(self):
+        """The library's verdict, x == y, against the moved triple comparison.
+
+        Seeded values above 1 in seven fields; equal pairs built as
+        (x * z) / z with z in the field or rational, so the two sides are
+        normalized along different paths; unequal pairs of one field and
+        pairs of two fields, which compare unequal and raise nothing.
+        ratio_eq on x : 1 and y : 1 must give the same verdict.
+        """
+        rng = random.Random(20261019)
+        fields = (2, 3, 5, 6, 13, 139, 1000003)
+
+        def above_one(d):
+            while True:
+                u, v, w = rng.randint(-50, 50), rng.randint(-20, 20) or 1, rng.randint(1, 30)
+                x = QuadSurd(u, v, w, d)
+                if x > 1:
+                    return x
+
+        values = [above_one(d) for d in fields for _ in range(40)]
+        pairs = []
+        for x in values:
+            v = rng.choice((0, rng.randint(-5, 5)))
+            z = QuadSurd(rng.randint(-9, 9), v, rng.randint(1, 9), x.d)
+            if not z.is_zero:
+                pairs.append((x, (x * z) / z))
+            pairs.append((x, rng.choice(values)))
+        pairs += [tuple(rng.sample(values, 2)) for _ in range(1500)]
+        seen = set()
+        for x, y in pairs:
+            want = same_anthyphairesis(minimal_form(x), minimal_form(y))
+            assert (x == y) == want, (x, y)
+            assert ratio_eq(line(x), line(1), line(y), line(1)) == want, (x, y)
+            seen.add((want, x.d == y.d))
+        assert seen == {(True, True), (False, True), (False, False)}
 
     def test_equal_roots_are_equal_before_a_step(self, monkeypatch):
         steps = _count_steps(monkeypatch)

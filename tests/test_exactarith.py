@@ -178,10 +178,43 @@ class TestArithmetic:
             QuadSurd(0, 1, 1, 2) + QuadSurd(0, 1, 1, 3)
         # rationals join any field
         assert QuadSurd(1, 0, 2) + QuadSurd(0, 1, 1, 3) == QuadSurd(1, 2, 2, 3)
+        root2, root3 = QuadSurd(0, 1, 1, 2), QuadSurd(0, 1, 1, 3)
+        fields = r"^values lie in distinct quadratic fields \(sqrt\(2\) vs sqrt\(3\)\)$"
+        for x, y in ((root2, root3), (root2 + 1, root3 - 1)):
+            with pytest.raises(DomainError, match=fields):
+                x / y
 
     def test_division_by_zero_rejected(self):
-        with pytest.raises(DomainError):
-            QuadSurd(1, 1, 1, 2) / 0
+        surd, zero = QuadSurd(1, 1, 1, 2), QuadSurd(0)
+        for x, y in ((surd, 0), (surd, zero), (zero, 0), (Fraction(1, 2), zero)):
+            with pytest.raises(DomainError, match="^inverse: value is zero$"):
+                x / y
+
+    def test_division_is_multiplication_by_the_inverse(self):
+        """x / y, normalized once, against x * y.inverse(), normalized twice.
+
+        Seeded operands of six fields, each side rational in about a third
+        of the pairs, and int and Fraction operands on either side.
+        """
+        rng = random.Random(1604)
+
+        def value(d):
+            u, w = rng.randint(-60, 60), rng.randint(1, 40)
+            v = 0 if rng.random() < 0.35 else rng.randint(-30, 30)
+            return QuadSurd(u, v, w, d)
+
+        kinds = set()
+        for _ in range(4000):
+            d = rng.choice((2, 3, 5, 13, 139, 1000003))
+            x, y = value(d), value(d)
+            if y.is_zero:
+                continue
+            kinds.add((x.is_rational, y.is_rational))
+            assert x / y == x * y.inverse(), (x, y)
+            k = rng.choice((rng.randint(-9, 9) or 1, Fraction(rng.randint(-9, 9) or 1, 7)))
+            assert x / k == x * as_surd(k).inverse(), (x, k)
+            assert k / y == as_surd(k) * y.inverse(), (k, y)
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestOrdering:
