@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Any, Optional
 
 from . import __version__
@@ -26,7 +25,6 @@ from .engine import (
     remainder,
     run_anthyphairesis,
     state_space_size,
-    _budget,
     _triple,
 )
 from .errors import DomainError, IndeterminateError, InternalInvariantError
@@ -45,6 +43,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_UNDECIDED = 3
+
+_MAX_STEPS = 10_000  # the default step budget of every command that expands
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -246,8 +246,9 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
     expansion: Optional[ContinuedFraction] = None
 
     if args.quotients is not None:
-        # the quotients are given, so nothing spends the budget; still reject a bad one
-        _budget(args.max_steps, "convergents")
+        # the quotients are given, so there is nothing for a budget to bound
+        if args.max_steps is not None:
+            raise DomainError("convergents: --max-steps applies to 'sqrt N' only")
         if args.source:
             raise DomainError("convergents: give either 'sqrt N' or --quotients, not both")
         try:
@@ -276,14 +277,15 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         if n < 1:
             raise DomainError("convergents: N must be >= 1, got %d" % n)
         form = QuadraticForm(EXCESS, 1, 0, n)
-        expansion, _ = run_anthyphairesis(form, args.max_steps)
+        max_steps = _MAX_STEPS if args.max_steps is None else args.max_steps
+        expansion, _ = run_anthyphairesis(form, max_steps)
         count = _count(args, 5)
         have = len(expansion.preperiod)
         if expansion.period is None and count > have:
             if expansion.truncated:
                 raise IndeterminateError(
                     "convergents: sqrt(%d) gave only %d quotients within max_steps %d, "
-                    "%d requested" % (n, have, args.max_steps, count)
+                    "%d requested" % (n, have, max_steps, count)
                 )
             raise DomainError(
                 "convergents: sqrt(%d) has only %d quotients, %d requested" % (n, have, count)
@@ -379,23 +381,24 @@ def _cmd_theodorus(args: argparse.Namespace) -> int:
 def _parse_magnitude(text: str) -> Magnitude:
     """A magnitude literal: 'u,v,w,D' surd, 'p/q' fraction or integer.
 
-    Only a malformed literal is reported as one.  A well-formed literal
-    whose value is unusable (a zero w, a radicand below 1, a value that
-    is not positive) raises the value's own DomainError.
+    Each shape gives the components (u, v, w, D) of one QuadSurd.  Only
+    a malformed literal is reported as one.  A well-formed literal whose
+    value is unusable (a zero w or q, a radicand below 1, a value that is
+    not positive) raises the value's own DomainError.
     """
     try:
         if "," in text:
             u, v, w, d = map(int, text.split(","))
         elif "/" in text:
-            num, den = text.split("/")
-            value = Fraction(int(num), int(den))
+            p, q = text.split("/")
+            u, v, w, d = int(p), 0, int(q), 1
         else:
-            value = int(text)
-    except (ValueError, ZeroDivisionError):
+            u, v, w, d = int(text), 0, 1, 1
+    except ValueError:
         raise DomainError(
             "ratio: magnitude literal %r must be 'u,v,w,D', 'p/q' or an integer" % text
         ) from None
-    return line(QuadSurd(u, v, w, d) if "," in text else value)
+    return line(QuadSurd(u, v, w, d))
 
 
 def _emit_verdict(args: argparse.Namespace, command: str, input_obj: Any,
@@ -502,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser, trace: bool = False) -> None:
         sp.add_argument(
-            "--max-steps", type=int, default=10_000, dest="max_steps",
+            "--max-steps", type=int, default=_MAX_STEPS, dest="max_steps",
             help="step budget before an expansion is reported truncated",
         )
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -555,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows to produce (default 5, or all given quotients)",
     )
     common(p_conv)
-    p_conv.set_defaults(func=_cmd_convergents)
+    # None marks --max-steps as not given, which --quotients requires
+    p_conv.set_defaults(func=_cmd_convergents, max_steps=None)
 
     p_theo = sub.add_parser("theodorus", help="survey sqrt(N) : 1 for N = 2..max")
     p_theo.add_argument("--max", type=int, default=17)

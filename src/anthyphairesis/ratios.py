@@ -18,9 +18,9 @@ ratio (Euclid) and an eventually periodic one for an irrational ratio
 ratios have one expansion exactly when their normal forms are equal,
 and a verdict is that equality of values: it orders nothing, expands
 nothing and takes no step budget.  Whole expansions are for display
-only: anth_of_ratio builds them, and a PropReport carries one pair of
-them, expanded when first read, which max_steps may truncate and which
-never decides anything.
+only, and anth_of_ratio alone builds them, within its max_steps.  A
+PropReport carries the two ratio values it shows, which determine their
+expansions, so it needs no budget either.
 """
 
 from __future__ import annotations
@@ -113,61 +113,32 @@ class PropReport(Frozen):
     hypotheses_hold reports the value-level hypotheses (proportions,
     orderings, existence of the needed ratios); conclusion_holds is
     evaluated only under the hypotheses.  Both verdicts compare ratio
-    values, which expands nothing.  The two expansions shown are the
-    conclusion's sides when they were formed, or the first hypothesis
-    pair when the conclusion equates two magnitudes.  When the
-    hypotheses fail they are the first unequal hypothesis pair, or the
-    first hypothesis pair when a condition, sum, difference, rectangle
-    or conclusion ratio cannot be formed; both are None when there is no
-    hypothesis pair or a hypothesis ratio does not even exist.
-    check_proposition keeps the two ratio values of that pair and
-    expands them when lhs_cf or rhs_cf is first read, then stores both;
-    a side equal to the other is expanded once.  A shown expansion is
-    truncated when it does not close within the max_steps given to
-    check_proposition, the only thing that budget bounds.
+    values, which expands nothing.  lhs and rhs are the QuadSurd values
+    of the ratio pair shown: the conclusion's sides when they were
+    formed, or the first hypothesis pair when the conclusion equates two
+    magnitudes.  When the hypotheses fail they are the first unequal
+    hypothesis pair, or the first hypothesis pair when a condition, sum,
+    difference, rectangle or conclusion ratio cannot be formed; both are
+    None when there is no hypothesis pair or a hypothesis ratio does not
+    even exist.  A value determines its expansion: the one shown as lhs,
+    within a budget n, is anth_of_ratio(line(report.lhs), line(1), n).
     """
 
-    _fields = ("proposition", "hypotheses_hold", "conclusion_holds", "lhs_cf", "rhs_cf")
-    __slots__ = _fields + ("_shown",)
+    __slots__ = _fields = ("proposition", "hypotheses_hold", "conclusion_holds", "lhs", "rhs")
 
     def __init__(
         self,
         proposition: str,
         hypotheses_hold: bool,
         conclusion_holds: bool,
-        lhs_cf: Optional[ContinuedFraction],
-        rhs_cf: Optional[ContinuedFraction],
+        lhs: Optional[QuadSurd],
+        rhs: Optional[QuadSurd],
     ) -> None:
         _set(self, "proposition", proposition)
         _set(self, "hypotheses_hold", hypotheses_hold)
         _set(self, "conclusion_holds", conclusion_holds)
-        _set(self, "lhs_cf", lhs_cf)
-        _set(self, "rhs_cf", rhs_cf)
-
-    @classmethod
-    def _deferred(
-        cls, proposition: str, hypotheses_hold: bool, conclusion_holds: bool,
-        x: QuadSurd, y: QuadSurd, max_steps: int,
-    ) -> "PropReport":
-        """A report showing the ratios x and y, expanded on first read."""
-        report = object.__new__(cls)
-        _set(report, "proposition", proposition)
-        _set(report, "hypotheses_hold", hypotheses_hold)
-        _set(report, "conclusion_holds", conclusion_holds)
-        _set(report, "_shown", (x, y, max_steps))
-        return report
-
-    def __getattr__(self, name: str) -> object:
-        # Python calls this only for an unset slot: lhs_cf and rhs_cf of
-        # a deferred report, until the first read expands and stores both
-        if name not in ("lhs_cf", "rhs_cf"):
-            raise AttributeError(
-                "%r object has no attribute %r" % (type(self).__name__, name)
-            )
-        lhs, rhs = _expand_pair(*self._shown)
-        _set(self, "lhs_cf", lhs)
-        _set(self, "rhs_cf", rhs)
-        return lhs if name == "lhs_cf" else rhs
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 def _ratio(a: Magnitude, b: Magnitude, caller: str) -> QuadSurd:
@@ -182,8 +153,17 @@ def _ratio(a: Magnitude, b: Magnitude, caller: str) -> QuadSurd:
         raise DomainError("%s: %s" % (caller, exc)) from None
 
 
-def _expand(x: QuadSurd, max_steps: int) -> ContinuedFraction:
-    """Canonical expansion of the positive value x; see anth_of_ratio."""
+def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> ContinuedFraction:
+    """Canonical expansion of the ratio a : b.
+
+    Every irrational ratio runs on the quadratic-form engine.  A ratio
+    below 1 is head quotient 0 followed by the expansion of its
+    reciprocal b : a; that quotient 0 spends one step of the budget.
+    Rational ratios are Euclidean.  The result is truncated when
+    max_steps quotients were emitted before any period appeared.
+    """
+    x = _ratio(a, b, "anth_of_ratio")
+    _budget(max_steps, "anth_of_ratio")
     if x.is_rational:
         fr = x.as_fraction()
         return euclid_cf(fr.numerator, fr.denominator)
@@ -196,26 +176,6 @@ def _expand(x: QuadSurd, max_steps: int) -> ContinuedFraction:
     # and checked
     tail, _ = run_anthyphairesis(minimal_form(x.inverse()), max_steps - 1)
     return ContinuedFraction._checked((0,) + tail.preperiod, tail.period, tail.truncated)
-
-
-def _expand_pair(x: QuadSurd, y: QuadSurd, max_steps: int) -> tuple:
-    """The expansions of x and y; one serves both when they are equal."""
-    lhs = _expand(x, max_steps)
-    return lhs, (lhs if x == y else _expand(y, max_steps))
-
-
-def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> ContinuedFraction:
-    """Canonical expansion of the ratio a : b.
-
-    Every irrational ratio runs on the quadratic-form engine.  A ratio
-    below 1 is head quotient 0 followed by the expansion of its
-    reciprocal b : a; that quotient 0 spends one step of the budget.
-    Rational ratios are Euclidean.  The result is truncated when
-    max_steps quotients were emitted before any period appeared.
-    """
-    x = _ratio(a, b, "anth_of_ratio")
-    _budget(max_steps, "anth_of_ratio")
-    return _expand(x, max_steps)
 
 
 def ratio_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
@@ -339,7 +299,7 @@ def _form(term: _Term, m: Sequence[Magnitude]) -> Magnitude:
 def _evaluate(rule: _Rule, m: Sequence[Magnitude]):
     """(hypotheses_hold, conclusion_holds, shown) of one check.
 
-    shown is the pair of ratio values a report shows, unexpanded, or None.
+    shown is the pair of ratio values a report shows, or None.
     """
     values: dict[_RatioSpec, QuadSurd] = {}
 
@@ -436,19 +396,14 @@ _RULES: dict[str, tuple[tuple[str, ...], _Rule]] = {
 PROPOSITIONS: dict[str, tuple[str, ...]] = {name: roles for name, (roles, _) in _RULES.items()}
 
 
-def check_proposition(
-    name: str, magnitudes: Sequence[Magnitude], max_steps: int = 10_000
-) -> PropReport:
+def check_proposition(name: str, magnitudes: Sequence[Magnitude]) -> PropReport:
     """Check a named proportion proposition on concrete magnitudes.
 
-    Unknown names, wrong arity, wrong roles and a budget that is not an
-    integer >= 0 are caller errors; every value-level hypothesis failure
-    is reported, not raised.  No verdict takes a step or raises
-    IndeterminateError: max_steps bounds only the two expansions the
-    report shows, which may be truncated and are expanded when first
-    read.
+    Unknown names, wrong arity and wrong roles are caller errors; every
+    value-level hypothesis failure is reported, not raised.  No verdict
+    takes a step or raises IndeterminateError, and the report holds
+    ratio values, not expansions, so there is no step budget.
     """
-    _budget(max_steps, "check_proposition")
     if name not in PROPOSITIONS:
         raise DomainError(
             "check_proposition: unknown proposition %r (known: %s)"
@@ -474,6 +429,5 @@ def check_proposition(
         # a hypothesis ratio does not exist for these values (distinct
         # fields); that is a failed hypothesis, not a caller error
         hyp, concl, shown = False, False, None
-    if shown is None:
-        return PropReport(name, hyp, concl, None, None)
-    return PropReport._deferred(name, hyp, concl, *shown, max_steps)
+    lhs, rhs = shown or (None, None)
+    return PropReport(name, hyp, concl, lhs, rhs)

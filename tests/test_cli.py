@@ -212,9 +212,8 @@ class TestAnth:
             (("anth", "rational", "3", "2", "--max-steps", "-1"), "anth_of_ratio"),
             # cross products take no budget, so the option is a usage error
             (("ratio", "cross", "1", "2", "3", "6", "--max-steps", "1"), None),
-            # the quotients are given: nothing spends the budget, which is
-            # still rejected before parsing
-            (("convergents", "--quotients", "1,x", "--max-steps", "-1"), "convergents"),
+            # convergents spends a budget only on 'sqrt N'
+            (("convergents", "sqrt", "2", "--max-steps", "-1"), "run_anthyphairesis"),
             (("ratio", "mixed", "0,1,1,2", "1", "3", "1", "--max-steps", "-1"), "anth_of_ratio"),
         ],
         ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6"],
@@ -310,6 +309,18 @@ class TestConvergents:
         rows = json.loads(out)["result"]["rows"]
         assert [r["p"] for r in rows] == ["0", "1", "2", "5"]
         assert all(r["value"] is None for r in rows)
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "10000", "x"])
+    def test_given_quotients_take_no_budget(self, capsys, budget):
+        for quotients in ("1,2,3", "1,x"):
+            code, out, err = run(
+                capsys, "convergents", "--quotients", quotients, "--max-steps", budget, "--json"
+            )
+            if budget == "x":  # argparse rejects the value first
+                assert code == 1 and "invalid int value: 'x'" in err
+            else:
+                assert (code, out) == (1, "")
+                assert err == "error: convergents: --max-steps applies to 'sqrt N' only\n"
 
     def test_quotient_errors(self, capsys):
         code, _, err = run(capsys, "convergents", "--quotients", "1,2", "--count", "3")
@@ -419,7 +430,9 @@ class TestRatio:
         code, _, err = run(capsys, "ratio", "eq", "1,2", "1", "1", "1")
         assert code == 1 and "magnitude literal" in err
         code, _, err = run(capsys, "ratio", "eq", "1/0", "1", "1", "1")
-        assert code == 1 and err.startswith("error: ")
+        assert (code, err) == (1, "error: QuadSurd: denominator w must be nonzero\n")
+        code, _, err = run(capsys, "ratio", "eq", "1/2/3", "1", "1", "1")
+        assert code == 1 and "magnitude literal '1/2/3'" in err
         code, _, err = run(capsys, "ratio", "eq", "0,1,0,2", "1", "1", "1")
         assert code == 1 and err.startswith("error: ")
 

@@ -311,7 +311,7 @@ class TestLockstep:
         assert ratio_eq(x, one, line(2 * BIG), line(2))
         report = check_proposition("alternando", [x, one, line(2 * BIG), line(2)])
         assert report.hypotheses_hold and report.conclusion_holds
-        assert report.lhs_cf == report.rhs_cf == ContinuedFraction((0, 2))
+        assert _shown(report) == (ContinuedFraction((0, 2)),) * 2
 
     def test_verdict_costs_its_first_disagreement(self, monkeypatch):
         """A verdict takes no step at all, even where the expansions share a prefix."""
@@ -330,36 +330,12 @@ class TestLockstep:
             assert not ratio_eq(a, one, c, one)
         assert steps == []
 
-    def test_shown_pair_only_is_expanded(self, monkeypatch):
-        runs = []
-        real = run_anthyphairesis
-        monkeypatch.setattr(
-            "anthyphairesis.ratios.run_anthyphairesis",
-            lambda form, n: runs.append(form) or real(form, n),
-        )
-        # the hypothesis pair x : 1, 2x : 2 holds and is not shown
-        report = check_proposition("alternando", [line(BIG), line(1), line(2 * BIG), line(2)])
-        assert report.conclusion_holds and runs == []
-        # plus_unit shows its conclusion (x + 1) : 1 on both sides: one expansion
-        mags = _lines(X139, 1, 2 * X139, 2)
-        report = check_proposition("plus_unit", mags)
-        assert report.conclusion_holds and report.lhs_cf == report.rhs_cf
-        assert len(runs) == 1
-
-    @pytest.mark.parametrize("check", ["check_proposition"])
-    def test_negative_budget_is_a_caller_error(self, check):
-        with pytest.raises(DomainError, match="%s: max_steps must be >= 0" % check):
-            check_proposition("alternando", _lines(2, 1, 4, 2), max_steps=-1)
-
 
 # each public function that takes a step budget, called on a sqrt(139) input
 _BUDGETED = {
     "run_anthyphairesis": lambda n: run_anthyphairesis(minimal_form(X139), n)[0],
     "surd_cf": lambda n: surd_cf(X139, n),
     "anth_of_ratio": lambda n: anth_of_ratio(line(X139), line(1), n),
-    "check_proposition": lambda n: check_proposition(
-        "plus_unit", _lines(X139, 1, 2 * X139, 2), n
-    ).lhs_cf,
 }
 
 
@@ -433,6 +409,14 @@ def _lines(*values):
 
 def _areas(*values):
     return [Magnitude(v, AREA) for v in values]
+
+
+def _shown(report, max_steps=10_000):
+    """The expansions of the two ratio values a report shows, each None when absent."""
+    return tuple(
+        None if x is None else anth_of_ratio(line(x), line(1), max_steps)
+        for x in (report.lhs, report.rhs)
+    )
 
 
 S2 = SQRT2
@@ -526,21 +510,22 @@ class TestPropositions:
         assert report.proposition == name
         assert report.hypotheses_hold, name
         assert report.conclusion_holds, name
-        assert report.lhs_cf is not None and report.rhs_cf is not None
-        assert report.lhs_cf == report.rhs_cf or name in ("v9_cancel", "area_v9")
+        lhs, rhs = _shown(report)
+        assert lhs is not None and rhs is not None
+        assert lhs == rhs or name in ("v9_cancel", "area_v9")
 
     @pytest.mark.parametrize("name", sorted(PROPOSITIONS))
     def test_broken_hypothesis_is_reported_not_raised(self, name):
         report = check_proposition(name, BROKEN[name])
         assert not report.hypotheses_hold
         assert not report.conclusion_holds
-        assert (report.lhs_cf, report.rhs_cf) == BROKEN_SHOWN[name]
+        assert _shown(report) == BROKEN_SHOWN[name]
 
     def test_cross_field_hypothesis_reports_missing_expansions(self):
         report = check_proposition("fundamental", _lines(S2, 1, SQRT3, 1))
         assert report == check_proposition("fundamental", _lines(S2, 1, SQRT3, 1))
         assert not report.hypotheses_hold
-        assert report.lhs_cf is None and report.rhs_cf is None
+        assert report.lhs is None and report.rhs is None
 
     def test_cross_field_conclusion_ratio_fails_the_hypotheses(self):
         # 2*sqrt(2) : sqrt(2) and 2*sqrt(3) : sqrt(3) are both 2 : 1, but
@@ -548,19 +533,19 @@ class TestPropositions:
         mags = _lines(S2_2, S2, QuadSurd(0, 2, 1, 3), SQRT3)
         report = check_proposition("alternando", mags)
         assert not report.hypotheses_hold
-        assert report.lhs_cf == ContinuedFraction((2,))
+        assert _shown(report)[0] == ContinuedFraction((2,))
 
     def test_cross_field_sum_fails_componendo(self):
         mags = _lines(S2_2, S2, QuadSurd(0, 2, 1, 3), SQRT3)
         report = check_proposition("componendo_pairs", mags)
         assert not report.hypotheses_hold
-        assert report.lhs_cf == ContinuedFraction((2,))
+        assert _shown(report)[0] == ContinuedFraction((2,))
 
     def test_cross_field_ex_aequali_conclusion(self):
         mags = _lines(S2, 1, SQRT3, QuadSurd(0, 2, 1, 2), 2, QuadSurd(0, 2, 1, 3))
         report = check_proposition("ex_aequali", mags)
         assert not report.hypotheses_hold
-        assert report.lhs_cf == ContinuedFraction((1,), (2,))
+        assert _shown(report)[0] == ContinuedFraction((1,), (2,))
 
     def test_caller_errors_are_raised(self):
         with pytest.raises(DomainError):
@@ -573,38 +558,27 @@ class TestPropositions:
             check_proposition("area_v9", _lines(1, 1, 1))
 
     def test_truncation_propagates(self):
-        # comparing forms decides both verdicts; the shown pair is only
-        # truncated by the budget, and that raises nothing
+        # comparing values decides both verdicts; only an expansion of the
+        # shown pair is truncated by a budget, and that raises nothing
         big = QuadSurd(0, 1, 1, 139)
         mags = _lines(big, 1, QuadSurd(0, 2, 1, 139), 2)
-        report = check_proposition("fundamental", mags, max_steps=2)
+        report = check_proposition("fundamental", mags)
         assert report.hypotheses_hold and report.conclusion_holds
-        for cf in (report.lhs_cf, report.rhs_cf):
+        for cf in _shown(report, max_steps=2):
             assert cf.truncated and cf.preperiod == (11, 1)
 
     def test_failed_condition_needs_no_expansion(self):
         # sqrt(139) : 1 against 3*sqrt(139) : 2 fails the cross product,
         # which decides the report before any truncated expansion is asked for
         mags = _lines(QuadSurd(0, 1, 1, 139), 1, QuadSurd(0, 3, 1, 139), 2)
-        report = check_proposition("fundamental", mags, max_steps=2)
+        report = check_proposition("fundamental", mags)
         assert not report.hypotheses_hold and not report.conclusion_holds
-        assert report.lhs_cf is None and report.rhs_cf is None
+        assert report.lhs is None and report.rhs is None
 
 
 def _cf_key(cf):
     """Fields of an expansion; a truncated one is unequal even to itself."""
     return None if cf is None else (cf.preperiod, cf.period, cf.truncated)
-
-
-def _eager(name, mags, max_steps):
-    """The report's fields from the eager path, which expands at call time."""
-    try:
-        hyp, concl, shown = ratios._evaluate(ratios._RULES[name][1], list(mags))
-    except DomainError:
-        return False, False, None, None
-    if shown is None:
-        return hyp, concl, None, None
-    return (hyp, concl) + ratios._expand_pair(*shown, max_steps)
 
 
 def _seeded_cases():
@@ -622,67 +596,59 @@ def _seeded_cases():
     return cases
 
 
+def _expand_value(x, max_steps):
+    """Expansion of the positive value x, written out apart from anth_of_ratio.
+
+    The reference that the expansions of a report's shown values are
+    checked against.
+    """
+    if x.is_rational:
+        fr = x.as_fraction()
+        return euclid_cf(fr.numerator, fr.denominator)
+    if x > 1:
+        cf, _ = run_anthyphairesis(minimal_form(x), max_steps)
+        return cf
+    if max_steps == 0:
+        return ContinuedFraction((), truncated=True)
+    tail, _ = run_anthyphairesis(minimal_form(x.inverse()), max_steps - 1)
+    return ContinuedFraction((0,) + tail.preperiod, tail.period, tail.truncated)
+
+
+# sqrt(10**9 + 7) has period 12352, past the default budget of anth_of_ratio
+P9 = QuadSurd(0, 1, 1, 10**9 + 7)
+
+class TestReportValues:
+    """A PropReport holds the ratio values it shows, so equal checks give equal reports."""
+
+    def test_repeated_checks_give_equal_reports(self):
+        seen_none = seen_cut = 0
+        for name, mags in _seeded_cases() + [("fundamental", _lines(P9, 1, 2 * P9, 2))]:
+            r1, r2 = check_proposition(name, mags), check_proposition(name, mags)
+            assert r1 == r2 and hash(r1) == hash(r2), (name, mags)
+            assert (r1.lhs is None) == (r1.rhs is None)
+            for x in (r1.lhs, r1.rhs):
+                assert x is None or type(x) is QuadSurd
+            seen_none += r1.lhs is None
+            seen_cut += any(cf is not None and cf.truncated for cf in _shown(r1))
+        assert seen_none > 0 and seen_cut == 1  # the sqrt(10**9 + 7) pair
+
+
 class TestDeferredShownPair:
-    """check_proposition expands its shown pair when lhs_cf or rhs_cf is first read."""
-
-    @pytest.mark.parametrize(
-        "name, mags, runs",
-        [
-            ("plus_unit", CONSTRUCTIVE["plus_unit"], 1),  # equal sides: one expansion
-            ("alternando", CONSTRUCTIVE["alternando"], 1),
-            ("alternando", BROKEN["alternando"], 2),  # the unequal hypothesis pair
-            ("plus_unit", BROKEN["plus_unit"], 2),
-        ],
-    )
-    def test_expands_on_first_read_only(self, monkeypatch, name, mags, runs):
-        calls = []
-        real = ratios._expand
-        monkeypatch.setattr(ratios, "_expand", lambda x, n: calls.append(x) or real(x, n))
-        report = check_proposition(name, mags)
-        report.hypotheses_hold, report.conclusion_holds
-        assert calls == []
-        lhs = report.lhs_cf
-        assert len(calls) == runs
-        assert (report.rhs_cf is lhs) == (runs == 1)
-        repr(report), hash(report), report == report, copy.deepcopy(report)
-        assert len(calls) == runs
-
-    def test_rhs_read_first_stores_both(self):
-        report = check_proposition("alternando", BROKEN["alternando"])
-        assert report.rhs_cf == R3 and report.lhs_cf == R2
-
-    def test_other_names_still_raise(self):
-        report = check_proposition("alternando", CONSTRUCTIVE["alternando"])
-        with pytest.raises(AttributeError, match="'PropReport' object has no attribute 'nope'"):
-            report.nope
-        assert not hasattr(report, "nope") and report.lhs_cf == report.rhs_cf
+    """A report defers the expansion of its shown pair to whoever reads it."""
 
     @pytest.mark.parametrize("max_steps", [0, 1, 3, 10_000])
     def test_deferred_report_equals_the_eager_one(self, max_steps):
         seen_none = seen_cut = 0
-        for name, mags in _seeded_cases():
-            hyp, concl, lhs, rhs = _eager(name, mags, max_steps)
-            want = (hyp, concl, _cf_key(lhs), _cf_key(rhs))
-            eager = PropReport(name, hyp, concl, lhs, rhs)
-            cut = any(cf is not None and cf.truncated for cf in (lhs, rhs))
-            seen_none += lhs is None
-            seen_cut += cut
-
-            def fresh():
-                return check_proposition(name, mags, max_steps)
-
-            r = fresh()
-            got = (r.hypotheses_hold, r.conclusion_holds, _cf_key(r.lhs_cf), _cf_key(r.rhs_cf))
-            assert got == want, (name, mags)
-            assert (r.lhs_cf is r.rhs_cf) == (lhs is rhs)
-            assert repr(fresh()) == repr(eager)
-            for clone in (
-                pickle.loads(pickle.dumps(fresh())),
-                copy.deepcopy(fresh()),
-                copy.copy(fresh()),
-            ):
-                assert type(clone) is PropReport and repr(clone) == repr(eager)
-            if not cut:
-                assert fresh() == eager and hash(fresh()) == hash(eager)
-        assert seen_none > 0
-        assert seen_cut > 0 or max_steps == 10_000
+        for name, mags in _seeded_cases() + [("fundamental", _lines(P9, 1, 2 * P9, 2))]:
+            report = check_proposition(name, mags)
+            want = tuple(
+                None if x is None else _expand_value(x, max_steps) for x in (report.lhs, report.rhs)
+            )
+            seen_none += want[0] is None
+            seen_cut += any(cf is not None and cf.truncated for cf in want)
+            clones = (pickle.loads(pickle.dumps(report)), copy.deepcopy(report), copy.copy(report))
+            for r in (report,) + clones:
+                assert type(r) is PropReport and r == report
+                got = _shown(r, max_steps)
+                assert [_cf_key(cf) for cf in got] == [_cf_key(cf) for cf in want], (name, mags)
+        assert seen_none > 0 and seen_cut > 0
