@@ -10,6 +10,7 @@ answer was reached).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Any, Optional
 
@@ -45,6 +46,14 @@ EXIT_FAILED = 2
 EXIT_UNDECIDED = 3
 
 _MAX_STEPS = 10_000  # the default step budget of every command that expands
+
+# argparse reads an argument that starts with '-' as an option unless it
+# looks like a negative number, which to argparse is only '-5' or '-.5'.
+# A magnitude literal may start with '-' too ('-1,1,1,2' is sqrt(2) - 1,
+# '-1/2' is refused as not positive), so the ratio parsers take anything
+# that starts with '-' and a digit for an argument.  -h and --max-steps
+# start otherwise.
+_NEGATIVE_LITERAL = re.compile(r"^-\d")
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -150,13 +159,13 @@ def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
               form: QuadraticForm) -> int:
     cf, trace = run_anthyphairesis(form, args.max_steps)
     code = EXIT_UNDECIDED if cf.truncated else EXIT_OK
-    result = {
-        **_form_json(form),
-        "quotients": [_s(k) for k in trace.quotients],
-        **_cf_json(cf),
-    }
     if args.json:  # the states are replayed on read; text shows them under --trace
-        result["states"] = [_form_json(st) for st in trace.states]
+        result = {
+            **_form_json(form),
+            "quotients": [_s(k) for k in trace.quotients],
+            **_cf_json(cf),
+            "states": [_form_json(st) for st in trace.states],
+        }
         _emit(args, command, input_obj, result, [])  # the text lines would factor disc
         return code
     lines = [
@@ -180,7 +189,7 @@ def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
             lines.append("  t=%-4d %s%s" % (t, st, note))
         if cf.truncated:
             lines.append("  step budget exhausted")
-    _emit(args, command, input_obj, result, lines)
+    _emit(args, command, input_obj, None, lines)
     return code
 
 
@@ -591,6 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mixed.add_argument("N", type=int)
     common(p_mixed)
     p_mixed.set_defaults(func=_cmd_ratio)
+    # _negative_number_matcher is a private attribute of argparse, read when
+    # an option is added and while parsing, so it is set after the last
+    # add_argument.  The transcript's negative-literal entries fail if it
+    # stops working, and CI runs them on CPython 3.10 to 3.13
+    for sp in (p_eq, p_cross, p_mixed):
+        sp._negative_number_matcher = _NEGATIVE_LITERAL
 
     p_verify = sub.add_parser("verify", help="run the seeded self verification suites")
     p_verify.add_argument(

@@ -42,6 +42,19 @@ p = h2 - h1 and the unstepped quotients by reflection about h2.  The
 cycle walk stops about h2 / 2 steps in: ceil(p/2) + O(1) for sqrt(N)
 (h1 = -2) and fewer than p for any symmetric cycle.  A cycle that never
 meets its reverse has no centre and is walked to the return, p steps.
+
+The walk holds the outer coefficients doubled, A = 2a and C = 2c.  The
+quotient k = (b + j) // A and the successor b1 = A*k - b then need no
+2*a, and A1 = C + k*(b - b1) is 2*a1 in one product fewer than
+(b - a*k)*k + c; the centre and return tests compare A and C as they
+compared a and c.
+
+A form is checked once, where it enters.  The public QuadraticForm
+constructor checks every condition; a public step or run reads the
+signed triple of its form once and takes one integer square root.  The
+forms the engine builds itself (step successors, minimal_form results,
+replayed trace states) go through _form, where each of those conditions
+holds by a test or by proof, and skip the public checks.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ from typing import Optional, Sequence, Union
 
 from ._value import Frozen
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
+from .exactarith import QuadSurd, as_surd, isqrt
 
 EXCESS = "excess"
 DEFECT = "defect"
@@ -108,6 +121,19 @@ class QuadraticForm(Frozen):
         _set(self, "C", C)
         _set(self, "smaller_root", smaller_root)
 
+    @classmethod
+    def _checked(
+        cls, kind: str, A: int, B: int, C: int, smaller_root: bool = False
+    ) -> "QuadraticForm":
+        """A form from coefficients its builder has already checked; see _form."""
+        form = object.__new__(cls)
+        _set(form, "kind", kind)
+        _set(form, "A", A)
+        _set(form, "B", B)
+        _set(form, "C", C)
+        _set(form, "smaller_root", smaller_root)
+        return form
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return (self.kind, self.A, self.B, self.C, self.smaller_root) == (
@@ -121,7 +147,7 @@ class QuadraticForm(Frozen):
     @property
     def disc(self) -> int:
         a, b, c, _ = _triple(self)
-        return b * b + 4 * a * c
+        return _disc(a, b, c)
 
     def root(self) -> QuadSurd:
         """The designated root, as an exact value."""
@@ -130,21 +156,17 @@ class QuadraticForm(Frozen):
 
     def root_fraction(self) -> Fraction:
         """The designated root when the discriminant is a perfect square."""
-        j = isqrt(self.disc)
-        if j * j != self.disc:
-            raise DomainError("root_fraction: discriminant %d is not a square" % self.disc)
-        a, b, _, s = _triple(self)
-        return Fraction(b + s * j, 2 * a)
+        a, b, c, s = _triple(self)
+        disc = _disc(a, b, c)
+        j = isqrt(disc)
+        if j * j != disc:
+            raise DomainError("root_fraction: discriminant %d is not a square" % disc)
+        return _rational_root(a, b, s, j)
 
     @property
     def is_expandable(self) -> bool:
         """True when the designated root exceeds 1 (integer tests only)."""
-        a, b, c, s = _triple(self)
-        # the root exceeds 1 iff s*sqrt(D) > 2a - b; when both sides share
-        # a sign, squaring turns that into s*(b + c - a) > 0
-        if s * (2 * a - b) < 0:
-            return s > 0
-        return s * (b + c - a) > 0
+        return _expandable(*_triple(self))
 
     def __str__(self) -> str:
         tag = self.kind
@@ -312,10 +334,10 @@ class ExpansionTrace(Frozen):
         except AttributeError:  # first read: replay the run from start
             pass
         out = [self.start]
-        disc = self.start.disc
-        if not is_perfect_square(disc):
-            j = isqrt(disc)
-            a, b, c, s = _triple(self.start)
+        a, b, c, s = _triple(self.start)
+        disc = _disc(a, b, c)
+        j = isqrt(disc)
+        if j * j != disc:
             for _ in self.quotients:
                 _, a, b, c, s = _step(a, b, c, s, j)
                 out.append(_form(a, b, c, s))
@@ -384,15 +406,43 @@ def _triple(form: QuadraticForm) -> tuple[int, int, int, int]:
     return form.A, form.B, -form.C, -1 if form.smaller_root else 1
 
 
+def _disc(a: int, b: int, c: int) -> int:
+    """The discriminant of the signed triple (a, b, c)."""
+    return b * b + 4 * a * c
+
+
+def _rational_root(a: int, b: int, s: int, j: int) -> Fraction:
+    """The designated root of the signed triple when j = sqrt(D) is exact."""
+    return Fraction(b + s * j, 2 * a)
+
+
+def _expandable(a: int, b: int, c: int, s: int) -> bool:
+    """True when the designated root of the signed triple exceeds 1."""
+    # the root exceeds 1 iff s*sqrt(D) > 2a - b; when both sides share
+    # a sign, squaring turns that into s*(b + c - a) > 0
+    if s * (2 * a - b) < 0:
+        return s > 0
+    return s * (b + c - a) > 0
+
+
 def _form(a: int, b: int, c: int, s: int) -> QuadraticForm:
-    """The form whose signed triple is (a, b, c, s), for a > 0."""
-    if c > 0 and s > 0:
-        if b >= 0:
-            return QuadraticForm(EXCESS, a, b, c)
-        return QuadraticForm(MIXED, a, -b, c)
-    if c < 0 and b > 0:
-        return QuadraticForm(DEFECT, a, b, -c, smaller_root=s < 0)
-    # c == 0 forces a square discriminant; the other patterns have no root above 1
+    """The form whose signed triple is (a, b, c, s), built without a recheck.
+
+    Each condition of the public constructor holds by a test here or by
+    proof: the coefficients are ints made from ints, A = a >= 1 and C =
+    |c| >= 1 are tested, B >= 0 (excess) or B >= 1 (mixed, defect)
+    follows from the sign pattern, and a defect form's B^2 - 4*A*C is the
+    discriminant b^2 + 4ac, positive for every form and kept by a step.
+    """
+    if a > 0:
+        if c > 0 and s > 0:
+            if b >= 0:
+                return QuadraticForm._checked(EXCESS, a, b, c)
+            return QuadraticForm._checked(MIXED, a, -b, c)
+        if c < 0 and b > 0:
+            return QuadraticForm._checked(DEFECT, a, b, -c, s < 0)
+    # c == 0 forces a square discriminant; the other patterns have no root
+    # above 1, and a <= 0 none at all
     raise InternalInvariantError(
         "impossible sign pattern (%d, %d, %d) with selector %+d" % (a, b, c, s)
     )
@@ -416,15 +466,17 @@ def _step(a: int, b: int, c: int, s: int, j: int) -> tuple[int, int, int, int, i
 
 def _checked_step(form: QuadraticForm, name: str, too_small: str) -> tuple[int, QuadraticForm]:
     """One step of a form the caller vetted for kind; shared by both steps."""
-    disc = form.disc
-    if is_perfect_square(disc):
+    a, b, c, s = _triple(form)
+    disc = _disc(a, b, c)
+    j = isqrt(disc)
+    if j * j == disc:
         raise DomainError(
             "%s: square discriminant %d has a rational root; "
             "use the Euclidean fallback" % (name, disc)
         )
-    if not form.is_expandable:
+    if not _expandable(a, b, c, s):
         raise DomainError("%s: %s" % (name, too_small))
-    k, a, b, c, s = _step(*_triple(form), isqrt(disc))
+    k, a, b, c, s = _step(a, b, c, s, j)
     return k, _form(a, b, c, s)
 
 
@@ -482,19 +534,19 @@ def run_anthyphairesis(
     triple, the anchor and at most two centres.
     """
     _budget(max_steps, "run_anthyphairesis")
-    disc = form.disc
+    a, b, c, s = _triple(form)
+    disc = _disc(a, b, c)
+    j = isqrt(disc)
     too_small = "run_anthyphairesis: designated root of %s must exceed 1"
-    if is_perfect_square(disc):
-        fr = form.root_fraction()
+    if j * j == disc:
+        fr = _rational_root(a, b, s, j)
         if fr < 1:  # a rational root may be 1 itself: sqrt(1) : 1 is [1]
             raise DomainError(too_small % (form,))
         cf = euclid_cf(fr.numerator, fr.denominator)
         return cf, ExpansionTrace(cf.preperiod, form, None)
-    if not form.is_expandable:
+    if not _expandable(a, b, c, s):
         raise DomainError(too_small % (form,))
 
-    j = isqrt(disc)
-    a, b, c, s = _triple(form)
     pre: list[int] = []
     after_excess = False
     while True:  # defect chain, up to the anchor (the first reduced state)
@@ -517,36 +569,38 @@ def run_anthyphairesis(
     # anchor's predecessor is rev of the successor of rev(anchor), and
     # that step's quotient is the period's last.
     anchor_at = len(pre)
-    a0, b0, c0 = a, b, c
     last, *rev_next = _step(c, b, a, 1, j)
     centres = [-2] if rev_next == [a, b, c, 1] else []
     period: list[int] = []
+    append = period.append
+    # the walk holds A = 2a and C = 2c (see the module docstring)
+    A, C = 2 * a, 2 * c
+    A0, b0, C0 = A, b, C
     # the loop steps states 0 .. room, one more than the budget allows, so it
     # needs no budget test of its own: a result that outruns the budget is
     # cut to it after the loop
     room = max_steps - anchor_at
     for m in range(room + 1):
-        if a == c:  # state m is its own reverse
+        if A == C:  # state m is its own reverse
             centres.append(2 * m - 1)
             if len(centres) == 2:
                 break
-        elif m and a == a0 and b == b0 and c == c0:
+        elif m and A == A0 and b == b0 and C == C0:
             break  # back at the anchor with no centre: the full period
-        two_a = 2 * a
-        k = (b + j) // two_a
-        a1 = (b - a * k) * k + c
-        if k < 1 or a1 < 1:
+        k = (b + j) // A
+        b1 = A * k - b
+        A1 = C + k * (b - b1)
+        if k < 1 or A1 < 2:  # A1 = 2*a1 is even: a1 < 1
             raise InternalInvariantError(
                 "step: successor left the positive cone (k=%d, leading coefficient %d)"
-                % (k, -a1)
+                % (k, -(A1 // 2))
             )
-        period.append(k)
-        b1 = two_a * k - b
-        if a1 == c and b1 == b:  # state m + 1 is rev of state m
+        append(k)
+        if A1 == C and b1 == b:  # state m + 1 is rev of state m
             centres.append(2 * m)
             if len(centres) == 2:
                 break
-        a, b, c = a1, b1, a
+        A, b, C = A1, b1, A
     else:  # the budget ran out with the period still open
         return _truncated((pre + period)[:max_steps], form)
 

@@ -109,6 +109,12 @@ class QuadSurd(Frozen):
     operands' normalized radicand and are never factored again.
     ``sign``, ``floor`` and comparisons are integer arithmetic on the
     stored components and never factor either.
+
+    A value is checked once, where it enters.  The public constructor
+    checks the type of each component (one exact ``int`` test each, a
+    full check only for anything else) and the radicand.  A value the
+    library builds from values already checked goes through ``_in_field``,
+    which only normalizes.
     """
 
     __slots__ = _fields = ("u", "v", "w", "d")
@@ -122,9 +128,11 @@ class QuadSurd(Frozen):
         A method of its own so that bench/tracer.py can count public
         constructions apart from arithmetic results.
         """
-        for name, x in (("u", u), ("v", v), ("w", w), ("d", d)):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise DomainError("QuadSurd: component %s must be an int" % name)
+        if not (type(u) is int and type(v) is int and type(w) is int and type(d) is int):
+            # an int subclass passes, a bool or anything else is refused
+            for name, x in (("u", u), ("v", v), ("w", w), ("d", d)):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise DomainError("QuadSurd: component %s must be an int" % name)
         if v != 0 and w != 0:  # _settle refuses w == 0 before any radicand check
             if d <= 0:
                 raise DomainError("QuadSurd: radicand d must be >= 1, got %d" % d)
@@ -154,7 +162,7 @@ class QuadSurd(Frozen):
             d = 1
         if w < 0:
             u, v, w = -u, -v, -w
-        g = math.gcd(math.gcd(u, v), w)
+        g = math.gcd(u, v, w)
         if g > 1:
             u, v, w = u // g, v // g, w // g
         if u == 0 and v == 0:
@@ -265,13 +273,13 @@ class QuadSurd(Frozen):
         if o is NotImplemented:
             return NotImplemented
         d = self._join_field(o)  # the field message comes before "zero"
-        if o.is_zero:
+        c, e = o.u, o.v
+        if c == 0 and e == 0:
             raise DomainError("inverse: value is zero")
         # ((a + b*sqrt(d))/p) / ((c + e*sqrt(d))/q)
         #     = q*(a + b*sqrt(d))*(c - e*sqrt(d)) / (p*(c^2 - e^2*d)),
         # normalized once where self * o.inverse() normalizes twice; the
         # norm c^2 - e^2*d vanishes only at zero, d not being a square
-        c, e = o.u, o.v
         return QuadSurd._in_field(
             o.w * (self.u * c - self.v * e * d),
             o.w * (self.v * c - self.u * e),

@@ -62,7 +62,7 @@ class Magnitude(Frozen):
         if role not in (LINE, AREA):
             raise DomainError("Magnitude: role must be %r or %r" % (LINE, AREA))
         val = as_surd(value)
-        if not val > 0:
+        if val.sign() < 1:
             raise DomainError("Magnitude: value must be positive, got %s" % val)
         _set(self, "value", val)
         _set(self, "role", role)

@@ -12,7 +12,8 @@ workflow runs on the installed entry point, one argv of each bench
 cli_session form, `verify --json --trials 3` for each suite at seeds 0
 and 1, every `ratio eq`, `mixed` and `cross` case (rational and
 irrational ratios, above and below 1, equal and unequal, distinct
-fields), and the budget and input errors the program reports itself.
+fields), literals that start with '-', and the budget and input errors
+the program reports itself.
 Usage errors that argparse reports are left out: their wording and line
 wrapping depend on the Python version and on the terminal width.
 """
@@ -144,6 +145,12 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "ratio mixed 0,1,0,2 1 1 1",
     "ratio cross 1 0 2 3",
     "ratio eq 0,1,1," + _SPLIT_LIMIT_PRIME + " 1 2 3",
+    # literals that start with '-' reach the literal parser, not argparse
+    "ratio eq -1,1,1,2 1 0,1,1,2 1",
+    "ratio cross -1,1,1,2 1 0,1,1,2 1",
+    "ratio mixed -1,1,1,2 1 2 5 --json",
+    "ratio mixed -1/2 1 1 2",
+    "ratio eq -1/2 1 2 3",
 ))
 
 

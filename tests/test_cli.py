@@ -436,6 +436,26 @@ class TestRatio:
         code, _, err = run(capsys, "ratio", "eq", "0,1,0,2", "1", "1", "1")
         assert code == 1 and err.startswith("error: ")
 
+    def test_literal_may_start_with_a_minus(self, capsys):
+        # argparse would take '-1,1,1,2' and '-1/2' for options
+        code, out, err = run(capsys, "ratio", "eq", "-1,1,1,2", "1", "0,1,1,2", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "lhs        : [0; (2)]", "rhs        : [1; (2)]", "verdict    : unequal"
+        ]
+        assert run(capsys, "ratio", "eq", "--", "-1,1,1,2", "1", "0,1,1,2", "1")[1] == out
+        for mode in ("eq", "cross", "mixed"):
+            code, out, err = run(capsys, "ratio", mode, "-1/2", "1", "1", "2")
+            assert (code, out) == (1, "")
+            assert err == "error: Magnitude: value must be positive, got -1/2\n"
+            # -h and --max-steps keep their meaning
+            code, out, _ = run(capsys, "ratio", mode, "-h")
+            assert code == 0 and out.startswith("usage: ")
+        code, _, err = run(
+            capsys, "ratio", "eq", "-1,1,1,2", "1", "0,1,1,2", "1", "--max-steps", "-1"
+        )
+        assert (code, err) == (1, "error: anth_of_ratio: max_steps must be >= 0\n")
+
     def test_truncated_expansions_beside_a_decided_verdict(self, capsys):
         # two states of the sqrt(139) cycle share three quotients; the budget
         # truncates the printed expansions and never the verdict

@@ -432,18 +432,17 @@ class TestRunAnthyphairesis:
         ]
 
     def test_square_root_is_taken_once_per_run(self, monkeypatch):
-        calls = dict.fromkeys(("isqrt", "is_perfect_square"), 0)
-        for name in calls:
-            real = getattr(engine, name)
-
-            def counting(n, name=name, real=real):
-                calls[name] += 1
-                return real(n)
-
-            monkeypatch.setattr(engine, name, counting)
+        # one isqrt of the discriminant both tests for a square and steps
+        roots = []
+        real = engine.isqrt
+        monkeypatch.setattr(engine, "isqrt", lambda n: roots.append(n) or real(n))
         cf, trace = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 1000003))
         assert len(trace.quotients) > 400 and not cf.truncated
-        assert calls == {"isqrt": 1, "is_perfect_square": 1}
+        assert roots == [4 * 1000003]
+        del roots[:]
+        excess_step(QuadraticForm(EXCESS, 1, 0, 1000003))
+        defect_step(QuadraticForm(DEFECT, 5, 13, 7))
+        assert roots == [4 * 1000003, 29]
 
     def test_agrees_with_the_seen_dict_recurrence(self):
         forms = [
@@ -475,16 +474,16 @@ class TestRunAnthyphairesis:
                     assert trace.repeat_at[0] <= first_excess + 1, form
 
     def test_states_are_built_only_when_read(self, monkeypatch):
+        # the engine builds its forms through _checked, never the public __init__
         built = [0]
-        real = QuadraticForm.__init__
+        real = QuadraticForm._checked.__func__
 
-        def counting(self, *args, **kwargs):
+        def counting(cls, *args):
             built[0] += 1
-            real(self, *args, **kwargs)
+            return real(cls, *args)
 
-        monkeypatch.setattr(QuadraticForm, "__init__", counting)
+        monkeypatch.setattr(QuadraticForm, "_checked", classmethod(counting))
         form = QuadraticForm(EXCESS, 1, 0, 1000003)
-        built[0] = 0
         cf, trace = run_anthyphairesis(form)
         assert len(trace.quotients) > 400 and not cf.truncated
         assert built[0] == 0
@@ -666,6 +665,32 @@ def _expandable_forms(rng, count, lim):
         if form.is_expandable and not is_perfect_square(form.disc):
             out.append(form)
     return out
+
+
+def test_engine_forms_pass_the_public_checks():
+    """Every form the engine builds equals its rebuild by the public constructor.
+
+    The engine builds its forms through QuadraticForm._checked, which skips
+    the public checks; the rebuild raises if any of them fails.  The
+    forms: trace states, excess_step and defect_step successors and
+    minimal_form results, of all four kinds.
+    """
+    rng = random.Random(18)
+    kinds = set()
+    for form in _expandable_forms(rng, 400, 60):
+        _, trace = run_anthyphairesis(form, rng.choice((5, 50, 10_000)))
+        step = excess_step if form.kind == EXCESS else defect_step
+        built = list(trace.states[1:])
+        built += [step(form)[1], minimal_form(form.root())]
+        for f in built:
+            again = QuadraticForm(f.kind, f.A, f.B, f.C, f.smaller_root)
+            assert f == again and type(f.smaller_root) is bool, f
+            assert all(type(x) is int for x in (f.A, f.B, f.C)), f
+            kinds.add((f.kind, f.smaller_root))
+    assert kinds == {(EXCESS, False), (MIXED, False), (DEFECT, False), (DEFECT, True)}
+    for a in (0, -1):  # no form has a leading coefficient below 1
+        with pytest.raises(InternalInvariantError, match="sign pattern"):
+            engine._form(a, 1, 1, 1)
 
 
 def _count_steps(monkeypatch):

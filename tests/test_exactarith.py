@@ -77,6 +77,13 @@ class TestNormalization:
             with pytest.raises(DomainError):
                 QuadSurd(*bad)
 
+    def test_int_subclass_component_accepted(self):
+        class MyInt(int):
+            pass
+
+        assert QuadSurd(MyInt(3), 1, 2, 5) == QuadSurd(3, 1, 2, 5)
+        assert QuadSurd(3, MyInt(1), MyInt(2), MyInt(5)) == QuadSurd(3, 1, 2, 5)
+
     def test_equality_is_value_equality(self):
         assert QuadSurd(1, 1, 2, 5) == QuadSurd(2, 2, 4, 5)
         assert QuadSurd(3, 0, 1) == 3
