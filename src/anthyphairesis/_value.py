@@ -4,20 +4,28 @@ A value type lists its fields once, as ``__slots__ = _fields = (...)``,
 and writes its own ``__init__``.  ``Record`` compares, shows and pickles
 an instance as the tuple of its fields, as a dataclass would; ``Frozen``
 also refuses assignment and deletion and hashes that tuple, so a frozen
-type's ``__init__`` stores its fields with ``object.__setattr__``.  The
-hottest types (``QuadSurd``, ``QuadraticForm``, ``ContinuedFraction``,
-``Magnitude``) spell their comparisons out instead of looping over
-field names.
+type's ``__init__`` stores its fields with ``object.__setattr__``.
+Only a type whose equality is not field equality defines its own
+``__eq__`` and ``__hash__``: ``QuadSurd`` equals ints and Fractions and
+hashes a rational value as its ``Fraction``, and a truncated
+``ContinuedFraction`` equals nothing, not even itself.
 """
 
 from __future__ import annotations
 
+_new = object.__new__
+_set = object.__setattr__  # stores a field past Frozen's refusing __setattr__
+
 
 def _rebuild(cls: type, values: tuple) -> object:
-    """An instance of cls holding values, for pickle and copy; no checks run."""
-    x = object.__new__(cls)
+    """An instance of cls holding values, one per field; no checks run.
+
+    Pickle and copy build through it, and so do the library's own
+    results, from fields their builder has already checked.
+    """
+    x = _new(cls)
     for name, value in zip(cls._fields, values):
-        object.__setattr__(x, name, value)
+        _set(x, name, value)
     return x
 
 

@@ -50,9 +50,10 @@ _MAX_STEPS = 10_000  # the default step budget of every command that expands
 # argparse reads an argument that starts with '-' as an option unless it
 # looks like a negative number, which to argparse is only '-5' or '-.5'.
 # A magnitude literal may start with '-' too ('-1,1,1,2' is sqrt(2) - 1,
-# '-1/2' is refused as not positive), so the ratio parsers take anything
-# that starts with '-' and a digit for an argument.  -h and --max-steps
-# start otherwise.
+# '-1/2' is refused as not positive), and so may a quotient list
+# ('-1,2' is refused as not >= 1), so the ratio and convergents parsers
+# take anything that starts with '-' and a digit for an argument.  Their
+# options (-h, --max-steps, --quotients, --count) start otherwise.
 _NEGATIVE_LITERAL = re.compile(r"^-\d")
 
 
@@ -381,7 +382,7 @@ def _cmd_theodorus(args: argparse.Namespace) -> int:
     lines = _table(headers, table)
 
     _emit(args, "theodorus", {"max": _s(args.max)}, {"rows": rows}, lines)
-    return EXIT_OK
+    return EXIT_UNDECIDED if any(row["truncated"] for row in rows) else EXIT_OK
 
 
 # -- ratio --------------------------------------------------------------------
@@ -604,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     # an option is added and while parsing, so it is set after the last
     # add_argument.  The transcript's negative-literal entries fail if it
     # stops working, and CI runs them on CPython 3.10 to 3.13
-    for sp in (p_eq, p_cross, p_mixed):
+    for sp in (p_conv, p_eq, p_cross, p_mixed):
         sp._negative_number_matcher = _NEGATIVE_LITERAL
 
     p_verify = sub.add_parser("verify", help="run the seeded self verification suites")

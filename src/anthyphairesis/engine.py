@@ -63,15 +63,13 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._value import Frozen
+from ._value import Frozen, _rebuild, _set
 from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, isqrt
 
 EXCESS = "excess"
 DEFECT = "defect"
 MIXED = "mixed"
-
-_set = object.__setattr__  # stores a field past Frozen's refusing __setattr__
 
 _KINDS = (EXCESS, DEFECT, MIXED)
 
@@ -120,29 +118,6 @@ class QuadraticForm(Frozen):
         _set(self, "B", B)
         _set(self, "C", C)
         _set(self, "smaller_root", smaller_root)
-
-    @classmethod
-    def _checked(
-        cls, kind: str, A: int, B: int, C: int, smaller_root: bool = False
-    ) -> "QuadraticForm":
-        """A form from coefficients its builder has already checked; see _form."""
-        form = object.__new__(cls)
-        _set(form, "kind", kind)
-        _set(form, "A", A)
-        _set(form, "B", B)
-        _set(form, "C", C)
-        _set(form, "smaller_root", smaller_root)
-        return form
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.kind, self.A, self.B, self.C, self.smaller_root) == (
-                other.kind, other.A, other.B, other.C, other.smaller_root
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.A, self.B, self.C, self.smaller_root))
 
     @property
     def disc(self) -> int:
@@ -220,20 +195,6 @@ class ContinuedFraction(Frozen):
         _set(self, "preperiod", tuple(map(int, pre)))
         _set(self, "period", per)
         _set(self, "truncated", truncated)
-
-    @classmethod
-    def _checked(
-        cls,
-        preperiod: tuple[int, ...],
-        period: Optional[tuple[int, ...]] = None,
-        truncated: bool = False,
-    ) -> "ContinuedFraction":
-        """An expansion from int tuples its builder has already checked."""
-        cf = object.__new__(cls)
-        _set(cf, "preperiod", preperiod)
-        _set(cf, "period", period)
-        _set(cf, "truncated", truncated)
-        return cf
 
     @property
     def is_finite(self) -> bool:
@@ -362,7 +323,7 @@ def euclid_cf(m: int, n: int) -> ContinuedFraction:
         k, r = divmod(m, n)
         qs.append(k)
         m, n = n, r
-    return ContinuedFraction._checked(tuple(qs))
+    return _rebuild(ContinuedFraction, (tuple(qs), None, False))
 
 
 def canonicalize_cf(cf: ContinuedFraction) -> ContinuedFraction:
@@ -437,10 +398,10 @@ def _form(a: int, b: int, c: int, s: int) -> QuadraticForm:
     if a > 0:
         if c > 0 and s > 0:
             if b >= 0:
-                return QuadraticForm._checked(EXCESS, a, b, c)
-            return QuadraticForm._checked(MIXED, a, -b, c)
+                return _rebuild(QuadraticForm, (EXCESS, a, b, c, False))
+            return _rebuild(QuadraticForm, (MIXED, a, -b, c, False))
         if c < 0 and b > 0:
-            return QuadraticForm._checked(DEFECT, a, b, -c, s < 0)
+            return _rebuild(QuadraticForm, (DEFECT, a, b, -c, s < 0))
     # c == 0 forces a square discriminant; the other patterns have no root
     # above 1, and a <= 0 none at all
     raise InternalInvariantError(
@@ -623,7 +584,7 @@ def run_anthyphairesis(
         )
     # every quotient passed k >= 1 where it was made, in _step or in the
     # cycle loop, so the tuples are stored without a second scan
-    cf = ContinuedFraction._checked(tuple(pre), tuple(period))
+    cf = _rebuild(ContinuedFraction, (tuple(pre), tuple(period), False))
     quotients = cf.preperiod + cf.period
     return cf, ExpansionTrace(quotients, form, (anchor_at, len(quotients)))
 
@@ -633,7 +594,7 @@ def _truncated(
 ) -> tuple[ContinuedFraction, ExpansionTrace]:
     """The result of a run whose step budget ran out after these quotients."""
     qs = tuple(quotients)
-    return ContinuedFraction._checked(qs, None, True), ExpansionTrace(qs, form, None)
+    return _rebuild(ContinuedFraction, (qs, None, True)), ExpansionTrace(qs, form, None)
 
 
 def surd_cf(x: Union[QuadSurd, Fraction, int], max_steps: int = 10_000) -> ContinuedFraction:

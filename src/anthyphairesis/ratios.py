@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from ._value import Frozen
+from ._value import Frozen, _rebuild, _set
 from .engine import (
     ContinuedFraction,
     euclid_cf,
@@ -44,8 +44,6 @@ LINE = "line"
 AREA = "area"
 
 ValueLike = Union[QuadSurd, Fraction, int]
-
-_set = object.__setattr__  # stores a field past Frozen's refusing __setattr__
 
 
 class Magnitude(Frozen):
@@ -66,14 +64,6 @@ class Magnitude(Frozen):
             raise DomainError("Magnitude: value must be positive, got %s" % val)
         _set(self, "value", val)
         _set(self, "role", role)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.value, self.role) == (other.value, other.role)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.role))
 
     def __add__(self, other: "Magnitude") -> "Magnitude":
         if not isinstance(other, Magnitude):
@@ -171,11 +161,11 @@ def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> Contin
         cf, _ = run_anthyphairesis(minimal_form(x), max_steps)
         return cf
     if max_steps == 0:
-        return ContinuedFraction._checked((), None, True)
+        return _rebuild(ContinuedFraction, ((), None, True))
     # no period entry is 0, so the prefixed engine result stays canonical
     # and checked
     tail, _ = run_anthyphairesis(minimal_form(x.inverse()), max_steps - 1)
-    return ContinuedFraction._checked((0,) + tail.preperiod, tail.period, tail.truncated)
+    return _rebuild(ContinuedFraction, ((0,) + tail.preperiod, tail.period, tail.truncated))
 
 
 def ratio_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:

@@ -107,6 +107,8 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "convergents sqrt 4 --count 3",
     "convergents sqrt 1 --count 1",
     "theodorus --max 1",
+    "theodorus --max 5 --max-steps 1",
+    "theodorus --max 5 --max-steps 1 --json",
     # ratio eq: rational, irrational, above and below 1, distinct fields
     "ratio eq 1 2 3 6",
     "ratio eq 1 2 2 3",
@@ -151,6 +153,7 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "ratio mixed -1,1,1,2 1 2 5 --json",
     "ratio mixed -1/2 1 1 2",
     "ratio eq -1/2 1 2 3",
+    "convergents --quotients -1,2",
 ))
 
 

@@ -474,15 +474,15 @@ class TestRunAnthyphairesis:
                     assert trace.repeat_at[0] <= first_excess + 1, form
 
     def test_states_are_built_only_when_read(self, monkeypatch):
-        # the engine builds its forms through _checked, never the public __init__
+        # the engine builds its forms through _rebuild, never the public __init__
         built = [0]
-        real = QuadraticForm._checked.__func__
+        real = engine._rebuild
 
-        def counting(cls, *args):
-            built[0] += 1
-            return real(cls, *args)
+        def counting(cls, values):
+            built[0] += cls is QuadraticForm
+            return real(cls, values)
 
-        monkeypatch.setattr(QuadraticForm, "_checked", classmethod(counting))
+        monkeypatch.setattr(engine, "_rebuild", counting)
         form = QuadraticForm(EXCESS, 1, 0, 1000003)
         cf, trace = run_anthyphairesis(form)
         assert len(trace.quotients) > 400 and not cf.truncated
@@ -670,8 +670,8 @@ def _expandable_forms(rng, count, lim):
 def test_engine_forms_pass_the_public_checks():
     """Every form the engine builds equals its rebuild by the public constructor.
 
-    The engine builds its forms through QuadraticForm._checked, which skips
-    the public checks; the rebuild raises if any of them fails.  The
+    The engine builds its forms through _value._rebuild, which skips the
+    public checks; the public rebuild raises if any of them fails.  The
     forms: trace states, excess_step and defect_step successors and
     minimal_form results, of all four kinds.
     """

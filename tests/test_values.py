@@ -210,6 +210,28 @@ class TestEquality:
             hash(a)
 
 
+def test_only_surds_and_expansions_override_field_equality():
+    """Record and Frozen compare and hash by fields; two types differ.
+
+    QuadSurd equals ints and Fractions and hashes a rational as its
+    Fraction; a truncated ContinuedFraction equals nothing.  Every other
+    value type inherits its __eq__ and __hash__ from the _value module.
+    """
+    from anthyphairesis import _value, areas, cli, engine, exactarith, properties, ratios
+
+    types = {
+        obj
+        for module in (areas, cli, engine, exactarith, properties, ratios)
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and issubclass(obj, _value.Record)
+        and obj.__module__ == module.__name__
+    }
+    assert {QuadraticForm, Magnitude, PropReport, PropertyResult} <= types
+    overriding = {t for t in types if "__eq__" in vars(t) or "__hash__" in vars(t)}
+    assert overriding == {QuadSurd, ContinuedFraction}
+
+
 class TestImmutability:
     @pytest.mark.parametrize("value", FROZEN, ids=IDS)
     def test_assignment_and_deletion_raise(self, value):
@@ -259,6 +281,56 @@ class TestCopyAndPickle:
         states = trace.states
         clone = pickle.loads(pickle.dumps(trace))
         assert clone == trace and clone.states == states
+
+    # protocol-2 pickles written by an earlier version of the package: each
+    # names _value._rebuild and the class, so both must keep their names
+    OLD_PICKLES = [
+        (
+            b"\x80\x02canthyphairesis._value\n_rebuild\nq\x00canthyphairesis.engine\n"
+            b"QuadraticForm\nq\x01(X\x06\x00\x00\x00defectq\x02K\x01K\x06K\x07\x88tq\x03"
+            b"\x86q\x04Rq\x05.",
+            QuadraticForm(DEFECT, 1, 6, 7, smaller_root=True),
+        ),
+        (
+            b"\x80\x02canthyphairesis._value\n_rebuild\nq\x00canthyphairesis.engine\n"
+            b"ContinuedFraction\nq\x01K\x02\x85q\x02(K\x01K\x01K\x01K\x04tq\x03\x89"
+            b"\x87q\x04\x86q\x05Rq\x06.",
+            ContinuedFraction((2,), (1, 1, 1, 4)),
+        ),
+        (
+            b"\x80\x02canthyphairesis._value\n_rebuild\nq\x00canthyphairesis.engine\n"
+            b"ContinuedFraction\nq\x01K\x02K\x01\x86q\x02N\x88\x87q\x03\x86q\x04Rq\x05.",
+            ContinuedFraction((2, 1), truncated=True),
+        ),
+        (
+            b"\x80\x02canthyphairesis._value\n_rebuild\nq\x00canthyphairesis.engine\n"
+            b"ExpansionTrace\nq\x01(K\x02K\x01K\x01K\x01K\x04tq\x02h\x00"
+            b"canthyphairesis.engine\nQuadraticForm\nq\x03(X\x06\x00\x00\x00excessq\x04"
+            b"K\x01K\x00K\x07\x89tq\x05\x86q\x06Rq\x07K\x01K\x05\x86q\x08\x87q\t\x86q\n"
+            b"Rq\x0b.",
+            ExpansionTrace((2, 1, 1, 1, 4), FORM, (1, 5)),
+        ),
+        (
+            b"\x80\x02canthyphairesis._value\n_rebuild\nq\x00canthyphairesis.ratios\n"
+            b"Magnitude\nq\x01h\x00canthyphairesis.exactarith\nQuadSurd\nq\x02(K\x01K\x02"
+            b"K\x03K\x05tq\x03\x86q\x04Rq\x05X\x04\x00\x00\x00areaq\x06\x86q\x07\x86q\x08"
+            b"Rq\t.",
+            Magnitude(ROOT5, AREA),
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "data, fresh", OLD_PICKLES, ids=[type(v).__name__ for _, v in OLD_PICKLES]
+    )
+    def test_pickles_of_earlier_versions_load(self, data, fresh):
+        old = pickle.loads(data)
+        assert type(old) is type(fresh)
+        # by fields, not ==: a truncated expansion equals nothing, itself included
+        fields = [getattr(old, name) for name in old._fields]
+        assert fields == [getattr(fresh, name) for name in fresh._fields]
+        assert hash(old) == hash(fresh)
+        if isinstance(fresh, ExpansionTrace):
+            assert old.states == fresh.states == SQRT7_TRACE.states
 
     def test_property_result_round_trips(self):
         r = PropertyResult("ratio", "p", 4, 1, 3, 0, None)
