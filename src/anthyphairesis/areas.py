@@ -9,13 +9,12 @@ display the arithmetic, not just a verdict.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from ._value import Frozen
 from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, rational_sqrt
 
-RationalLike = Union[Fraction, int]
+RationalLike = Fraction | int
 
 
 class AreaIdentityReport(Frozen):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import Any, Optional
 
 from . import __version__
 from .engine import (
@@ -29,7 +28,7 @@ from .engine import (
     _triple,
 )
 from .errors import DomainError, IndeterminateError, InternalInvariantError
-from .exactarith import QuadSurd, as_surd, is_perfect_square
+from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
 from .ratios import (
     Magnitude,
     anth_of_ratio,
@@ -39,6 +38,10 @@ from .ratios import (
     mixed_ratio_eq,
     ratio_eq,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: typing is not imported at run time
+    from typing import Any
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,14 +146,16 @@ def _surd_display(x: QuadSurd) -> str:
 
 
 def _root_text(form: QuadraticForm) -> str:
-    if is_perfect_square(form.disc):
-        return str(form.root_fraction())
+    a, b, _, s = _triple(form)
+    disc = form.disc
+    j = isqrt(disc)
+    if j * j == disc:  # a rational root, printed from ints as a Fraction prints
+        return str(QuadSurd(b + s * j, 0, 2 * a))
     try:
         return _surd_display(form.root())
     except DomainError:  # disc is past the factoring budget: show sqrt(disc) unsplit
-        a, b, _, s = _triple(form)
         # sign and floor, hence the decimal, need only a non-square radicand
-        return _surd_display(QuadSurd._in_field(b, s, 2 * a, form.disc))
+        return _surd_display(QuadSurd._in_field(b, s, 2 * a, disc))
 
 
 # -- anth ---------------------------------------------------------------------
@@ -251,9 +256,9 @@ def _count(args: argparse.Namespace, default: int) -> int:
 
 
 def _cmd_convergents(args: argparse.Namespace) -> int:
-    a: Optional[QuadSurd] = None
-    b: Optional[QuadSurd] = None
-    expansion: Optional[ContinuedFraction] = None
+    a: QuadSurd | None = None
+    b: QuadSurd | None = None
+    expansion: ContinuedFraction | None = None
 
     if args.quotients is not None:
         # the quotients are given, so there is nothing for a budget to bound
@@ -310,7 +315,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
     rows = []
     table = []
     for i in range(count + 1):
-        value: Optional[QuadSurd] = None
+        value: QuadSurd | None = None
         if a is not None:
             try:
                 value = remainder(i, a, b, sd)
@@ -620,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

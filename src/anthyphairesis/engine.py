@@ -60,12 +60,15 @@ holds by a test or by proof, and skip the public checks.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from ._value import Frozen, _rebuild, _set
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, as_surd, isqrt
+from .exactarith import QuadSurd, _fraction, _is_fraction, as_surd, isqrt
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: neither module is imported at run time
+    from collections.abc import Sequence
+    from fractions import Fraction
 
 EXCESS = "excess"
 DEFECT = "defect"
@@ -136,7 +139,7 @@ class QuadraticForm(Frozen):
         j = isqrt(disc)
         if j * j != disc:
             raise DomainError("root_fraction: discriminant %d is not a square" % disc)
-        return _rational_root(a, b, s, j)
+        return _fraction()(b + s * j, 2 * a)
 
     @property
     def is_expandable(self) -> bool:
@@ -169,7 +172,7 @@ class ContinuedFraction(Frozen):
     def __init__(
         self,
         preperiod: Sequence[int],
-        period: Optional[Sequence[int]] = None,
+        period: Sequence[int] | None = None,
         truncated: bool = False,
     ) -> None:
         pre = tuple(preperiod)
@@ -282,7 +285,7 @@ class ExpansionTrace(Frozen):
         self,
         quotients: tuple[int, ...],
         start: QuadraticForm,
-        repeat_at: Optional[tuple[int, int]] = None,
+        repeat_at: tuple[int, int] | None = None,
     ) -> None:
         _set(self, "quotients", quotients)
         _set(self, "start", start)
@@ -307,15 +310,17 @@ class ExpansionTrace(Frozen):
         return states
 
 
-def euclid_cf(m: int, n: int) -> ContinuedFraction:
+def euclid_cf(m: Fraction | int, n: Fraction | int) -> ContinuedFraction:
     """Finite expansion of the ratio m : n by plain Euclidean division.
 
     m and n are ints or Fractions, so every quotient is an int; each
     after the first is >= 1, and the last is >= 2 unless it is the only
-    one, so the result is canonical.
+    one, so the result is canonical.  A bool is refused, as QuadSurd
+    refuses it.
     """
-    if not (isinstance(m, (int, Fraction)) and isinstance(n, (int, Fraction))):
-        raise DomainError("euclid_cf: arguments must be ints or Fractions")
+    for x in (m, n):
+        if isinstance(x, bool) or not (isinstance(x, int) or _is_fraction(x)):
+            raise DomainError("euclid_cf: arguments must be ints or Fractions")
     if m < 1 or n < 1:
         raise DomainError("euclid_cf: both arguments must be >= 1")
     qs = []
@@ -370,11 +375,6 @@ def _triple(form: QuadraticForm) -> tuple[int, int, int, int]:
 def _disc(a: int, b: int, c: int) -> int:
     """The discriminant of the signed triple (a, b, c)."""
     return b * b + 4 * a * c
-
-
-def _rational_root(a: int, b: int, s: int, j: int) -> Fraction:
-    """The designated root of the signed triple when j = sqrt(D) is exact."""
-    return Fraction(b + s * j, 2 * a)
 
 
 def _expandable(a: int, b: int, c: int, s: int) -> bool:
@@ -500,10 +500,11 @@ def run_anthyphairesis(
     j = isqrt(disc)
     too_small = "run_anthyphairesis: designated root of %s must exceed 1"
     if j * j == disc:
-        fr = _rational_root(a, b, s, j)
-        if fr < 1:  # a rational root may be 1 itself: sqrt(1) : 1 is [1]
+        # the root is the rational (b + s*j) : 2a, whose pair Euclid expands
+        # as it would the reduced pair; it may be 1 itself: sqrt(1) : 1 is [1]
+        if b + s * j < 2 * a:
             raise DomainError(too_small % (form,))
-        cf = euclid_cf(fr.numerator, fr.denominator)
+        cf = euclid_cf(b + s * j, 2 * a)
         return cf, ExpansionTrace(cf.preperiod, form, None)
     if not _expandable(a, b, c, s):
         raise DomainError(too_small % (form,))
@@ -597,7 +598,7 @@ def _truncated(
     return _rebuild(ContinuedFraction, (qs, None, True)), ExpansionTrace(qs, form, None)
 
 
-def surd_cf(x: Union[QuadSurd, Fraction, int], max_steps: int = 10_000) -> ContinuedFraction:
+def surd_cf(x: QuadSurd | Fraction | int, max_steps: int = 10_000) -> ContinuedFraction:
     """Expansion of any positive exact value by the generic recurrence.
 
     This is the form engine's independent oracle: repeatedly split off
@@ -610,8 +611,7 @@ def surd_cf(x: Union[QuadSurd, Fraction, int], max_steps: int = 10_000) -> Conti
     if not val > 0:
         raise DomainError("surd_cf: value must be positive, got %s" % val)
     if val.is_rational:
-        fr = val.as_fraction()
-        return euclid_cf(fr.numerator, fr.denominator)
+        return euclid_cf(val.u, val.w)
     quotients: list[int] = []
     seen: dict[QuadSurd, int] = {}
     cur = val
@@ -654,8 +654,8 @@ def convergents(quotients: Sequence[int], count: int) -> SideDiameter:
 
 def remainder(
     n: int,
-    a: Union[QuadSurd, Fraction, int],
-    b: Union[QuadSurd, Fraction, int],
+    a: QuadSurd | Fraction | int,
+    b: QuadSurd | Fraction | int,
     sd: SideDiameter,
 ) -> QuadSurd:
     """The n-th remainder (-1)^n * (q_n * b - p_n * a) of expanding a : b.
@@ -725,7 +725,7 @@ def state_space_size(disc: int) -> int:
     return count
 
 
-def minimal_form(x: Union[QuadSurd, Fraction, int]) -> QuadraticForm:
+def minimal_form(x: QuadSurd | Fraction | int) -> QuadraticForm:
     """Primitive form whose designated root is x, for irrational exact x > 1.
 
     A rational x has no form and is a DomainError; euclid_cf expands it.

@@ -5,19 +5,57 @@ Every value is ``(u + v*sqrt(d)) / w`` with arbitrary-precision integers
 case.  Nothing in this module touches floating point: signs, floors and
 comparisons are decided by integer case analysis only, so results stay
 exact no matter how large the components grow.
+
+Rationals stay integer pairs: ``__str__``, ``rational_sqrt`` and the
+expansions of rational values read ``u`` and ``w`` and build no
+Fraction, so importing the package loads neither ``fractions`` nor the
+``decimal`` and ``numbers`` modules it pulls in.  A Fraction is still
+accepted wherever an int is, and is recognized without an import: none
+can exist before ``fractions`` is loaded, so ``_is_fraction`` looks the
+class up in ``sys.modules`` and, once it is there, binds it for every
+later test.  Only ``as_fraction``, ``engine.QuadraticForm.root_fraction``
+and the hash of a rational value with ``w > 1`` build a Fraction; each
+imports the module on first use, through ``_fraction``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import Union
+import sys
 
 from ._value import Frozen
 from .errors import DomainError, InternalInvariantError
 
-Numeric = Union["QuadSurd", Fraction, int]
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: fractions is not imported at run time
+    from fractions import Fraction
+
+# (Fraction,) once the fractions module is loaded and seen, () before:
+# isinstance(x, ()) is False, as it must be while no Fraction exists
+_fraction_types: tuple[type, ...] = ()
+
+
+def _is_fraction(x: object) -> bool:
+    """Whether x is a Fraction, read without importing fractions."""
+    global _fraction_types
+    if isinstance(x, _fraction_types):
+        return True
+    cls = getattr(sys.modules.get("fractions"), "Fraction", None)
+    if cls is None or _fraction_types == (cls,):
+        return False
+    _fraction_types = (cls,)
+    return isinstance(x, cls)
+
+
+def _fraction() -> type[Fraction]:
+    """The Fraction class, importing fractions on first use."""
+    global _fraction_types
+    if not _fraction_types:
+        from fractions import Fraction
+
+        _fraction_types = (Fraction,)
+    return _fraction_types[0]
 
 
 def isqrt(n: int) -> int:
@@ -185,7 +223,7 @@ class QuadSurd(Frozen):
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise DomainError("as_fraction: value is irrational")
-        return Fraction(self.u, self.w)
+        return _fraction()(self.u, self.w)
 
     # -- field bookkeeping ----------------------------------------------
 
@@ -205,21 +243,22 @@ class QuadSurd(Frozen):
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod
-    def _coerce(x: Numeric) -> "QuadSurd":
+    def _coerce(x: QuadSurd | Fraction | int) -> QuadSurd:
         if isinstance(x, QuadSurd):
             return x
-        if isinstance(x, bool):
-            return NotImplemented  # type: ignore[return-value]
         if isinstance(x, int):
+            if isinstance(x, bool):
+                return NotImplemented  # type: ignore[return-value]
             return QuadSurd._in_field(x, 0, 1, 1)
-        if isinstance(x, Fraction):
+        # the bound class first: verify coerces a Fraction on every op
+        if isinstance(x, _fraction_types) or _is_fraction(x):
             return QuadSurd._in_field(x.numerator, 0, x.denominator, 1)
         return NotImplemented  # type: ignore[return-value]
 
     def __neg__(self) -> "QuadSurd":
         return QuadSurd._in_field(-self.u, -self.v, self.w, self.d)
 
-    def __add__(self, other: Numeric) -> "QuadSurd":
+    def __add__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -233,19 +272,19 @@ class QuadSurd(Frozen):
 
     __radd__ = __add__
 
-    def __sub__(self, other: Numeric) -> "QuadSurd":
+    def __sub__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.__add__(-o)
 
-    def __rsub__(self, other: Numeric) -> "QuadSurd":
+    def __rsub__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return o.__add__(-self)
 
-    def __mul__(self, other: Numeric) -> "QuadSurd":
+    def __mul__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -268,7 +307,7 @@ class QuadSurd(Frozen):
         norm = self.u * self.u - self.v * self.v * self.d
         return QuadSurd._in_field(self.w * self.u, -self.w * self.v, norm, self.d)
 
-    def __truediv__(self, other: Numeric) -> "QuadSurd":
+    def __truediv__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -287,7 +326,7 @@ class QuadSurd(Frozen):
             d,
         )
 
-    def __rtruediv__(self, other: Numeric) -> "QuadSurd":
+    def __rtruediv__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -299,7 +338,7 @@ class QuadSurd(Frozen):
         """Sign of the represented real: -1, 0 or +1.  Integer-only."""
         return _sign(self.u, self.v, self.d)  # w > 0 cannot affect the sign
 
-    def _cmp(self, other: Numeric) -> int:
+    def _cmp(self, other: QuadSurd | Fraction | int) -> int:
         """Sign of self - other, from the numerator of the difference alone."""
         if type(other) is int:  # x > 0, x > 1: nothing to coerce
             return _sign(self.u - other * self.w, self.v, self.d)
@@ -309,19 +348,19 @@ class QuadSurd(Frozen):
         d = self._join_field(o)
         return _sign(self.u * o.w - o.u * self.w, self.v * o.w - o.v * self.w, d)
 
-    def __lt__(self, other: Numeric) -> bool:
+    def __lt__(self, other: QuadSurd | Fraction | int) -> bool:
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c < 0
 
-    def __le__(self, other: Numeric) -> bool:
+    def __le__(self, other: QuadSurd | Fraction | int) -> bool:
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c <= 0
 
-    def __gt__(self, other: Numeric) -> bool:
+    def __gt__(self, other: QuadSurd | Fraction | int) -> bool:
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c > 0
 
-    def __ge__(self, other: Numeric) -> bool:
+    def __ge__(self, other: QuadSurd | Fraction | int) -> bool:
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c >= 0
 
@@ -332,8 +371,8 @@ class QuadSurd(Frozen):
         return (self.u, self.v, self.w, self.d) == (o.u, o.v, o.w, o.d)
 
     def __hash__(self) -> int:
-        if self.is_rational:
-            return hash(Fraction(self.u, self.w))
+        if self.v == 0:  # the hash of the equal int or Fraction
+            return hash(self.u) if self.w == 1 else hash(_fraction()(self.u, self.w))
         return hash((self.u, self.v, self.w, self.d))
 
     def floor(self) -> int:
@@ -355,8 +394,8 @@ class QuadSurd(Frozen):
     # -- display ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_rational:
-            return str(Fraction(self.u, self.w))
+        if self.v == 0:  # as str(Fraction) prints it
+            return str(self.u) if self.w == 1 else "%d/%d" % (self.u, self.w)
         if self.v == 1:
             radical = "sqrt(%d)" % self.d
         elif self.v == -1:
@@ -408,7 +447,7 @@ def _sign(u: int, v: int, d: int) -> int:
     return 1 if v > 0 else -1
 
 
-def as_surd(x: Numeric) -> QuadSurd:
+def as_surd(x: QuadSurd | Fraction | int) -> QuadSurd:
     """Coerce an int, Fraction or QuadSurd into a QuadSurd."""
     out = QuadSurd._coerce(x)
     if out is NotImplemented:
@@ -416,12 +455,19 @@ def as_surd(x: Numeric) -> QuadSurd:
     return out
 
 
-def rational_sqrt(x: Union[Fraction, int]) -> QuadSurd:
-    """Exact square root of a nonnegative rational, as a QuadSurd."""
-    fr = Fraction(x)
-    if fr < 0:
-        raise DomainError("rational_sqrt: argument must be >= 0, got %s" % fr)
-    if fr == 0:
+def rational_sqrt(x: Fraction | int) -> QuadSurd:
+    """Exact square root of a nonnegative int or Fraction, as a QuadSurd."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        p, q = x, 1
+    elif _is_fraction(x):
+        p, q = x.numerator, x.denominator
+    else:
+        raise DomainError(
+            "rational_sqrt: argument must be an int or a Fraction, got %r" % (x,)
+        )
+    if p < 0:
+        raise DomainError("rational_sqrt: argument must be >= 0, got %s" % x)
+    if p == 0:
         return QuadSurd(0)
     # sqrt(p/q) = sqrt(p*q)/q
-    return QuadSurd(0, 1, fr.denominator, fr.numerator * fr.denominator)
+    return QuadSurd(0, 1, q, p * q)

@@ -11,8 +11,8 @@ a failure, because properties must not crash on their own inputs.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import areas as ar
 from ._value import Record
@@ -70,7 +70,7 @@ class PropertyResult(Record):
         vacuous: int,
         passed: int,
         failed: int,
-        first_failure: Optional[str] = None,
+        first_failure: str | None = None,
     ) -> None:
         self.suite = suite
         self.name = name

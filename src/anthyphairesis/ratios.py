@@ -26,8 +26,6 @@ expansions, so it needs no budget either.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
 
 from ._value import Frozen, _rebuild, _set
 from .engine import (
@@ -40,10 +38,15 @@ from .engine import (
 from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: neither module is imported at run time
+    from collections.abc import Callable, Sequence
+    from fractions import Fraction
+
+    ValueLike = QuadSurd | Fraction | int
+
 LINE = "line"
 AREA = "area"
-
-ValueLike = Union[QuadSurd, Fraction, int]
 
 
 class Magnitude(Frozen):
@@ -121,8 +124,8 @@ class PropReport(Frozen):
         proposition: str,
         hypotheses_hold: bool,
         conclusion_holds: bool,
-        lhs: Optional[QuadSurd],
-        rhs: Optional[QuadSurd],
+        lhs: QuadSurd | None,
+        rhs: QuadSurd | None,
     ) -> None:
         _set(self, "proposition", proposition)
         _set(self, "hypotheses_hold", hypotheses_hold)
@@ -154,9 +157,8 @@ def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> Contin
     """
     x = _ratio(a, b, "anth_of_ratio")
     _budget(max_steps, "anth_of_ratio")
-    if x.is_rational:
-        fr = x.as_fraction()
-        return euclid_cf(fr.numerator, fr.denominator)
+    if x.is_rational:  # u/w is reduced, with w >= 1
+        return euclid_cf(x.u, x.w)
     if x > 1:
         cf, _ = run_anthyphairesis(minimal_form(x), max_steps)
         return cf
@@ -228,7 +230,7 @@ def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
     return reduced
 
 
-def square_ratio_witness(c_coeff: int, a_coeff: int) -> Optional[tuple[int, int]]:
+def square_ratio_witness(c_coeff: int, a_coeff: int) -> tuple[int, int] | None:
     """Numbers (m, n) with C/A = m^2/n^2, or None when there are none.
 
     None certifies incommensurability of the tied pair: it happens
@@ -257,7 +259,7 @@ def square_ratio_witness(c_coeff: int, a_coeff: int) -> Optional[tuple[int, int]
 
 _a, _b, _c, _d, _e, _f = range(6)
 
-_Term = Union[int, tuple[str, int, int]]
+_Term = int | tuple[str, int, int]
 _RatioSpec = tuple[_Term, _Term]
 
 
@@ -267,8 +269,8 @@ class _Rule(Frozen):
     def __init__(
         self,
         hypotheses: tuple[tuple[_RatioSpec, _RatioSpec], ...],
-        conclusion: Union[tuple[_RatioSpec, _RatioSpec], tuple[int, int]],
-        condition: Optional[Callable[..., bool]] = None,
+        conclusion: tuple[_RatioSpec, _RatioSpec] | tuple[int, int],
+        condition: Callable[..., bool] | None = None,
     ) -> None:
         _set(self, "hypotheses", hypotheses)
         _set(self, "conclusion", conclusion)
@@ -299,7 +301,7 @@ def _evaluate(rule: _Rule, m: Sequence[Magnitude]):
             values[spec] = _ratio(_form(num, m), _form(den, m), "check_proposition")
         return values[spec]
 
-    def shown(pair: Optional[tuple[_RatioSpec, _RatioSpec]]) -> Optional[tuple]:
+    def shown(pair: tuple[_RatioSpec, _RatioSpec] | None) -> tuple | None:
         return None if pair is None else (value(pair[0]), value(pair[1]))
 
     for lhs, rhs in rule.hypotheses:

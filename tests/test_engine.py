@@ -1,8 +1,10 @@
 """Form state machines, expansions, convergents and form recovery."""
 
 import ast
+import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,9 +110,17 @@ class TestEuclid:
         for m, n in ((3.0, 2), (3, 2.0), (3.5, 1.5)):
             with pytest.raises(DomainError, match="ints or Fractions"):
                 euclid_cf(m, n)
-        cf = euclid_cf(Fraction(7, 2), True)
+        cf = euclid_cf(Fraction(7, 2), 1)
         assert cf == ContinuedFraction((3, 2))
         assert all(type(k) is int for k in cf.preperiod)
+
+    def test_bools_are_rejected(self):
+        # QuadSurd refuses a bool component, and so does Euclid
+        for m, n in ((True, 1), (3, True), (Fraction(7, 2), False)):
+            with pytest.raises(
+                DomainError, match=r"^euclid_cf: arguments must be ints or Fractions$"
+            ):
+                euclid_cf(m, n)
 
     @settings(deadline=None)
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
@@ -389,6 +399,40 @@ class TestRunAnthyphairesis:
         assert trace.repeat_at is None
         cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 2, 3, 2))
         assert cf == ContinuedFraction((2,))
+
+    def test_square_disc_runs_expand_the_fraction_root(self):
+        # every form with coefficients up to 30 and a square discriminant:
+        # its root as a Fraction, refused below 1 and else expanded by a
+        # Euclid of this test's own on that Fraction
+        too_small = "run_anthyphairesis: designated root of %s must exceed 1"
+        kinds = ((EXCESS, False), (DEFECT, False), (DEFECT, True))
+        checked = 0
+        for (kind, smaller), A, B, C in itertools.product(
+            kinds, range(1, 31), range(31), range(1, 31)
+        ):
+            disc = B * B + (4 if kind == EXCESS else -4) * A * C
+            if disc < 1 or math.isqrt(disc) ** 2 != disc or (kind == DEFECT and B < 1):
+                continue
+            form = QuadraticForm(kind, A, B, C, smaller)
+            j = math.isqrt(disc)
+            x = Fraction(B - j if smaller else B + j, 2 * A)
+            qs, y = [], x
+            while True:
+                qs.append(math.floor(y))
+                if y == qs[-1]:
+                    break
+                y = 1 / (y - qs[-1])
+            for budget in (0, 10_000):
+                if x < 1:
+                    with pytest.raises(DomainError, match="^%s$" % re.escape(too_small % form)):
+                        run_anthyphairesis(form, budget)
+                    continue
+                cf, trace = run_anthyphairesis(form, budget)
+                assert cf == ContinuedFraction(tuple(qs)), form
+                assert trace.quotients == cf.preperiod
+                assert trace.states == (form,) and trace.repeat_at is None
+            checked += 1
+        assert checked > 300
 
     def test_rational_root_of_one_expands_to_one(self):
         # sqrt(1) : 1 is 1 : 1; the square-discriminant route takes it

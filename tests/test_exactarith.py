@@ -6,6 +6,7 @@ far above the oracle's rounding error, so disagreement means a bug.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -153,6 +154,13 @@ class TestIntegerHelpers:
         assert rational_sqrt(0) == 0
         with pytest.raises(DomainError):
             rational_sqrt(Fraction(-1, 2))
+
+    def test_rational_sqrt_takes_only_ints_and_fractions(self):
+        # a float, a string or a bool is no exact rational argument
+        for x in (0.5, 0.1, "2/9", True, False):
+            msg = "rational_sqrt: argument must be an int or a Fraction, got %r" % (x,)
+            with pytest.raises(DomainError, match="^%s$" % re.escape(msg)):
+                rational_sqrt(x)
 
 
 class TestArithmetic:
