@@ -8,7 +8,7 @@ remainders, and checks the classical application-of-areas identities,
 all without floating point.
 """
 
-from .errors import DomainError, IndeterminateError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError
 from .exactarith import (
     QuadSurd,
     as_surd,
@@ -92,7 +92,6 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "DomainError",
-    "IndeterminateError",
     "InternalInvariantError",
     "QuadSurd",
     "as_surd",

@@ -15,7 +15,6 @@ import sys
 
 from . import __version__
 from .engine import (
-    DEFECT,
     EXCESS,
     ContinuedFraction,
     QuadraticForm,
@@ -27,8 +26,8 @@ from .engine import (
     state_space_size,
     _triple,
 )
-from .errors import DomainError, IndeterminateError, InternalInvariantError
-from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
+from .errors import DomainError, InternalInvariantError
+from .exactarith import QuadSurd, as_surd, isqrt
 from .ratios import (
     Magnitude,
     anth_of_ratio,
@@ -59,20 +58,31 @@ _MAX_STEPS = 10_000  # the default step budget of every command that expands
 # options (-h, --max-steps, --quotients, --count) start otherwise.
 _NEGATIVE_LITERAL = re.compile(r"^-\d")
 
+# Since 3.11 and 3.10.7, CPython refuses to convert an int of more than
+# sys.get_int_max_str_digits() digits to or from a decimal string.  main
+# lifts that limit while a command runs, so output prints exactly at any
+# size, and keeps it for input, whose parsing is quadratic in its digits:
+# argparse parses before the lift, and a command parses its own literals
+# with _int, against the limit main saved here (0: no limit).
+_input_digits = 0
+
+
+def _int(text: str) -> int:
+    """int(text), refused as int() refuses it past the saved digit limit."""
+    if _input_digits and sum(map(str.isdecimal, text)) > _input_digits:
+        raise ValueError("more than %d digits" % _input_digits)
+    return int(text)
+
 
 # -- serialization helpers ----------------------------------------------------
 # All integers are rendered as decimal strings so JSON output is exact
-# and byte-stable regardless of magnitude.
-
-
-def _s(n: int) -> str:
-    return str(n)
+# and byte-stable regardless of magnitude (see _input_digits).
 
 
 def _cf_json(cf: ContinuedFraction) -> dict[str, Any]:
     return {
-        "preperiod": [_s(k) for k in cf.preperiod],
-        "period": None if cf.period is None else [_s(k) for k in cf.period],
+        "preperiod": [str(k) for k in cf.preperiod],
+        "period": None if cf.period is None else [str(k) for k in cf.period],
         "truncated": cf.truncated,
     }
 
@@ -83,20 +93,20 @@ def _form_json(form: QuadraticForm) -> dict[str, Any]:
         kind = "defect-"
     return {
         "kind": kind,
-        "A": _s(form.A),
-        "B": _s(form.B),
-        "C": _s(form.C),
-        "disc": _s(form.disc),
+        "A": str(form.A),
+        "B": str(form.B),
+        "C": str(form.C),
+        "disc": str(form.disc),
     }
 
 
 def _surd_json(x: QuadSurd) -> dict[str, str]:
-    return {"u": _s(x.u), "v": _s(x.v), "w": _s(x.w), "D": _s(x.d)}
+    return {"u": str(x.u), "v": str(x.v), "w": str(x.w), "D": str(x.d)}
 
 
 def _emit(args: argparse.Namespace, command: str, input_obj: Any, result: Any,
           lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         import json  # loaded only by the commands that print it
 
         envelope = {
@@ -168,7 +178,7 @@ def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
     if args.json:  # the states are replayed on read; text shows them under --trace
         result = {
             **_form_json(form),
-            "quotients": [_s(k) for k in trace.quotients],
+            "quotients": [str(k) for k in trace.quotients],
             **_cf_json(cf),
             "states": [_form_json(st) for st in trace.states],
         }
@@ -213,22 +223,21 @@ def _run_plain_cf(args: argparse.Namespace, command: str, input_obj: Any,
 
 def _cmd_anth(args: argparse.Namespace) -> int:
     if args.mode == "form":
-        kind = EXCESS if args.kind == "excess" else DEFECT
-        form = QuadraticForm(kind, args.A, args.B, args.C)
-        input_obj = {"kind": args.kind, "A": _s(args.A), "B": _s(args.B), "C": _s(args.C)}
+        form = QuadraticForm(args.kind, args.A, args.B, args.C)
+        input_obj = {"kind": args.kind, "A": str(args.A), "B": str(args.B), "C": str(args.C)}
         return _run_form(args, "anth form", input_obj, form)
 
     if args.mode == "sqrt":
         if args.N < 1:
             raise DomainError("anth sqrt: N must be >= 1, got %d" % args.N)
         form = QuadraticForm(EXCESS, 1, 0, args.N)
-        return _run_form(args, "anth sqrt", {"radicand": _s(args.N)}, form)
+        return _run_form(args, "anth sqrt", {"radicand": str(args.N)}, form)
 
     if args.mode == "rational":
         if args.M < 1 or args.N < 1:
             raise DomainError("anth rational: M and N must be >= 1")
         cf = anth_of_ratio(line(args.M), line(args.N), args.max_steps)
-        input_obj = {"M": _s(args.M), "N": _s(args.N)}
+        input_obj = {"M": str(args.M), "N": str(args.N)}
         head = _kv("ratio", "%d : %d" % (args.M, args.N))
         return _run_plain_cf(args, "anth rational", input_obj, "rational", head, cf)
 
@@ -267,7 +276,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         if args.source:
             raise DomainError("convergents: give either 'sqrt N' or --quotients, not both")
         try:
-            qs_all = tuple(int(t) for t in args.quotients.split(","))
+            qs_all = tuple(_int(t) for t in args.quotients.split(","))
         except ValueError:
             raise DomainError("convergents: --quotients must be comma separated integers")
         if min(qs_all) < 1:  # a head 0 too: convergents() takes none
@@ -281,12 +290,12 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
             )
         qs = qs_all[:count]
         command = "convergents"
-        input_obj = {"quotients": [_s(k) for k in qs_all], "count": _s(count)}
+        input_obj = {"quotients": [str(k) for k in qs_all], "count": str(count)}
     else:
         if len(args.source) != 2 or args.source[0] != "sqrt":
             raise DomainError("convergents: expected 'sqrt N' or --quotients k0,k1,...")
         try:
-            n = int(args.source[1])
+            n = _int(args.source[1])
         except ValueError:
             raise DomainError("convergents: N must be an integer")
         if n < 1:
@@ -298,17 +307,17 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         have = len(expansion.preperiod)
         if expansion.period is None and count > have:
             if expansion.truncated:
-                raise IndeterminateError(
-                    "convergents: sqrt(%d) gave only %d quotients within max_steps %d, "
-                    "%d requested" % (n, have, max_steps, count)
-                )
+                print("undecided: convergents: sqrt(%d) gave only %d quotients within "
+                      "max_steps %d, %d requested (raise --max-steps)"
+                      % (n, have, max_steps, count), file=sys.stderr)
+                return EXIT_UNDECIDED
             raise DomainError(
                 "convergents: sqrt(%d) has only %d quotients, %d requested" % (n, have, count)
             )
         qs = expansion.head(count)
         a, b = QuadSurd(0, 1, 1, n), as_surd(1)
         command = "convergents"
-        input_obj = {"radicand": _s(n), "count": _s(count)}
+        input_obj = {"radicand": str(n), "count": str(count)}
 
     sd = convergents(qs, count)
 
@@ -324,20 +333,20 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         expr = _rem_expr(i, sd.p[i], sd.q[i])
         rows.append(
             {
-                "n": _s(i),
-                "k": None if i == 0 else _s(qs[i - 1]),
-                "p": _s(sd.p[i]),
-                "q": _s(sd.q[i]),
+                "n": str(i),
+                "k": None if i == 0 else str(qs[i - 1]),
+                "p": str(sd.p[i]),
+                "q": str(sd.q[i]),
                 "remainder": expr,
                 "value": None if value is None else _surd_json(value),
             }
         )
         table.append(
             (
-                _s(i),
-                "-" if i == 0 else _s(qs[i - 1]),
-                _s(sd.p[i]),
-                _s(sd.q[i]),
+                str(i),
+                "-" if i == 0 else str(qs[i - 1]),
+                str(sd.p[i]),
+                str(sd.q[i]),
                 expr,
                 "-" if value is None else str(value),
             )
@@ -361,23 +370,23 @@ def _cmd_theodorus(args: argparse.Namespace) -> int:
     for n in range(2, args.max + 1):
         form = QuadraticForm(EXCESS, 1, 0, n)
         cf, _ = run_anthyphairesis(form, args.max_steps)
-        states = None if is_perfect_square(n) else _s(state_space_size(form.disc))
         commensurable = commensurable_pure(1, n)
+        states = None if commensurable else str(state_space_size(form.disc))
         rows.append(
             {
-                "n": _s(n),
+                "n": str(n),
                 "commensurable": commensurable,
-                "disc": _s(form.disc),
+                "disc": str(form.disc),
                 "state_space": states,
                 **_cf_json(cf),
             }
         )
         table.append(
             (
-                _s(n),
+                str(n),
                 str(cf),
                 "-" if cf.period is None else _bracketed(cf.period),
-                _s(form.disc),
+                str(form.disc),
                 "-" if states is None else states,
                 "yes" if commensurable else "no",
             )
@@ -386,7 +395,7 @@ def _cmd_theodorus(args: argparse.Namespace) -> int:
     headers = ("N", "expansion", "period", "disc", "states", "commensurable")
     lines = _table(headers, table)
 
-    _emit(args, "theodorus", {"max": _s(args.max)}, {"rows": rows}, lines)
+    _emit(args, "theodorus", {"max": str(args.max)}, {"rows": rows}, lines)
     return EXIT_UNDECIDED if any(row["truncated"] for row in rows) else EXIT_OK
 
 
@@ -403,12 +412,12 @@ def _parse_magnitude(text: str) -> Magnitude:
     """
     try:
         if "," in text:
-            u, v, w, d = map(int, text.split(","))
+            u, v, w, d = map(_int, text.split(","))
         elif "/" in text:
             p, q = text.split("/")
-            u, v, w, d = int(p), 0, int(q), 1
+            u, v, w, d = _int(p), 0, _int(q), 1
         else:
-            u, v, w, d = int(text), 0, 1, 1
+            u, v, w, d = _int(text), 0, 1, 1
     except ValueError:
         raise DomainError(
             "ratio: magnitude literal %r must be 'u,v,w,D', 'p/q' or an integer" % text
@@ -436,8 +445,8 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
         input_obj = {
             "A": _surd_json(a.value),
             "B": _surd_json(b.value),
-            "M": _s(args.M),
-            "N": _s(args.N),
+            "M": str(args.M),
+            "N": str(args.N),
         }
         return _emit_verdict(args, "ratio mixed", input_obj, equal,
                              anth_of_ratio(a, b, args.max_steps),
@@ -460,10 +469,10 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .properties import run_suite  # only verify loads the suites
-
     if args.trials < 1:
         raise DomainError("verify: --trials must be >= 1")
+    from .properties import run_suite  # only verify loads the suites
+
     suites = ("engine", "ratio", "areas") if args.suite == "all" else (args.suite,)
     results = []
     for s in suites:
@@ -474,10 +483,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         {
             "suite": r.suite,
             "name": r.name,
-            "trials": _s(r.trials),
-            "passed": _s(r.passed),
-            "vacuous": _s(r.vacuous),
-            "failed": _s(r.failed),
+            "trials": str(r.trials),
+            "passed": str(r.passed),
+            "vacuous": str(r.vacuous),
+            "failed": str(r.failed),
             "first_failure": r.first_failure,
         }
         for r in results
@@ -498,7 +507,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         % (verdict, len(results), args.trials, args.seed, failed)
     )
 
-    input_obj = {"suite": args.suite, "trials": _s(args.trials), "seed": _s(args.seed)}
+    input_obj = {"suite": args.suite, "trials": str(args.trials), "seed": str(args.seed)}
     result = {"verdict": verdict, "rows": rows}
     _emit(args, "verify", input_obj, result, lines)
     return EXIT_OK if failed == 0 else EXIT_FAILED
@@ -626,23 +635,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _input_digits
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return EXIT_OK if code == 0 else EXIT_USAGE
+    lift = hasattr(sys, "set_int_max_str_digits")  # an older Python has no limit
+    if lift:
+        _input_digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except IndeterminateError as exc:
-        print("undecided: %s (raise --max-steps)" % exc, file=sys.stderr)
-        return EXIT_UNDECIDED
     except InternalInvariantError as exc:
         print("internal invariant violated: %s" % exc, file=sys.stderr)
         return EXIT_FAILED
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(_input_digits)
 
 
 if __name__ == "__main__":

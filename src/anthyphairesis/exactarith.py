@@ -6,16 +6,18 @@ case.  Nothing in this module touches floating point: signs, floors and
 comparisons are decided by integer case analysis only, so results stay
 exact no matter how large the components grow.
 
-Rationals stay integer pairs: ``__str__``, ``rational_sqrt`` and the
-expansions of rational values read ``u`` and ``w`` and build no
+Rationals stay integer pairs: ``__str__``, ``__hash__``, ``rational_sqrt``
+and the expansions of rational values read ``u`` and ``w`` and build no
 Fraction, so importing the package loads neither ``fractions`` nor the
-``decimal`` and ``numbers`` modules it pulls in.  A Fraction is still
+``decimal`` and ``numbers`` modules it pulls in.  The hash follows
+Python's documented numeric-hash recipe, so a rational value hashes as
+the equal int or Fraction without one.  A Fraction is still
 accepted wherever an int is, and is recognized without an import: none
 can exist before ``fractions`` is loaded, so ``_is_fraction`` looks the
 class up in ``sys.modules`` and, once it is there, binds it for every
-later test.  Only ``as_fraction``, ``engine.QuadraticForm.root_fraction``
-and the hash of a rational value with ``w > 1`` build a Fraction; each
-imports the module on first use, through ``_fraction``.
+later test.  Only ``as_fraction`` and ``engine.QuadraticForm.root_fraction``
+build a Fraction; each imports the module on first use, through
+``_fraction``.
 """
 
 from __future__ import annotations
@@ -371,8 +373,13 @@ class QuadSurd(Frozen):
         return (self.u, self.v, self.w, self.d) == (o.u, o.v, o.w, o.d)
 
     def __hash__(self) -> int:
-        if self.v == 0:  # the hash of the equal int or Fraction
-            return hash(self.u) if self.w == 1 else hash(_fraction()(self.u, self.w))
+        if self.v == 0:  # the hash of the equal int or Fraction, by Python's recipe
+            try:
+                h = hash(hash(abs(self.u)) * pow(self.w, -1, sys.hash_info.modulus))
+            except ValueError:  # w has no inverse modulo the hash modulus
+                h = sys.hash_info.inf
+            h = h if self.u >= 0 else -h
+            return -2 if h == -1 else h
         return hash((self.u, self.v, self.w, self.d))
 
     def floor(self) -> int:
@@ -413,9 +420,18 @@ class QuadSurd(Frozen):
         return "(%s)/%d" % (core, self.w)
 
     def decimal(self, places: int = 6) -> str:
-        """Approximate decimal rendering for reports; display only."""
+        """The value rounded down to places decimals, for reports; display only.
+
+        places must be an int >= 0; at 0 the floor prints with no point.
+        """
+        if isinstance(places, bool) or not isinstance(places, int):
+            raise DomainError("decimal: places must be an integer, got %r" % (places,))
+        if places < 0:
+            raise DomainError("decimal: places must be >= 0, got %d" % places)
         scale = 10**places
         n = (self * scale).floor()
+        if places == 0:
+            return str(n)
         sign = "-" if n < 0 else ""
         q, r = divmod(abs(n), scale)
         return "%s%d.%0*d" % (sign, q, places, r)

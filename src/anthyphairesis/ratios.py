@@ -175,7 +175,7 @@ def ratio_eq(a: Magnitude, b: Magnitude, c: Magnitude, d: Magnitude) -> bool:
 
     Equal expansions are equal ratio values (see the module docstring),
     so the verdict compares the two normal forms and expands neither: it
-    takes no step budget and never raises IndeterminateError.
+    takes no step budget.
     """
     x = _ratio(a, b, "ratio_eq")
     return x == _ratio(c, d, "ratio_eq")
@@ -204,7 +204,7 @@ def mixed_ratio_eq(a: Magnitude, b: Magnitude, m: int, n: int) -> bool:
     expansion of a : b must coincide with the Euclidean expansion of
     m : n, which holds exactly when a : b is the rational u/w with
     u*n == m*w.  An irrational ratio never is.  As for ratio_eq, there
-    is no step budget, and the verdict never raises IndeterminateError.
+    is no step budget.
     """
     for k in (m, n):
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -393,8 +393,8 @@ def check_proposition(name: str, magnitudes: Sequence[Magnitude]) -> PropReport:
 
     Unknown names, wrong arity and wrong roles are caller errors; every
     value-level hypothesis failure is reported, not raised.  No verdict
-    takes a step or raises IndeterminateError, and the report holds
-    ratio values, not expansions, so there is no step budget.
+    takes a step, and the report holds ratio values, not expansions, so
+    there is no step budget.
     """
     if name not in PROPOSITIONS:
         raise DomainError(

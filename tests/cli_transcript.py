@@ -53,6 +53,9 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "ratio cross 0,1,1,2 1 2 0,1,1,2",
     "anth sqrt 1",
     "ratio eq 0,1,1,2 1 0,1,1,3 1",
+    "verify --suite all --trials 100",
+    "convergents --quotients 1,2,3 --max-steps 0",
+    "theodorus --max 3 --max-steps 1",
     # one argv of each cli_session form (bench/gen.py)
     "anth sqrt 895",
     "anth sqrt 4292 --json --trace",

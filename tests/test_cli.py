@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import sys
 import time
 
 import pytest
@@ -573,6 +574,90 @@ class TestTopLevel:
     def test_unknown_command_is_usage(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+class TestDigitLimit:
+    """Output integers past CPython's int-to-str digit limit (4300 by default).
+
+    main lifts the limit while a command runs and restores it after; an
+    input integer past it is still refused, parsing being quadratic.
+    """
+
+    @staticmethod
+    def _digits(n):
+        """str(n) past the digit limit, which the test lifts for itself."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    @staticmethod
+    def _limit():
+        return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    def test_a_form_past_the_limit_prints_exactly(self, capsys):
+        u = 10**2200 + 1
+        limit = self._limit()
+        code, out, err = run(capsys, "anth", "surd", str(u), "1", "1", "2")
+        assert (code, err) == (0, "")
+        assert self._limit() == limit
+        c = self._digits(u * u - 2)  # the minimal form's C, 4401 digits
+        assert len(c) == 4401 and "%s)\n" % c in out
+
+    def test_convergents_past_the_limit_print_exactly(self, capsys):
+        k = 10**100
+        limit = self._limit()
+        code, out, err = run(capsys, "convergents", "--quotients", ",".join([str(k)] * 45))
+        assert (code, err) == (0, "")
+        assert self._limit() == limit
+        p0, p1, q0, q1 = 0, 1, 1, k  # rows 0 and 1
+        for _ in range(44):
+            p0, p1, q0, q1 = p1, k * p1 + p0, q1, k * q1 + q0
+        last = out.splitlines()[-1].split()
+        assert len(self._digits(q1)) > 4400
+        assert last[:4] == ["45", str(k), self._digits(p1), self._digits(q1)]
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ratio", "eq", "{}", "1", "2", "3"),
+             "ratio: magnitude literal '{}' must be 'u,v,w,D', 'p/q' or an integer"),
+            (("ratio", "mixed", "1/{}", "1", "2", "3"),
+             "ratio: magnitude literal '1/{}' must be 'u,v,w,D', 'p/q' or an integer"),
+            (("convergents", "sqrt", "{}"), "convergents: N must be an integer"),
+            (("convergents", "--quotients", "1,{}"),
+             "convergents: --quotients must be comma separated integers"),
+        ],
+    )
+    def test_an_input_past_the_limit_is_refused(self, capsys, argv, message):
+        big = "1" * (sys.get_int_max_str_digits() + 1)
+        limit = self._limit()
+        code, out, err = run(capsys, *(a.format(big) for a in argv))
+        assert (code, out, err) == (1, "", "error: %s\n" % message.format(big))
+        assert self._limit() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_argparse_refuses_an_input_past_the_limit(self, capsys):
+        big = "1" * (sys.get_int_max_str_digits() + 1)
+        code, out, err = run(capsys, "anth", "sqrt", big)
+        assert (code, out) == (1, "") and "invalid int value" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_a_raised_limit_admits_a_longer_input_and_is_kept(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit + 100)
+        try:
+            big = "1" * (limit + 1)
+            code, out, err = run(capsys, "ratio", "eq", big, "1", "2", "3")
+            assert (code, err) == (0, "") and out.endswith("verdict    : unequal\n")
+            assert sys.get_int_max_str_digits() == limit + 100
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # -- fuzzing over a bounded argv grammar ---------------------------------------

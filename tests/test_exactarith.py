@@ -263,6 +263,19 @@ class TestOrdering:
         assert QuadSurd(1, 1, 2, 5).decimal() == "1.618033"
         assert QuadSurd(0, -1, 1, 2).decimal() == "-1.414214"
         assert QuadSurd(5, 0, 2).decimal(2) == "2.50"
+        assert QuadSurd(0, 1, 1, 2).decimal(1) == "1.4"
+
+    def test_decimal_at_zero_places_is_the_floor(self):
+        assert QuadSurd(0, 1, 1, 2).decimal(0) == "1"
+        assert QuadSurd(7, 0, 2).decimal(0) == "3"
+        assert QuadSurd(0, -1, 1, 2).decimal(0) == "-2"
+        assert QuadSurd(-7, 0, 2).decimal(0) == "-4"
+        assert QuadSurd(0).decimal(0) == "0"
+
+    @pytest.mark.parametrize("places", [-1, -6, True, False, 2.0, "6", None])
+    def test_decimal_refuses_places_that_are_not_an_int_at_least_0(self, places):
+        with pytest.raises(DomainError, match="decimal: places"):
+            QuadSurd(0, 1, 1, 2).decimal(places)
 
 
 class TestDisplay:

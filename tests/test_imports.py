@@ -89,24 +89,24 @@ def test_only_verify_loads_fractions():
 
 
 def test_rational_values_match_fraction_before_it_is_loaded():
-    # str, == and the hash of an integer need no Fraction; the hash of any
-    # other rational builds one, importing fractions on first use
+    # str, == and the hash of every rational need no Fraction: the hash
+    # follows Python's numeric-hash recipe on the reduced pair
     code = """
 import random, sys
 from anthyphairesis import QuadSurd, QuadraticForm, EXCESS
 
-M = sys.hash_info.modulus  # a denominator M has the infinite hash
+M = sys.hash_info.modulus  # a denominator M, or 2M, has the infinite hash
 rng = random.Random(2020)
-pairs = [(-7, 3), (0, 1), (0, 9), (12, 1), (-1, 1), (-2, 1), (M, 1), (-M, 1),
-         (5, M), (-5, M), (M + 1, M), (1, M * M), (2**64 + 1, 2**63)]
-pairs += [(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)) for _ in range(40)]
-pairs += [(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(40)]
+pairs = [(-7, 3), (0, 1), (0, 9), (12, 1), (-1, 1), (1, 1), (-2, 1), (M, 1), (-M, 1),
+         (5, M), (-5, M), (M + 1, M), (1, 2 * M), (-3, 2 * M), (1, M * M),
+         (2**64 + 1, 2**63)]
+pairs += [(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)) for _ in range(1000)]
+pairs += [(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(1000)]
 xs = [QuadSurd(p, 0, q) for p, q in pairs]
 strs = [str(x) for x in xs]
 eqs = [x == QuadSurd(3 * p, 0, 3 * q) and (q != 1 or x == p) for (p, q), x in zip(pairs, xs)]
-int_hashes = [hash(x) for x in xs if x.w == 1]
-unloaded = 'fractions' not in sys.modules
 hashes = [hash(x) for x in xs]
+unloaded = 'fractions' not in sys.modules
 from fractions import Fraction
 fs = [Fraction(p, q) for p, q in pairs]
 print((
@@ -114,7 +114,7 @@ print((
     all(eqs),
     strs == [str(f) for f in fs],
     hashes == [hash(f) for f in fs],
-    int_hashes == [hash(f) for f in fs if f.denominator == 1],
+    hashes == [hash(x) for x in xs],
     all(x == f and f == x and x == QuadSurd._coerce(f) for x, f in zip(xs, fs)),
     {type(x.as_fraction()) for x in xs} == {Fraction},
     [x.as_fraction() for x in xs] == fs,
@@ -148,3 +148,23 @@ def test_lazy_names_are_listed_and_load_on_first_read():
 def test_unknown_names_still_raise():
     with pytest.raises(AttributeError, match="no_such_name"):
         anthyphairesis.no_such_name
+
+
+def test_verify_checks_its_trials_before_loading_the_suites():
+    code = """
+import contextlib, io, sys
+from anthyphairesis import cli
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(["verify", "--trials", "0"])
+print((code, err.getvalue(), [m for m in %r if m in sys.modules]))
+""" % (("anthyphairesis.properties", "anthyphairesis.areas", "fractions"),)
+    assert _fresh(code) == (1, "error: verify: --trials must be >= 1\n", [])
+
+
+def test_indeterminate_error_is_not_exported():
+    # every verdict is decided and a truncated expansion is flagged, so no
+    # budget error is left to raise
+    with pytest.raises(AttributeError, match="IndeterminateError"):
+        anthyphairesis.IndeterminateError
+    assert "IndeterminateError" not in anthyphairesis.__all__
