@@ -618,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     # _negative_number_matcher is a private attribute of argparse, read when
     # an option is added and while parsing, so it is set after the last
     # add_argument.  The transcript's negative-literal entries fail if it
-    # stops working, and CI runs them on CPython 3.10 to 3.13
+    # stops working, and CI replays them on CPython 3.10 to 3.14
     for sp in (p_conv, p_eq, p_cross, p_mixed):
         sp._negative_number_matcher = _NEGATIVE_LITERAL
 

@@ -209,8 +209,7 @@ class ContinuedFraction(Frozen):
 
     def head(self, n: int) -> tuple[int, ...]:
         """First n quotients, unrolling the period as far as needed."""
-        if n < 0:
-            raise DomainError("head: n must be >= 0")
+        _budget(n, "head", "n")
         if n <= len(self.preperiod):
             return self.preperiod[:n]
         if self.period is None:
@@ -470,12 +469,15 @@ def defect_step(form: QuadraticForm) -> tuple[int, QuadraticForm]:
     return _checked_step(form, "defect_step", "designated root must exceed 1")
 
 
-def _budget(max_steps: int, caller: str) -> None:
-    """Reject a step budget that is not an integer >= 0; errors name caller."""
-    if isinstance(max_steps, bool) or not isinstance(max_steps, int):
-        raise DomainError("%s: max_steps must be an integer, got %r" % (caller, max_steps))
-    if max_steps < 0:
-        raise DomainError("%s: max_steps must be >= 0" % caller)
+def _budget(value: int, caller: str, name: str = "max_steps") -> None:
+    """Reject a step budget or count that is not an integer >= 0.
+
+    A bool is refused.  Errors name the caller and the argument.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError("%s: %s must be an integer, got %r" % (caller, name, value))
+    if value < 0:
+        raise DomainError("%s: %s must be >= 0" % (caller, name))
 
 
 def run_anthyphairesis(
@@ -632,11 +634,11 @@ def surd_cf(x: QuadSurd | Fraction | int, max_steps: int = 10_000) -> ContinuedF
 def convergents(quotients: Sequence[int], count: int) -> SideDiameter:
     """Convergent rows p[0..count], q[0..count] from the given quotients.
 
-    Needs quotients k0 .. k_{count-1}; raises if fewer are supplied.
+    Needs quotients k0 .. k_{count-1}; raises if fewer are supplied.  As
+    in ContinuedFraction, a quotient True counts as the int 1.
     """
+    _budget(count, "convergents", "count")
     qs = list(quotients)
-    if count < 0:
-        raise DomainError("convergents: count must be >= 0")
     if count > len(qs):
         raise DomainError(
             "convergents: %d quotients needed, only %d supplied" % (count, len(qs))
@@ -645,7 +647,7 @@ def convergents(quotients: Sequence[int], count: int) -> SideDiameter:
         if not isinstance(k, int) or k < 1:
             raise DomainError("convergents: quotients must be integers >= 1")
     p = [0, 1]
-    q = [1, qs[0] if count >= 1 else 1]
+    q = [1, int(qs[0]) if count >= 1 else 1]
     for i in range(2, count + 1):
         p.append(qs[i - 1] * p[-1] + p[-2])
         q.append(qs[i - 1] * q[-1] + q[-2])
@@ -665,10 +667,11 @@ def remainder(
     decreasing in n.  A nonpositive result means sd does not belong to
     this pair, which is reported as a domain error.
     """
+    _budget(n, "remainder", "n")
     av, bv = as_surd(a), as_surd(b)
     if not (av > bv and bv > 0):
         raise DomainError("remainder: requires a > b > 0")
-    if n < 0 or n >= len(sd.p):
+    if n >= len(sd.p):
         raise DomainError("remainder: index %d outside the convergent table" % n)
     e = bv * sd.q[n] - av * sd.p[n]
     if n % 2:

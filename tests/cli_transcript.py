@@ -1,4 +1,4 @@
-"""Record the CLI transcript that tests/test_cli_transcript.py checks.
+"""Record the CLI transcript that tests/test_cli_transcript.py checks, or replay it.
 
     PYTHONPATH=src python tests/cli_transcript.py
 
@@ -7,22 +7,37 @@ tests/cli_transcript.json with its exit code, stdout and stderr.  Run it
 only after an intended output change, and list each argv whose entry
 changed with the change that made it.
 
-The corpus: the README commands in text and --json, the commands the CI
-workflow runs on the installed entry point, one argv of each bench
-cli_session form, `verify --json --trials 3` for each suite at seeds 0
-and 1, every `ratio eq`, `mixed` and `cross` case (rational and
-irrational ratios, above and below 1, equal and unequal, distinct
-fields), literals that start with '-', and the budget and input errors
-the program reports itself.
+    python tests/cli_transcript.py --check anthyph
+    PYTHONPATH=src python tests/cli_transcript.py --check "python -m anthyphairesis.cli"
+
+runs every recorded entry as a process of the given command, split as a
+shell would, followed by the entry's argv, and compares its exit code,
+stdout and stderr with the recorded ones.  For each entry that differs it
+prints the argv and the field, with both exit codes or with the first
+differing line as recorded and as run.  It exits 1 if any entry differs,
+else 0.  Against the installed `anthyph` this also checks what the
+in-process test cannot see: the console-script wrapper, the process exit
+code and the installed package.  This mode imports nothing of the package.
+
+The corpus: the README commands in text and --json, one argv of each
+bench cli_session form, `verify --json --trials 3` for each suite at
+seeds 0 and 1, `verify` of every suite, every `ratio eq`, `mixed` and
+`cross` case (rational and irrational ratios, above and below 1, equal
+and unequal, distinct fields), literals that start with '-', and the
+budget and input errors the program reports itself.
 Usage errors that argparse reports are left out: their wording and line
 wrapping depend on the Python version and on the terminal width.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,7 +59,7 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "ratio eq 0,1,1,2 1 2 0,1,1,2 --json",
     "verify --suite areas --trials 50",
     "verify --suite areas --trials 50 --json",
-    # CI entry-point commands
+    # checks of the installed entry point
     "--version",
     "anth sqrt 2 --json",
     "verify --suite areas --trials 1",
@@ -170,7 +185,50 @@ def run(argv) -> dict:
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def main() -> int:
+def _first_difference(recorded: str, ran: str) -> str:
+    """Number, recorded text and run text of the first line where two outputs differ.
+
+    Lines keep their ends, so '' stands only for a line past the end.
+    """
+    lines = itertools.zip_longest(recorded.splitlines(True), ran.splitlines(True), fillvalue="")
+    i, (x, y) = next((i, pair) for i, pair in enumerate(lines, 1) if pair[0] != pair[1])
+    return "line %d %r -> %r" % (i, x, y)
+
+
+def replay(cmd: list[str], entries: list[dict], env: dict | None = None) -> list[str]:
+    """A line for each field of each entry that running cmd + argv does not reproduce."""
+    report = []
+    for entry in entries:
+        proc = subprocess.run(
+            cmd + entry["argv"], capture_output=True, env=env, timeout=600
+        )
+        name = " ".join(entry["argv"])
+        if proc.returncode != entry["exit"]:
+            report.append("%s exit %d -> %d" % (name, entry["exit"], proc.returncode))
+        for field, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+            ran = data.decode("utf-8", "replace")
+            if ran != entry[field]:
+                where = _first_difference(entry[field], ran)
+                report.append("%s %s %s" % (name, field, where))
+    return report
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Record the CLI transcript or replay it.")
+    parser.add_argument(
+        "--check", metavar="CMD",
+        help="replay the recorded entries through this command instead of recording",
+    )
+    args = parser.parse_args(argv)
+    if args.check is not None:
+        entries = json.loads(PATH.read_text())
+        report = replay(shlex.split(args.check), entries)
+        for line in report:
+            print(line, file=sys.stderr)
+        if report:
+            return 1
+        print("%d entries match" % len(entries), file=sys.stderr)
+        return 0
     entries = [run(argv) for argv in ARGVS]
     PATH.write_text(json.dumps(entries, indent=1) + "\n")
     print("wrote %d entries to %s" % (len(entries), PATH), file=sys.stderr)

@@ -177,6 +177,13 @@ class TestContinuedFraction:
         assert fin.head(2) == (3, 2)
         with pytest.raises(DomainError):
             fin.head(4)
+        with pytest.raises(DomainError, match="^head: n must be >= 0$"):
+            cf.head(-1)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_head_takes_only_an_int(self, n):
+        with pytest.raises(DomainError, match="^head: n must be an integer, got "):
+            ContinuedFraction((1, 2), (3,)).head(n)
 
     def test_truncated_equality_is_never_true(self):
         t = ContinuedFraction((1, 2), None, truncated=True)
@@ -1026,6 +1033,16 @@ class TestConvergents:
         sd = convergents((), 0)
         assert sd.p == (0,) and sd.q == (1,)
 
+    def test_a_true_quotient_is_stored_as_an_int(self):
+        sd = convergents([True, 2], 2)
+        assert (sd.p, sd.q) == ((0, 1, 2), (1, 1, 3))
+        assert all(type(k) is int for k in sd.p + sd.q)
+
+    @pytest.mark.parametrize("count", [2.0, True, "2", None])
+    def test_count_takes_only_an_int(self, count):
+        with pytest.raises(DomainError, match="^convergents: count must be an integer, got "):
+            convergents([1, 2, 3], count)
+
     def test_needs_enough_quotients(self):
         with pytest.raises(DomainError):
             convergents((1, 2), 3)
@@ -1049,12 +1066,20 @@ class TestConvergents:
         sd = convergents((1, 2, 2), 3)
         with pytest.raises(DomainError):
             remainder(4, QuadSurd(0, 1, 1, 2), 1, sd)
+        with pytest.raises(DomainError, match="^remainder: n must be >= 0$"):
+            remainder(-1, QuadSurd(0, 1, 1, 2), 1, sd)
         with pytest.raises(DomainError):
             remainder(1, 1, QuadSurd(0, 1, 1, 2), sd)  # needs a > b
         # convergents of the wrong expansion produce a nonpositive remainder
         wrong = convergents((3, 3, 3), 3)
         with pytest.raises(DomainError):
             remainder(1, QuadSurd(0, 1, 1, 2), 1, wrong)
+
+    @pytest.mark.parametrize("n", [1.0, True, "1", None])
+    def test_remainder_takes_only_an_int(self, n):
+        sd = convergents((1, 2, 2), 3)
+        with pytest.raises(DomainError, match="^remainder: n must be an integer, got "):
+            remainder(n, QuadSurd(0, 1, 1, 2), 1, sd)
 
 
 class TestPeriodToForm:
