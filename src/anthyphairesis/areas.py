@@ -1,20 +1,20 @@
 """Rectangle-and-square identities and the two area application problems.
 
-Everything here is stated over exact rationals for the given segments;
-the constructed segments themselves may be quadratic surds.  Each check
-returns a report carrying both sides of the identity so a caller can
-display the arithmetic, not just a verdict.
+Segments are positive rationals, each an int, a Fraction or a rational
+QuadSurd, read once into a QuadSurd; the constructed segments may be
+quadratic surds.  Each check returns a report carrying both sides of
+the identity so a caller can display the arithmetic, not just a verdict.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._value import Frozen
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, as_surd, rational_sqrt
+from .exactarith import QuadSurd, _rational, rational_sqrt
 
-RationalLike = Fraction | int
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: fractions is not imported at run time
+    from fractions import Fraction
 
 
 class AreaIdentityReport(Frozen):
@@ -29,89 +29,91 @@ class AreaIdentityReport(Frozen):
         object.__setattr__(self, "holds", holds)
 
 
-def _positive_fraction(name: str, x: RationalLike) -> Fraction:
-    fr = Fraction(x)
-    if fr <= 0:
+def _segment(name: str, x: QuadSurd | Fraction | int) -> QuadSurd:
+    r = _rational(x, name)
+    if r.u <= 0:
         raise DomainError("%s: segment lengths must be positive" % name)
-    return fr
+    return r
 
 
-def check_ii4(a: RationalLike, b: RationalLike) -> AreaIdentityReport:
+def check_ii4(a: QuadSurd | Fraction | int, b: QuadSurd | Fraction | int) -> AreaIdentityReport:
     """Square on a whole line: (a + b)^2 = a^2 + b*(b + 2*a)."""
-    a = _positive_fraction("check_ii4", a)
-    b = _positive_fraction("check_ii4", b)
-    lhs = (a + b) ** 2
+    a = _segment("check_ii4", a)
+    b = _segment("check_ii4", b)
+    lhs = (a + b) * (a + b)
     rhs = a * a + b * (b + 2 * a)
-    return AreaIdentityReport("square_of_sum", as_surd(lhs), as_surd(rhs), lhs == rhs)
+    return AreaIdentityReport("square_of_sum", lhs, rhs, lhs == rhs)
 
 
-def check_ii5(a: RationalLike, x: RationalLike) -> AreaIdentityReport:
+def check_ii5(a: QuadSurd | Fraction | int, x: QuadSurd | Fraction | int) -> AreaIdentityReport:
     """Gnomon at an interior cut: (a/2)^2 - (a/2 - x)^2 = x*(a - x).
 
     Needs 0 < x < a/2 so that both squares are on honest segments.
     """
-    a = _positive_fraction("check_ii5", a)
-    x = _positive_fraction("check_ii5", x)
-    if not x < a / 2:
+    a = _segment("check_ii5", a)
+    x = _segment("check_ii5", x)
+    half = a / 2
+    if not x < half:
         raise DomainError("check_ii5: requires 0 < x < a/2")
-    lhs = (a / 2) ** 2 - (a / 2 - x) ** 2
+    lhs = half * half - (half - x) * (half - x)
     rhs = x * (a - x)
-    return AreaIdentityReport("gnomon_within", as_surd(lhs), as_surd(rhs), lhs == rhs)
+    return AreaIdentityReport("gnomon_within", lhs, rhs, lhs == rhs)
 
 
-def check_ii6(a: RationalLike, x: RationalLike) -> AreaIdentityReport:
+def check_ii6(a: QuadSurd | Fraction | int, x: QuadSurd | Fraction | int) -> AreaIdentityReport:
     """Gnomon at an exterior extension: (a/2 + x)^2 = (a/2)^2 + x*(a + x)."""
-    a = _positive_fraction("check_ii6", a)
-    x = _positive_fraction("check_ii6", x)
-    lhs = (a / 2 + x) ** 2
-    rhs = (a / 2) ** 2 + x * (a + x)
-    return AreaIdentityReport("gnomon_beyond", as_surd(lhs), as_surd(rhs), lhs == rhs)
+    a = _segment("check_ii6", a)
+    x = _segment("check_ii6", x)
+    half = a / 2
+    lhs = (half + x) * (half + x)
+    rhs = half * half + x * (a + x)
+    return AreaIdentityReport("gnomon_beyond", lhs, rhs, lhs == rhs)
 
 
-def apply_in_defect(a: RationalLike, m: RationalLike) -> QuadSurd:
+def apply_in_defect(a: QuadSurd | Fraction | int, m: QuadSurd | Fraction | int) -> QuadSurd:
     """Cut x of the line a with x*(a - x) = m^2, taking the smaller cut.
 
     Solvable exactly when m <= a/2; the boundary m = a/2 gives the
     rational midpoint, otherwise x = a/2 - sqrt((a/2)^2 - m^2).
     """
-    a = _positive_fraction("apply_in_defect", a)
-    m = _positive_fraction("apply_in_defect", m)
+    a = _segment("apply_in_defect", a)
+    m = _segment("apply_in_defect", m)
     half = a / 2
     if m > half:
         raise DomainError(
             "apply_in_defect: no real cut, needs m <= a/2 (m=%s, a/2=%s)" % (m, half)
         )
-    x = as_surd(half) - rational_sqrt(half * half - m * m)
-    if x * (as_surd(a) - x) != as_surd(m * m):
+    x = half - rational_sqrt(half * half - m * m)
+    if x * (a - x) != m * m:
         raise InternalInvariantError("apply_in_defect: defining product failed")
     return x
 
 
-def apply_in_excess(a: RationalLike, m: RationalLike) -> QuadSurd:
+def apply_in_excess(a: QuadSurd | Fraction | int, m: QuadSurd | Fraction | int) -> QuadSurd:
     """Extension x of the line a with x*(a + x) = m^2.
 
     Always solvable: x = sqrt(m^2 + (a/2)^2) - a/2, the positive root.
     """
-    a = _positive_fraction("apply_in_excess", a)
-    m = _positive_fraction("apply_in_excess", m)
+    a = _segment("apply_in_excess", a)
+    m = _segment("apply_in_excess", m)
     half = a / 2
-    x = rational_sqrt(m * m + half * half) - as_surd(half)
-    if x * (as_surd(a) + x) != as_surd(m * m):
+    x = rational_sqrt(m * m + half * half) - half
+    if x * (a + x) != m * m:
         raise InternalInvariantError("apply_in_excess: defining product failed")
     return x
 
 
-def mean_proportional(x: RationalLike, a: RationalLike) -> QuadSurd:
+def mean_proportional(x: QuadSurd | Fraction | int, a: QuadSurd | Fraction | int) -> QuadSurd:
     """Side m of the square equal to the rectangle x by (a - x).
 
     Requires 0 < x < a; then m = sqrt(x*(a - x)) and x solves the
     defect application problem for this m.
     """
-    x = _positive_fraction("mean_proportional", x)
-    a = _positive_fraction("mean_proportional", a)
+    x = _segment("mean_proportional", x)
+    a = _segment("mean_proportional", a)
     if not x < a:
         raise DomainError("mean_proportional: requires 0 < x < a")
     m = rational_sqrt(x * (a - x))
-    if m * m != as_surd(x * (a - x)):
+    if m * m != x * (a - x):
         raise InternalInvariantError("mean_proportional: square does not match rectangle")
     return m

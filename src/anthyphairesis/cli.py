@@ -27,7 +27,7 @@ from .engine import (
     _triple,
 )
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, as_surd, isqrt
+from .exactarith import QuadSurd, as_surd
 from .ratios import (
     Magnitude,
     anth_of_ratio,
@@ -156,16 +156,12 @@ def _surd_display(x: QuadSurd) -> str:
 
 
 def _root_text(form: QuadraticForm) -> str:
-    a, b, _, s = _triple(form)
-    disc = form.disc
-    j = isqrt(disc)
-    if j * j == disc:  # a rational root, printed from ints as a Fraction prints
-        return str(QuadSurd(b + s * j, 0, 2 * a))
     try:
         return _surd_display(form.root())
     except DomainError:  # disc is past the factoring budget: show sqrt(disc) unsplit
         # sign and floor, hence the decimal, need only a non-square radicand
-        return _surd_display(QuadSurd._in_field(b, s, 2 * a, disc))
+        a, b, _, s = _triple(form)
+        return _surd_display(QuadSurd._in_field(b, s, 2 * a, form.disc))
 
 
 # -- anth ---------------------------------------------------------------------

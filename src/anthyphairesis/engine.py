@@ -60,10 +60,11 @@ holds by a test or by proof, and skip the public checks.
 from __future__ import annotations
 
 import math
+from math import isqrt  # every caller here passes an int
 
 from ._value import Frozen, _rebuild, _set
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, _fraction, _is_fraction, as_surd, isqrt
+from .exactarith import QuadSurd, _is_fraction, _require_int, as_surd, is_perfect_square
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: neither module is imported at run time
@@ -128,18 +129,19 @@ class QuadraticForm(Frozen):
         return _disc(a, b, c)
 
     def root(self) -> QuadSurd:
-        """The designated root, as an exact value."""
-        a, b, _, s = _triple(self)
-        return QuadSurd(b, s, 2 * a, self.disc)
-
-    def root_fraction(self) -> Fraction:
-        """The designated root when the discriminant is a perfect square."""
+        """The designated root, as an exact value; a rational one factors nothing."""
         a, b, c, s = _triple(self)
         disc = _disc(a, b, c)
         j = isqrt(disc)
-        if j * j != disc:
-            raise DomainError("root_fraction: discriminant %d is not a square" % disc)
-        return _fraction()(b + s * j, 2 * a)
+        if j * j == disc:
+            return QuadSurd._in_field(b + s * j, 0, 2 * a, 1)
+        return QuadSurd(b, s, 2 * a, disc)
+
+    def root_fraction(self) -> Fraction:
+        """The designated root when the discriminant is a perfect square."""
+        if not is_perfect_square(self.disc):
+            raise DomainError("root_fraction: discriminant %d is not a square" % self.disc)
+        return self.root().as_fraction()
 
     @property
     def is_expandable(self) -> bool:
@@ -474,8 +476,7 @@ def _budget(value: int, caller: str, name: str = "max_steps") -> None:
 
     A bool is refused.  Errors name the caller and the argument.
     """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError("%s: %s must be an integer, got %r" % (caller, name, value))
+    _require_int(value, caller, name)
     if value < 0:
         raise DomainError("%s: %s must be >= 0" % (caller, name))
 
@@ -714,6 +715,7 @@ def state_space_size(disc: int) -> int:
     within state_space_size(disc) + 1 excess steps.  Each term counts
     the divisors A of m = (disc - B^2) / 4 in pairs up to sqrt(m).
     """
+    _require_int(disc, "state_space_size", "discriminant")
     if disc < 1:
         raise DomainError("state_space_size: discriminant must be >= 1")
     count = 0

@@ -6,18 +6,18 @@ case.  Nothing in this module touches floating point: signs, floors and
 comparisons are decided by integer case analysis only, so results stay
 exact no matter how large the components grow.
 
-Rationals stay integer pairs: ``__str__``, ``__hash__``, ``rational_sqrt``
-and the expansions of rational values read ``u`` and ``w`` and build no
-Fraction, so importing the package loads neither ``fractions`` nor the
-``decimal`` and ``numbers`` modules it pulls in.  The hash follows
-Python's documented numeric-hash recipe, so a rational value hashes as
-the equal int or Fraction without one.  A Fraction is still
-accepted wherever an int is, and is recognized without an import: none
-can exist before ``fractions`` is loaded, so ``_is_fraction`` looks the
-class up in ``sys.modules`` and, once it is there, binds it for every
-later test.  Only ``as_fraction`` and ``engine.QuadraticForm.root_fraction``
-build a Fraction; each imports the module on first use, through
-``_fraction``.
+Every rational the library computes is such an integer pair, in every
+layer: ``__str__``, ``__hash__``, ``rational_sqrt``, the area
+constructions and the verify suites read ``u`` and ``w`` and build no
+Fraction, so no command loads ``fractions``, nor the ``decimal`` and
+``numbers`` modules it pulls in.  The hash follows Python's documented
+numeric-hash recipe, so a rational value hashes as the equal int or
+Fraction without one.  A Fraction is accepted as input wherever an int
+is, and is recognized without an import: none can exist before
+``fractions`` is loaded, so ``_is_fraction`` looks the class up in
+``sys.modules`` and, once it is there, binds it for every later test.
+Only ``as_fraction`` and ``engine.QuadraticForm.root_fraction`` build a
+Fraction; each imports the module on first use, through ``_fraction``.
 """
 
 from __future__ import annotations
@@ -60,15 +60,23 @@ def _fraction() -> type[Fraction]:
     return _fraction_types[0]
 
 
+def _require_int(x: object, caller: str, name: str = "argument") -> None:
+    """Refuse a bool or a non-int with a DomainError naming caller and name."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError("%s: %s must be an integer, got %r" % (caller, name, x))
+
+
 def isqrt(n: int) -> int:
-    """Largest s >= 0 with s*s <= n.  Rejects negative input."""
+    """Largest s >= 0 with s*s <= n.  Rejects negative input and non-ints."""
+    _require_int(n, "isqrt")
     if n < 0:
         raise DomainError("isqrt: argument must be >= 0, got %d" % n)
     return math.isqrt(n)
 
 
 def is_perfect_square(n: int) -> bool:
-    """True when n is the square of an integer (0 counts)."""
+    """True when n is the square of an integer (0 counts).  Rejects non-ints."""
+    _require_int(n, "is_perfect_square")
     if n < 0:
         return False
     s = math.isqrt(n)
@@ -95,6 +103,7 @@ def square_free_split(n: int) -> tuple[int, int]:
     _TRIAL_DIVISION_LIMIT: a radicand whose remaining cofactor is still
     at least the cube of the next divisor there raises DomainError.
     """
+    _require_int(n, "square_free_split")
     if n < 1:
         raise DomainError("square_free_split: argument must be >= 1, got %d" % n)
     radicand = n
@@ -252,8 +261,7 @@ class QuadSurd(Frozen):
             if isinstance(x, bool):
                 return NotImplemented  # type: ignore[return-value]
             return QuadSurd._in_field(x, 0, 1, 1)
-        # the bound class first: verify coerces a Fraction on every op
-        if isinstance(x, _fraction_types) or _is_fraction(x):
+        if _is_fraction(x):
             return QuadSurd._in_field(x.numerator, 0, x.denominator, 1)
         return NotImplemented  # type: ignore[return-value]
 
@@ -393,7 +401,7 @@ class QuadSurd(Frozen):
         """
         if self.v == 0:
             return self.u // self.w
-        r = isqrt(self.v * self.v * self.d)
+        r = math.isqrt(self.v * self.v * self.d)
         if self.v > 0:
             return (self.u + r) // self.w
         return (self.u - r - 1) // self.w
@@ -424,8 +432,7 @@ class QuadSurd(Frozen):
 
         places must be an int >= 0; at 0 the floor prints with no point.
         """
-        if isinstance(places, bool) or not isinstance(places, int):
-            raise DomainError("decimal: places must be an integer, got %r" % (places,))
+        _require_int(places, "decimal", "places")
         if places < 0:
             raise DomainError("decimal: places must be >= 0, got %d" % places)
         scale = 10**places
@@ -471,16 +478,19 @@ def as_surd(x: QuadSurd | Fraction | int) -> QuadSurd:
     return out
 
 
-def rational_sqrt(x: Fraction | int) -> QuadSurd:
-    """Exact square root of a nonnegative int or Fraction, as a QuadSurd."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        p, q = x, 1
-    elif _is_fraction(x):
-        p, q = x.numerator, x.denominator
-    else:
-        raise DomainError(
-            "rational_sqrt: argument must be an int or a Fraction, got %r" % (x,)
-        )
+def _rational(x: QuadSurd | Fraction | int, caller: str) -> QuadSurd:
+    """x as a rational QuadSurd; anything else is a DomainError naming caller."""
+    r = QuadSurd._coerce(x)
+    if r is NotImplemented or r.v:
+        raise DomainError("%s: argument must be an int, a Fraction or a rational "
+                          "QuadSurd, got %r" % (caller, x))
+    return r
+
+
+def rational_sqrt(x: QuadSurd | Fraction | int) -> QuadSurd:
+    """Exact square root of a nonnegative int, Fraction or rational QuadSurd."""
+    r = _rational(x, "rational_sqrt")
+    p, q = r.u, r.w
     if p < 0:
         raise DomainError("rational_sqrt: argument must be >= 0, got %s" % x)
     if p == 0:

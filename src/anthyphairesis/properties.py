@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from fractions import Fraction
 
 from . import areas as ar
 from ._value import Record
@@ -33,7 +32,7 @@ from .engine import (
     surd_cf,
 )
 from .errors import DomainError
-from .exactarith import QuadSurd, as_surd, is_perfect_square
+from .exactarith import QuadSurd, _require_int, is_perfect_square
 from .ratios import (
     AREA,
     PROPOSITIONS,
@@ -101,7 +100,7 @@ def _small_ratio(rng: random.Random, d: int) -> QuadSurd:
     period lengths testable.
     """
     if rng.random() < 0.2:
-        return as_surd(Fraction(rng.randint(2, 9), rng.randint(1, 4)) + 1)
+        return QuadSurd(rng.randint(2, 9), 0, rng.randint(1, 4)) + 1
     u = rng.randint(0, 3)
     w = rng.randint(1, 2)
     x = QuadSurd(u, 1, w, d)
@@ -113,7 +112,7 @@ def _small_ratio(rng: random.Random, d: int) -> QuadSurd:
 def _scalar(rng: random.Random, d: int) -> QuadSurd:
     """Positive scaling factor: a small rational or a small surd."""
     if rng.random() < 0.7:
-        return as_surd(Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        return QuadSurd(rng.randint(1, 4), 0, rng.randint(1, 4))
     return _small_surd(rng, d)
 
 
@@ -266,9 +265,9 @@ def _prop_pell_identity(rng: random.Random) -> str:
 def _prop_rational_fallback(rng: random.Random) -> str:
     form = _random_square_disc_excess(rng)
     cf, _ = run_anthyphairesis(form)
-    fr = form.root_fraction()
+    root = form.root()
     assert cf.is_finite, "square discriminant must give a finite expansion"
-    assert cf == euclid_cf(fr.numerator, fr.denominator), "fallback mismatch"
+    assert cf == euclid_cf(root.u, root.w), "fallback mismatch"
     return PASS
 
 
@@ -322,12 +321,12 @@ def _prop_mixed_ratio(rng: random.Random) -> str:
     d = rng.choice(_FIELDS)
     b = _small_surd(rng, d)
     m, n = rng.randint(1, 30), rng.randint(1, 30)
-    a = b * Fraction(m, n)
+    a = b * m / n
     assert mixed_ratio_eq(line(a), line(b), m, n), (
         "ratio %d:%d was not recognized against its own multiples" % (m, n)
     )
     other_m, other_n = rng.randint(1, 30), rng.randint(1, 30)
-    want = Fraction(other_m, other_n) == Fraction(m, n)
+    want = other_m * n == m * other_n
     got = mixed_ratio_eq(line(a), line(b), other_m, other_n)
     assert got == want, "mixed proportion verdict disagrees with the fractions"
     return PASS
@@ -390,7 +389,7 @@ def _constructive_inputs(name: str, rng: random.Random) -> list[Magnitude]:
         # a/b = e/f = x and b/c = d/e = y
         values = [c * y * x, c * y, c, e * y, e, e / x]
     elif base == "separando_pairs":
-        small = b * Fraction(1, rng.randint(2, 4))
+        small = b / rng.randint(2, 4)
         values = [b * x, b, small * x, small]
     elif base == "minus_unit":
         big = x + 2  # ratio beyond 2 keeps a - b > b
@@ -423,8 +422,8 @@ def _make_checker_property(name: str) -> Callable[[random.Random], str]:
 # -- areas suite -------------------------------------------------------------
 
 
-def _rat(rng: random.Random, hi: int = 30) -> Fraction:
-    return Fraction(rng.randint(1, hi), rng.randint(1, hi))
+def _rat(rng: random.Random, hi: int = 30) -> QuadSurd:
+    return QuadSurd(rng.randint(1, hi), 0, rng.randint(1, hi))
 
 
 def _prop_square_of_sum(rng: random.Random) -> str:
@@ -435,7 +434,7 @@ def _prop_square_of_sum(rng: random.Random) -> str:
 
 def _prop_gnomon_within(rng: random.Random) -> str:
     a = _rat(rng)
-    x = a * Fraction(1, rng.randint(3, 9))
+    x = a / rng.randint(3, 9)
     if not x < a / 2:
         return VACUOUS
     rep = ar.check_ii5(a, x)
@@ -451,34 +450,34 @@ def _prop_gnomon_beyond(rng: random.Random) -> str:
 
 def _prop_defect_application(rng: random.Random) -> str:
     a = _rat(rng)
-    m = (a / 2) * Fraction(rng.randint(1, 4), 4)
+    m = a * rng.randint(1, 4) / 8
     x = ar.apply_in_defect(a, m)
-    assert x * (as_surd(a) - x) == as_surd(m * m), "defect product mismatch"
+    assert x * (a - x) == m * m, "defect product mismatch"
     assert x > 0, "defect cut not positive"
-    assert not x > as_surd(a / 2), "defect cut is not the smaller one"
+    assert not x > a / 2, "defect cut is not the smaller one"
     return PASS
 
 
 def _prop_excess_application(rng: random.Random) -> str:
     a, m = _rat(rng), _rat(rng)
     x = ar.apply_in_excess(a, m)
-    assert x * (as_surd(a) + x) == as_surd(m * m), "excess product mismatch"
+    assert x * (a + x) == m * m, "excess product mismatch"
     assert x > 0, "excess extension not positive"
     return PASS
 
 
 def _prop_mean_proportional_roundtrip(rng: random.Random) -> str:
     a = _rat(rng)
-    x = a * Fraction(rng.randint(1, 7), 8)
+    x = a * rng.randint(1, 7) / 8
     if not x < a:
         return VACUOUS
     m = ar.mean_proportional(x, a)
-    if m * m != as_surd(x * (a - x)):
+    if m * m != x * (a - x):
         raise AssertionError("mean proportional square mismatch")
     small = x if x <= a - x else a - x
     if m.is_rational:
-        got = ar.apply_in_defect(a, m.as_fraction())
-        assert got == as_surd(small), "defect application did not recover the cut"
+        got = ar.apply_in_defect(a, m)
+        assert got == small, "defect application did not recover the cut"
     return PASS
 
 
@@ -500,9 +499,9 @@ def _prop_distributivity(rng: random.Random) -> str:
 def _prop_pythagorean_construction(rng: random.Random) -> str:
     a, m = _rat(rng), _rat(rng)
     x = ar.apply_in_excess(a, m)
-    half = as_surd(a / 2)
+    half = a / 2
     hyp = x + half  # hypotenuse of the right triangle with legs m, a/2
-    assert hyp * hyp == as_surd(m * m) + half * half, "hypotenuse square mismatch"
+    assert hyp * hyp == m * m + half * half, "hypotenuse square mismatch"
     return PASS
 
 
@@ -550,6 +549,8 @@ SUITES: dict[str, list[tuple[str, Callable[[random.Random], str]]]] = {
 def run_property(
     suite: str, name: str, fn: Callable[[random.Random], str], trials: int, seed: int
 ) -> PropertyResult:
+    _require_int(trials, "run_property", "trials")
+    _require_int(seed, "run_property", "seed")
     result = PropertyResult(suite, name, trials, 0, 0, 0)
     for i in range(trials):
         rng = random.Random("%d:%s:%s:%d" % (seed, suite, name, i))
@@ -578,6 +579,8 @@ def run_suite(suite: str, trials: int, seed: int) -> list[PropertyResult]:
         raise DomainError(
             "run_suite: unknown suite %r (known: %s)" % (suite, ", ".join(sorted(SUITES)))
         )
+    _require_int(trials, "run_suite", "trials")
+    _require_int(seed, "run_suite", "seed")
     if trials < 1:
         raise DomainError("run_suite: trials must be >= 1")
     return [run_property(suite, name, fn, trials, seed) for name, fn in SUITES[suite]]

@@ -36,7 +36,7 @@ from .engine import (
     _budget,
 )
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, as_surd, is_perfect_square, isqrt
+from .exactarith import QuadSurd, _require_int, as_surd, is_perfect_square, isqrt
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: neither module is imported at run time
@@ -220,6 +220,8 @@ def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
     square numerator and denominator, equivalently when A*C is a
     perfect square; both routes are computed and must agree.
     """
+    _require_int(a_coeff, "commensurable_pure", "a_coeff")
+    _require_int(c_coeff, "commensurable_pure", "c_coeff")
     if a_coeff < 1 or c_coeff < 1:
         raise DomainError("commensurable_pure: coefficients must be >= 1")
     g = math.gcd(a_coeff, c_coeff)
@@ -236,6 +238,8 @@ def square_ratio_witness(c_coeff: int, a_coeff: int) -> tuple[int, int] | None:
     None certifies incommensurability of the tied pair: it happens
     exactly when A*C is not a perfect square.
     """
+    _require_int(c_coeff, "square_ratio_witness", "c_coeff")
+    _require_int(a_coeff, "square_ratio_witness", "a_coeff")
     if a_coeff < 1 or c_coeff < 1:
         raise DomainError("square_ratio_witness: coefficients must be >= 1")
     g = math.gcd(c_coeff, a_coeff)

@@ -67,6 +67,34 @@ class TestIdentityChecks:
         assert check_ii5(a, a / k).holds
 
 
+_ALL = (check_ii4, check_ii5, check_ii6, apply_in_defect, apply_in_excess, mean_proportional)
+
+
+class TestSegments:
+    def test_a_rational_quadsurd_is_a_segment(self):
+        assert check_ii4(QuadSurd(1, 0, 2), QuadSurd(3)).lhs == Fraction(49, 4)
+        assert check_ii5(QuadSurd(7, 0, 3), Fraction(1, 3)).holds
+        assert check_ii6(7, QuadSurd(9, 0, 2)).holds
+        assert apply_in_defect(QuadSurd(10), QuadSurd(4)) == 2
+        assert apply_in_excess(QuadSurd(3), 2) == 1
+        assert mean_proportional(QuadSurd(1), Fraction(4)) == QuadSurd(0, 1, 1, 3)
+        assert apply_in_defect(4, mean_proportional(2, 4)) == 2
+
+    def test_defect_application_takes_the_mean_proportional_itself(self):
+        assert apply_in_defect(5, mean_proportional(4, 5)) == 1
+
+    @pytest.mark.parametrize("fn", _ALL)
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True, QuadSurd(0, 1, 1, 2)])
+    def test_anything_else_is_refused_naming_the_function(self, fn, bad):
+        msg = "%s: argument must be an int, a Fraction or a rational QuadSurd, got %r" % (
+            fn.__name__, bad,
+        )
+        for args in ((bad, 8), (8, bad)):
+            with pytest.raises(DomainError) as info:
+                fn(*args)
+            assert str(info.value) == msg
+
+
 class TestApplications:
     def test_defect_golden_rational(self):
         assert apply_in_defect(10, 4) == 2

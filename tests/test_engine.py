@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anthyphairesis
-from anthyphairesis import engine
+from anthyphairesis import engine, exactarith
 from anthyphairesis import (
     DEFECT,
     EXCESS,
@@ -76,6 +76,22 @@ class TestQuadraticForm:
         assert QuadraticForm(EXCESS, 2, 3, 2).root_fraction() == 2
         with pytest.raises(DomainError):
             QuadraticForm(EXCESS, 1, 0, 2).root_fraction()
+
+    def test_a_square_discriminant_root_factors_nothing(self, monkeypatch):
+        # past the split budget, yet a square: its root is read off isqrt
+        splits = []
+        real = exactarith.square_free_split
+        monkeypatch.setattr(
+            exactarith, "square_free_split", lambda n: splits.append(n) or real(n)
+        )
+        r = 10**12 + 39
+        form = QuadraticForm(EXCESS, 1, 0, r * r)
+        assert form.root() == r and form.root().is_rational
+        assert form.root_fraction() == r and type(form.root_fraction()) is Fraction
+        huge = QuadraticForm(EXCESS, 1, 0, r * (10**12 + 61))  # not a square
+        with pytest.raises(DomainError, match="is not a square"):
+            huge.root_fraction()
+        assert splits == []
 
     def test_expandability(self):
         assert QuadraticForm(EXCESS, 1, 0, 2).is_expandable
@@ -1130,6 +1146,12 @@ class TestStateSpace:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             state_space_size(0)
+
+    @pytest.mark.parametrize("disc", [8.0, True, "8"])
+    def test_takes_only_an_int(self, disc):
+        msg = "state_space_size: discriminant must be an integer, got %r" % (disc,)
+        with pytest.raises(DomainError, match="^%s$" % re.escape(msg)):
+            state_space_size(disc)
 
 
 class TestMinimalForm:

@@ -155,10 +155,32 @@ class TestIntegerHelpers:
         with pytest.raises(DomainError):
             rational_sqrt(Fraction(-1, 2))
 
+    def test_rational_sqrt_takes_a_rational_quadsurd(self):
+        assert rational_sqrt(QuadSurd(4, 0, 9)) == QuadSurd(2, 0, 3)
+        assert rational_sqrt(QuadSurd(1, 0, 2)) == QuadSurd(0, 1, 2, 2)
+        msg = (
+            "rational_sqrt: argument must be an int, a Fraction or a rational "
+            "QuadSurd, got QuadSurd(u=0, v=1, w=1, d=2)"
+        )
+        with pytest.raises(DomainError, match="^%s$" % re.escape(msg)):
+            rational_sqrt(QuadSurd(0, 1, 1, 2))
+
+    @pytest.mark.parametrize(
+        "fn, x", [(f, x) for f in (isqrt, is_perfect_square, square_free_split)
+                  for x in (2.0, 12.0, True, "4", Fraction(4))]
+    )
+    def test_number_theory_helpers_take_only_ints(self, fn, x):
+        msg = "%s: argument must be an integer, got %r" % (fn.__name__, x)
+        with pytest.raises(DomainError, match="^%s$" % re.escape(msg)):
+            fn(x)
+
     def test_rational_sqrt_takes_only_ints_and_fractions(self):
         # a float, a string or a bool is no exact rational argument
         for x in (0.5, 0.1, "2/9", True, False):
-            msg = "rational_sqrt: argument must be an int or a Fraction, got %r" % (x,)
+            msg = (
+                "rational_sqrt: argument must be an int, a Fraction or a rational "
+                "QuadSurd, got %r" % (x,)
+            )
             with pytest.raises(DomainError, match="^%s$" % re.escape(msg)):
                 rational_sqrt(x)
 
@@ -557,10 +579,11 @@ class TestSplitMemo:
         assert square_free_split.cache_info().currsize == 0
 
     def test_an_equal_value_of_another_type_is_split_apart(self):
-        assert square_free_split(4) == (2, 1)
-        with pytest.raises(TypeError):
-            square_free_split(4.0)  # as the uncached split does
-        assert square_free_split(True) == square_free_split.__wrapped__(True)
+        assert square_free_split(4) == (2, 1) and square_free_split(1) == (1, 1)
+        for x in (4.0, True):  # refused, as by the uncached split, not read from the memo
+            for split in (square_free_split, square_free_split.__wrapped__):
+                with pytest.raises(DomainError, match="must be an integer, got %r" % x):
+                    split(x)
 
     def test_one_field_is_factored_once(self):
         square_free_split.cache_clear()

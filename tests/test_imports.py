@@ -29,8 +29,8 @@ UNUSED_BY_COMMANDS = (
     "anthyphairesis.areas",
 )
 
-# no import of the package or its front end may load these; only verify
-# loads fractions, and decimal and numbers with it
+# no import of the package or its front end, and no command, verify
+# included, may load these
 NEVER_AT_IMPORT = ("typing", "fractions", "decimal", "numbers")
 
 
@@ -67,9 +67,9 @@ def test_import_without_site_loads_no_typing_or_fractions(module):
     assert before == [] and after == []
 
 
-def test_only_verify_loads_fractions():
+def test_no_command_loads_fractions():
     # every transcript argv in one interpreter: the commands that expand or
-    # compare, then one verify run, which reads Fractions from the suites
+    # compare, then one verify run, whose suites compute in QuadSurd pairs
     code = (
         "import json, sys; from cli_transcript import PATH, run; "
         "entries = json.loads(PATH.read_text()); "
@@ -85,7 +85,7 @@ def test_only_verify_loads_fractions():
     )
     assert count > 90 and same is True
     assert after_others is False
-    assert after_verify is True
+    assert after_verify is False
 
 
 def test_rational_values_match_fraction_before_it_is_loaded():

@@ -73,6 +73,25 @@ class TestRunSuite:
         with pytest.raises(DomainError):
             run_suite("engine", 0, 0)
 
+    @pytest.mark.parametrize(
+        "trials, seed, msg",
+        [
+            (2.5, 1, "trials must be an integer, got 2.5"),
+            (True, 0, "trials must be an integer, got True"),
+            (3, 1.5, "seed must be an integer, got 1.5"),
+            (3, "7", "seed must be an integer, got '7'"),
+            (3, False, "seed must be an integer, got False"),
+        ],
+    )
+    def test_trials_and_seed_must_be_ints(self, trials, seed, msg):
+        with pytest.raises(DomainError) as info:
+            run_suite("areas", trials, seed)
+        assert str(info.value) == "run_suite: " + msg
+        name, fn = SUITES["areas"][0]
+        with pytest.raises(DomainError) as info:
+            run_property("areas", name, fn, trials, seed)
+        assert str(info.value) == "run_property: " + msg
+
     def test_deterministic_for_a_fixed_seed(self):
         assert run_suite("engine", 10, 7) == run_suite("engine", 10, 7)
 

@@ -402,6 +402,21 @@ class TestCommensurability:
         with pytest.raises(DomainError):
             square_ratio_witness(1, 0)
 
+    @pytest.mark.parametrize(
+        "fn, args, msg",
+        [
+            (commensurable_pure, (2.0, 8), "a_coeff must be an integer, got 2.0"),
+            (commensurable_pure, (True, 4), "a_coeff must be an integer, got True"),
+            (commensurable_pure, (4, "9"), "c_coeff must be an integer, got '9'"),
+            (square_ratio_witness, (4.5, 2), "c_coeff must be an integer, got 4.5"),
+            (square_ratio_witness, (4, True), "a_coeff must be an integer, got True"),
+        ],
+    )
+    def test_coefficients_must_be_ints(self, fn, args, msg):
+        with pytest.raises(DomainError) as info:
+            fn(*args)
+        assert str(info.value) == "%s: %s" % (fn.__name__, msg)
+
 
 def _lines(*values):
     return [line(v) for v in values]
