@@ -15,9 +15,8 @@ numeric-hash recipe, so a rational value hashes as the equal int or
 Fraction without one.  A Fraction is accepted as input wherever an int
 is, and is recognized without an import: none can exist before
 ``fractions`` is loaded, so ``_is_fraction`` looks the class up in
-``sys.modules`` and, once it is there, binds it for every later test.
-Only ``as_fraction`` and ``engine.QuadraticForm.root_fraction`` build a
-Fraction; each imports the module on first use, through ``_fraction``.
+``sys.modules``.  Only ``as_fraction`` builds a Fraction, importing the
+module there; ``engine.QuadraticForm.root_fraction`` calls it.
 """
 
 from __future__ import annotations
@@ -33,31 +32,11 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: fractions is not imported at run time
     from fractions import Fraction
 
-# (Fraction,) once the fractions module is loaded and seen, () before:
-# isinstance(x, ()) is False, as it must be while no Fraction exists
-_fraction_types: tuple[type, ...] = ()
-
 
 def _is_fraction(x: object) -> bool:
     """Whether x is a Fraction, read without importing fractions."""
-    global _fraction_types
-    if isinstance(x, _fraction_types):
-        return True
     cls = getattr(sys.modules.get("fractions"), "Fraction", None)
-    if cls is None or _fraction_types == (cls,):
-        return False
-    _fraction_types = (cls,)
-    return isinstance(x, cls)
-
-
-def _fraction() -> type[Fraction]:
-    """The Fraction class, importing fractions on first use."""
-    global _fraction_types
-    if not _fraction_types:
-        from fractions import Fraction
-
-        _fraction_types = (Fraction,)
-    return _fraction_types[0]
+    return cls is not None and isinstance(x, cls)
 
 
 def _require_int(x: object, caller: str, name: str = "argument") -> None:
@@ -234,7 +213,9 @@ class QuadSurd(Frozen):
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise DomainError("as_fraction: value is irrational")
-        return _fraction()(self.u, self.w)
+        from fractions import Fraction
+
+        return Fraction(self.u, self.w)
 
     # -- field bookkeeping ----------------------------------------------
 

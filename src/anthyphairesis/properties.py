@@ -34,6 +34,7 @@ from .engine import (
 from .errors import DomainError
 from .exactarith import QuadSurd, _require_int, is_perfect_square
 from .ratios import (
+    _RULES,
     AREA,
     PROPOSITIONS,
     Magnitude,
@@ -132,12 +133,9 @@ def _random_defect(rng: random.Random) -> QuadraticForm:
     while True:
         b = rng.randint(3, 40)
         a = rng.randint(1, max(1, b // 2))
-        cmax = (b * b - 1) // (4 * a)
-        if cmax < 1:
-            continue
-        c = rng.randint(1, cmax)
+        c = rng.randint(1, (b * b - 1) // (4 * a))
         disc = b * b - 4 * a * c
-        if disc < 1 or is_perfect_square(disc):
+        if is_perfect_square(disc):
             continue
         form = QuadraticForm(DEFECT, a, b, c)
         if form.is_expandable:
@@ -220,8 +218,6 @@ def _prop_remainder_recurrence(rng: random.Random) -> str:
         return VACUOUS  # exact termination would zero a remainder
     a = b * x
     cf = anth_of_ratio(line(a), line(b), max_steps=2_000)
-    if cf.truncated:
-        return VACUOUS
     count = 6
     qs = cf.head(count)
     sd = convergents(qs, count)
@@ -344,64 +340,42 @@ def _prop_commensurable_routes(rng: random.Random) -> str:
     return PASS
 
 
-# area propositions draw their line counterpart's magnitudes and turn each
-# area slot into the rectangle of that line with one shared side
-_AREA_BASE = {
-    "area_v9": "v9_cancel",
-    "area_alternando": "alternando",
-    "area_ex_aequali": "ex_aequali",
-    "area_mixed_ex_aequali": "ex_aequali",
-    "area_perturbed": "perturbed",
-    "area_mixed_perturbed": "perturbed",
-}
-
-
 def _constructive_inputs(name: str, rng: random.Random) -> list[Magnitude]:
-    """Magnitudes satisfying the named proposition's hypotheses."""
+    """Magnitudes satisfying the named proposition's hypotheses.
+
+    The inputs are read off the proposition's rule in ratios._RULES, whose
+    hypothesis terms must be bare slots.  Each hypothesis a : b = c : d in
+    turn takes the ratio of a side already built, or draws one, and fills
+    the open slots around it: an open consequent is drawn, or is its built
+    antecedent divided by the ratio, and an open antecedent is its
+    consequent times the ratio.  A rule with a condition and no hypotheses
+    builds its conclusion pair so; every slot still open is drawn.  An area
+    slot is the rectangle of its value with one shared line, and a draw
+    that misses the rule's condition is drawn again.
+    """
     if name not in PROPOSITIONS:
         raise DomainError("no generator for proposition %r" % name)
-    base = _AREA_BASE.get(name, name)
-    d = rng.choice(_FIELDS)
-    x = _small_ratio(rng, d)
-    y = _small_ratio(rng, d)
-    t = _scalar(rng, d)
-    b = _small_surd(rng, d)
-    e = _small_surd(rng, d)
-    r = _small_surd(rng, d)
-
-    if base == "transitivity":
-        dd, f = _small_surd(rng, d), _small_surd(rng, d)
-        values = [b * x, b, dd * x, dd, f * x, f]
-    elif base in ("fundamental", "plus_unit"):
-        dd = _small_surd(rng, d)
-        values = [b * x, b, dd * x, dd]
-    elif base == "v9_cancel":
-        values = [b * x, b, b]
-    elif base in ("alternando", "componendo_pairs"):
-        dd = b * t
-        values = [b * x, b, dd * x, dd]
-    elif base == "ex_aequali":
-        c = _small_surd(rng, d)
-        f = _small_surd(rng, d)
-        values = [c * y * x, c * y, c, f * y * x, f * y, f]
-    elif base == "perturbed":
-        c = _small_surd(rng, d)
-        # a/b = e/f = x and b/c = d/e = y
-        values = [c * y * x, c * y, c, e * y, e, e / x]
-    elif base == "separando_pairs":
-        small = b / rng.randint(2, 4)
-        values = [b * x, b, small * x, small]
-    elif base == "minus_unit":
-        big = x + 2  # ratio beyond 2 keeps a - b > b
-        dd = _small_surd(rng, d)
-        values = [b * big, b, dd * big, dd]
-    else:  # topics_scaling
-        values = [b * x, b, e]
-    roles = PROPOSITIONS[name]
-    return [
-        rectangle(line(v), line(r)) if role == AREA else line(v)
-        for v, role in zip(values, roles)
-    ]
+    roles, rule = _RULES[name]
+    hypotheses = rule.hypotheses or ((rule.conclusion,) if rule.condition else ())
+    while True:
+        d = rng.choice(_FIELDS)
+        v: dict[int, QuadSurd] = {}
+        for hypothesis in hypotheses:
+            built = [(p, q) for p, q in hypothesis if p in v and q in v]
+            x = v[built[0][0]] / v[built[0][1]] if built else _small_ratio(rng, d)
+            for p, q in hypothesis:
+                if q not in v:
+                    v[q] = v[p] / x if p in v else _small_surd(rng, d)
+                if p not in v:
+                    v[p] = v[q] * x
+        values = [v[i] if i in v else _small_surd(rng, d) for i in range(len(roles))]
+        side = line(_small_surd(rng, d)) if AREA in roles else None
+        mags = [
+            rectangle(line(value), side) if role == AREA else line(value)
+            for value, role in zip(values, roles)
+        ]
+        if rule.condition is None or rule.condition(*mags):
+            return mags
 
 
 def _make_checker_property(name: str) -> Callable[[random.Random], str]:
@@ -435,8 +409,6 @@ def _prop_square_of_sum(rng: random.Random) -> str:
 def _prop_gnomon_within(rng: random.Random) -> str:
     a = _rat(rng)
     x = a / rng.randint(3, 9)
-    if not x < a / 2:
-        return VACUOUS
     rep = ar.check_ii5(a, x)
     assert rep.holds, "interior gnomon identity failed"
     return PASS
@@ -469,8 +441,6 @@ def _prop_excess_application(rng: random.Random) -> str:
 def _prop_mean_proportional_roundtrip(rng: random.Random) -> str:
     a = _rat(rng)
     x = a * rng.randint(1, 7) / 8
-    if not x < a:
-        return VACUOUS
     m = ar.mean_proportional(x, a)
     if m * m != x * (a - x):
         raise AssertionError("mean proportional square mismatch")

@@ -23,8 +23,9 @@ The corpus: the README commands in text and --json, one argv of each
 bench cli_session form, `verify --json --trials 3` for each suite at
 seeds 0 and 1, `verify` of every suite, every `ratio eq`, `mixed` and
 `cross` case (rational and irrational ratios, above and below 1, equal
-and unequal, distinct fields), literals that start with '-', and the
-budget and input errors the program reports itself.
+and unequal, distinct fields), a surd below its conjugate (a `defect-`
+form), literals that start with '-', and the budget and input errors the
+program reports itself.
 Usage errors that argparse reports are left out: their wording and line
 wrapping depend on the Python version and on the terminal width.
 """
@@ -112,6 +113,8 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "anth rational 3 2 --max-steps -1",
     "anth surd 0 1 2 2",
     "anth surd 0 1 2 2 --trace --json",
+    "anth surd 3 -1 1 2 --trace",
+    "anth surd 3 -1 1 2 --json",
     "anth surd 2 0 3 1",
     "anth surd 0 1 2 2 --max-steps -1",
     "anth surd 3 0 2 1 --max-steps -1",

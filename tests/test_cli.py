@@ -552,6 +552,36 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 1 and "invalid choice" in err
 
+    def test_failures_are_reported_with_exit_2(self, capsys, monkeypatch):
+        def wrong(rng):
+            raise AssertionError("always wrong")
+
+        def crash(rng):
+            raise ValueError("boom")
+
+        props = [("fine", lambda rng: properties.PASS), ("wrong", wrong), ("crash", crash)]
+        monkeypatch.setitem(properties.SUITES, "areas", props)
+        argv = ("verify", "--suite", "areas", "--trials", "3", "--seed", "7")
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_FAILED and err == ""
+        assert out == (
+            "areas/fine   passed 3    vacuous 0    failed 0\n"
+            "areas/wrong  passed 0    vacuous 0    failed 3\n"
+            "               first failure: always wrong\n"
+            "areas/crash  passed 0    vacuous 0    failed 3\n"
+            "               first failure: ValueError: boom\n"
+            "result: fail (3 properties, 3 trials each, seed 7, 6 failures)\n"
+        )
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == cli.EXIT_FAILED and err == ""
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "fail"
+        assert [(r["name"], r["failed"], r["first_failure"]) for r in result["rows"]] == [
+            ("fine", "0", None),
+            ("wrong", "3", "always wrong"),
+            ("crash", "3", "ValueError: boom"),
+        ]
+
     def test_internal_invariant_maps_to_failure_exit(self, capsys, monkeypatch):
         def boom(*_args, **_kw):
             raise InternalInvariantError("forced for the exit code contract")

@@ -1,16 +1,24 @@
 """The seeded verification harness itself: determinism and accounting."""
 
+import random
+
 import pytest
 
 from anthyphairesis import (
+    AREA,
+    LINE,
     PASS,
+    PROPOSITIONS,
     VACUOUS,
     DomainError,
     PropertyResult,
     SUITES,
+    check_proposition,
+    ratios,
     run_property,
     run_suite,
 )
+from anthyphairesis.properties import _constructive_inputs
 
 
 class TestSuitesRegistry:
@@ -109,3 +117,37 @@ class TestRunSuite:
                 suite,
                 result.name,
             )
+
+
+class TestConstructiveInputs:
+    """The check_* inputs are filled in from the rule that check_proposition evaluates."""
+
+    @pytest.mark.parametrize("name", sorted(PROPOSITIONS))
+    def test_inputs_satisfy_hypotheses_and_conclusion(self, name):
+        for seed in range(300):
+            mags = _constructive_inputs(name, random.Random(seed))
+            assert tuple(m.role for m in mags) == PROPOSITIONS[name]
+            report = check_proposition(name, mags)
+            assert report.hypotheses_hold and report.conclusion_holds, (name, seed)
+
+    @pytest.mark.parametrize(
+        "roles, rule",
+        [
+            # invertendo: a : b = c : d gives b : a = d : c
+            ((LINE,) * 4, ratios._Rule((((0, 1), (2, 3)),), ((1, 0), (3, 2)))),
+            # separando on areas: a rule with a condition that a draw can miss
+            ((AREA,) * 4, ratios._RULES["separando_pairs"][1]),
+        ],
+        ids=["invertendo", "area_separando"],
+    )
+    def test_a_rule_added_to_the_table_gets_inputs(self, monkeypatch, roles, rule):
+        monkeypatch.setitem(ratios._RULES, "added", (roles, rule))
+        monkeypatch.setitem(ratios.PROPOSITIONS, "added", roles)
+        for seed in range(100):
+            mags = _constructive_inputs("added", random.Random(seed))
+            report = check_proposition("added", mags)
+            assert report.hypotheses_hold and report.conclusion_holds, seed
+
+    def test_unknown_name_is_refused(self):
+        with pytest.raises(DomainError, match="no generator for proposition 'bogus'"):
+            _constructive_inputs("bogus", random.Random(0))
