@@ -43,11 +43,14 @@ cycle walk stops about h2 / 2 steps in: ceil(p/2) + O(1) for sqrt(N)
 (h1 = -2) and fewer than p for any symmetric cycle.  A cycle that never
 meets its reverse has no centre and is walked to the return, p steps.
 
-The walk holds the outer coefficients doubled, A = 2a and C = 2c.  The
-quotient k = (b + j) // A and the successor b1 = A*k - b then need no
-2*a, and A1 = C + k*(b - b1) is 2*a1 in one product fewer than
-(b - a*k)*k + c; the centre and return tests compare A and C as they
-compared a and c.
+The walk holds the outer coefficients doubled, A = 2a and C = 2c, and
+the middle one shifted, P = b + j with j = isqrt(D).  The quotient is
+k = P // A, and as b1 + j = A*k - b + j, the successor's middle term is
+P1 = 2j - P % A; and A1 = C + k*(P - P1) is 2*a1 = 2*((b - a*k)*k + c),
+since P - P1 = b - b1 = 2b - A*k.  A step so makes one division, one
+remainder and one product, and forms neither b nor A*k.  j is the same
+for every state, so the centre and return tests compare A, P and C
+where they would compare a, b and c.
 
 A form is checked once, where it enters.  The public QuadraticForm
 constructor checks every condition; a public step or run reads the
@@ -60,6 +63,7 @@ holds by a test or by proof, and skip the public checks.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from math import isqrt  # every caller here passes an int
 
 from ._value import Frozen, _rebuild, _set
@@ -212,19 +216,15 @@ class ContinuedFraction(Frozen):
     def head(self, n: int) -> tuple[int, ...]:
         """First n quotients, unrolling the period as far as needed."""
         _budget(n, "head", "n")
-        if n <= len(self.preperiod):
-            return self.preperiod[:n]
-        if self.period is None:
+        pre, per = self.preperiod, self.period
+        if n <= len(pre):
+            return pre[:n]
+        if per is None:
             raise DomainError(
-                "head: expansion has only %d quotients, %d requested"
-                % (len(self.preperiod), n)
+                "head: expansion has only %d quotients, %d requested" % (len(pre), n)
             )
-        out = list(self.preperiod)
-        i = 0
-        while len(out) < n:
-            out.append(self.period[i % len(self.period)])
-            i += 1
-        return tuple(out)
+        reps = -(-(n - len(pre)) // len(per))  # ceil: periods needed past pre
+        return (pre + per * reps)[:n]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContinuedFraction):
@@ -492,10 +492,13 @@ def run_anthyphairesis(
     expansion is then eventually periodic and the canonical
     preperiod/period pair is returned) or the step budget is exhausted,
     in which case the result is flagged truncated.  Past the
-    anchor the reduced step is inlined, and a symmetric cycle is walked
-    only to its second centre and mirrored (see the module docstring).
-    The run still holds O(1) states besides the quotients: the current
-    triple, the anchor and at most two centres.
+    anchor the reduced step is inlined on (A, P, C) = (2a, b + j, 2c),
+    j = isqrt(D): the quotient is P // A and the successor is
+    (C + k*(P - P1), P1, A) with P1 = 2j - P % A.  A symmetric cycle is
+    walked only to its second centre and mirrored (see the module
+    docstring).  The run still holds O(1) states besides the quotients:
+    the current triple, the anchor and at most two centres; the cycle
+    steps taken are the period's length when the walk stops.
     """
     _budget(max_steps, "run_anthyphairesis")
     a, b, c, s = _triple(form)
@@ -538,43 +541,48 @@ def run_anthyphairesis(
     centres = [-2] if rev_next == [a, b, c, 1] else []
     period: list[int] = []
     append = period.append
-    # the walk holds A = 2a and C = 2c (see the module docstring)
-    A, C = 2 * a, 2 * c
-    A0, b0, C0 = A, b, C
+    # the walk holds A = 2a, P = b + j and C = 2c (see the module docstring)
+    A, P, C = 2 * a, b + j, 2 * c
+    A0, P0, C0 = A, P, C
+    j2 = 2 * j
     # the loop steps states 0 .. room, one more than the budget allows, so it
     # needs no budget test of its own: a result that outruns the budget is
-    # cut to it after the loop
+    # cut to it after the loop.  State m is the one stepped while the period
+    # holds m quotients.
     room = max_steps - anchor_at
-    for m in range(room + 1):
-        if A == C:  # state m is its own reverse
-            centres.append(2 * m - 1)
+    for _ in repeat(None, room + 1):
+        if A == C:  # state m = len(period) is its own reverse: centre 2m - 1
+            centres.append(2 * len(period) - 1)
             if len(centres) == 2:
                 break
-        elif m and A == A0 and b == b0 and C == C0:
+        elif A == A0 and P == P0 and C == C0 and period:
             break  # back at the anchor with no centre: the full period
-        k = (b + j) // A
-        b1 = A * k - b
-        A1 = C + k * (b - b1)
+        k = P // A
+        P1 = j2 - P % A
+        A1 = C + k * (P - P1)
         if k < 1 or A1 < 2:  # A1 = 2*a1 is even: a1 < 1
             raise InternalInvariantError(
                 "step: successor left the positive cone (k=%d, leading coefficient %d)"
                 % (k, -(A1 // 2))
             )
         append(k)
-        if A1 == C and b1 == b:  # state m + 1 is rev of state m
-            centres.append(2 * m)
+        if A1 == C and P1 == P:  # state m + 1 is rev of state m: centre 2m
+            centres.append(2 * len(period) - 2)
             if len(centres) == 2:
                 break
-        A, b, C = A1, b1, A
+        A, P, C = A1, P1, A
     else:  # the budget ran out with the period still open
         return _truncated((pre + period)[:max_steps], form)
 
     if len(centres) == 2:
         # q[i] == q[h - i] for every centre h: two give the primitive period
-        # h2 - h1, and reflecting about h2 fills in what was not stepped
+        # h2 - h1, and reflecting about h2 fills in what was not stepped,
+        # q[h2 - n] down to q[max(h1 + 1, 0)]; h2 - n is -1 when the walk
+        # stopped at once, with nothing to reflect
         h1, h2 = centres
         n = len(period)
-        period += period[max(h1 + 1, 0): h2 - n + 1][::-1]
+        if h2 >= n:
+            period += period[h2 - n : h1 if h1 >= 0 else None : -1]
         if h1 == -2:
             period.append(last)
         if anchor_at + len(period) > max_steps:

@@ -4,8 +4,10 @@ Each property is a small randomized check; a trial draws its own RNG
 substream from (seed, suite, property, index), so results are
 reproducible for a fixed seed no matter how trials are batched.
 Properties return "pass" or "vacuous" (hypotheses missed) and signal
-failure by raising AssertionError; any other exception also counts as
-a failure, because properties must not crash on their own inputs.
+failure by raising AssertionError explicitly, never by an assert
+statement, so that `python -O` strips none of the checks; any other
+exception also counts as a failure, because properties must not crash
+on their own inputs.
 """
 
 from __future__ import annotations
@@ -163,27 +165,34 @@ def _prop_disc_invariance(rng: random.Random) -> str:
     cur = form
     for _ in range(100):
         k, cur = excess_step(cur)
-        assert k >= 1, "quotient below 1"
-        assert cur.A >= 1 and cur.B >= 1 and cur.C >= 1, "nonpositive coefficient"
-        assert cur.disc == disc, "discriminant drifted: %d -> %d" % (disc, cur.disc)
+        if k < 1:
+            raise AssertionError("quotient below 1")
+        if cur.A < 1 or cur.B < 1 or cur.C < 1:
+            raise AssertionError("nonpositive coefficient")
+        if cur.disc != disc:
+            raise AssertionError("discriminant drifted: %d -> %d" % (disc, cur.disc))
     return PASS
 
 
 def _prop_pigeonhole_recurrence(rng: random.Random) -> str:
     form = _random_excess(rng)
     cf, trace = run_anthyphairesis(form, max_steps=50_000)
-    assert trace.repeat_at is not None, "no recurrence found for %s" % (form,)
+    if trace.repeat_at is None:
+        raise AssertionError("no recurrence found for %s" % (form,))
     _, j = trace.repeat_at
     bound = state_space_size(form.disc) + 1
-    assert j <= bound, "recurrence after %d steps exceeds bound %d" % (j, bound)
+    if j > bound:
+        raise AssertionError("recurrence after %d steps exceeds bound %d" % (j, bound))
     return PASS
 
 
 def _prop_quotients_positive(rng: random.Random) -> str:
     form = _random_excess(rng) if rng.random() < 0.5 else _random_defect(rng)
     cf, trace = run_anthyphairesis(form, max_steps=50_000)
-    assert not cf.truncated, "unexpected truncation"
-    assert all(k >= 1 for k in trace.quotients), "nonpositive quotient emitted"
+    if cf.truncated:
+        raise AssertionError("unexpected truncation")
+    if not all(k >= 1 for k in trace.quotients):
+        raise AssertionError("nonpositive quotient emitted")
     return PASS
 
 
@@ -193,10 +202,13 @@ def _prop_defect_reaches_excess(rng: random.Random) -> str:
     cur = form
     steps = 0
     while cur.kind != EXCESS:
-        assert steps <= form.B, "defect chain did not shrink"
+        if steps > form.B:
+            raise AssertionError("defect chain did not shrink")
         k, cur = defect_step(cur)
-        assert k >= 1
-        assert cur.disc == disc, "discriminant changed across the defect chain"
+        if k < 1:
+            raise AssertionError
+        if cur.disc != disc:
+            raise AssertionError("discriminant changed across the defect chain")
         steps += 1
     return PASS
 
@@ -206,7 +218,8 @@ def _prop_determinant_alternates(rng: random.Random) -> str:
     sd = convergents(qs, len(qs))
     for n in range(1, len(qs) + 1):
         det = sd.q[n] * sd.p[n - 1] - sd.p[n] * sd.q[n - 1]
-        assert det == (-1) ** n, "determinant at n=%d is %d" % (n, det)
+        if det != (-1) ** n:
+            raise AssertionError("determinant at n=%d is %d" % (n, det))
     return PASS
 
 
@@ -223,11 +236,11 @@ def _prop_remainder_recurrence(rng: random.Random) -> str:
     sd = convergents(qs, count)
     rem = [remainder(n, a, b, sd) for n in range(count + 1)]
     for n in range(1, count + 1):
-        assert rem[n] < rem[n - 1], "remainders are not strictly decreasing"
+        if not rem[n] < rem[n - 1]:
+            raise AssertionError("remainders are not strictly decreasing")
     for n in range(2, count + 1):
-        assert rem[n] == rem[n - 2] - rem[n - 1] * qs[n - 1], (
-            "remainder recurrence broken at n=%d" % n
-        )
+        if rem[n] != rem[n - 2] - rem[n - 1] * qs[n - 1]:
+            raise AssertionError("remainder recurrence broken at n=%d" % n)
     return PASS
 
 
@@ -235,8 +248,10 @@ def _prop_oracle_agreement(rng: random.Random) -> str:
     form = _random_excess(rng)
     cf, _ = run_anthyphairesis(form, max_steps=50_000)
     oracle = surd_cf(form.root(), max_steps=50_000)
-    assert cf == oracle, "engine and generic expansions disagree on %s" % (form,)
-    assert cf.head(50) == oracle.head(50), "leading quotients disagree"
+    if cf != oracle:
+        raise AssertionError("engine and generic expansions disagree on %s" % (form,))
+    if cf.head(50) != oracle.head(50):
+        raise AssertionError("leading quotients disagree")
     return PASS
 
 
@@ -245,8 +260,10 @@ def _prop_period_roundtrip(rng: random.Random) -> str:
     form = period_to_form(per)
     cf, _ = run_anthyphairesis(form, max_steps=10_000)
     want = ContinuedFraction((), per)
-    assert cf == canonicalize_cf(want), "period %r did not round-trip: %s" % (per, cf)
-    assert cf.preperiod == (), "round trip is not purely periodic"
+    if cf != canonicalize_cf(want):
+        raise AssertionError("period %r did not round-trip: %s" % (per, cf))
+    if cf.preperiod != ():
+        raise AssertionError("round trip is not purely periodic")
     return PASS
 
 
@@ -254,7 +271,8 @@ def _prop_pell_identity(rng: random.Random) -> str:
     qs = [1] + [2] * 20
     sd = convergents(qs, 20)
     for n in range(21):
-        assert sd.q[n] ** 2 - 2 * sd.p[n] ** 2 == (-1) ** n, "Pell identity failed"
+        if sd.q[n] ** 2 - 2 * sd.p[n] ** 2 != (-1) ** n:
+            raise AssertionError("Pell identity failed")
     return PASS
 
 
@@ -262,8 +280,10 @@ def _prop_rational_fallback(rng: random.Random) -> str:
     form = _random_square_disc_excess(rng)
     cf, _ = run_anthyphairesis(form)
     root = form.root()
-    assert cf.is_finite, "square discriminant must give a finite expansion"
-    assert cf == euclid_cf(root.u, root.w), "fallback mismatch"
+    if not cf.is_finite:
+        raise AssertionError("square discriminant must give a finite expansion")
+    if cf != euclid_cf(root.u, root.w):
+        raise AssertionError("fallback mismatch")
     return PASS
 
 
@@ -283,9 +303,10 @@ def _prop_fundamental_equivalence(rng: random.Random) -> str:
     c, dd = _pair_with_ratio(rng, d, x2)
     by_anth = ratio_eq(a, b, c, dd)
     by_cross = cross_product_eq(a, b, c, dd)
-    assert by_anth == by_cross, (
-        "expansion equality and cross products disagree: %s vs %s" % (by_anth, by_cross)
-    )
+    if by_anth != by_cross:
+        raise AssertionError(
+            "expansion equality and cross products disagree: %s vs %s" % (by_anth, by_cross)
+        )
     return PASS
 
 
@@ -296,7 +317,8 @@ def _prop_scaling_invariance(rng: random.Random) -> str:
     t = _scalar(rng, d)
     scaled = anth_of_ratio(line(a.value * t), line(b.value * t), max_steps=50_000)
     plain = anth_of_ratio(a, b, max_steps=50_000)
-    assert scaled == plain, "scaling by %s changed the expansion" % (t,)
+    if scaled != plain:
+        raise AssertionError("scaling by %s changed the expansion" % (t,))
     return PASS
 
 
@@ -306,10 +328,12 @@ def _prop_equivalence_relation(rng: random.Random) -> str:
     a, b = _pair_with_ratio(rng, d, x)
     c, dd = _pair_with_ratio(rng, d, x)
     e, f = _pair_with_ratio(rng, d, x)
-    assert ratio_eq(a, b, a, b), "reflexivity failed"
-    assert ratio_eq(a, b, c, dd) == ratio_eq(c, dd, a, b), "symmetry failed"
-    if ratio_eq(a, b, c, dd) and ratio_eq(c, dd, e, f):
-        assert ratio_eq(a, b, e, f), "transitivity failed"
+    if not ratio_eq(a, b, a, b):
+        raise AssertionError("reflexivity failed")
+    if ratio_eq(a, b, c, dd) != ratio_eq(c, dd, a, b):
+        raise AssertionError("symmetry failed")
+    if ratio_eq(a, b, c, dd) and ratio_eq(c, dd, e, f) and not ratio_eq(a, b, e, f):
+        raise AssertionError("transitivity failed")
     return PASS
 
 
@@ -318,13 +342,15 @@ def _prop_mixed_ratio(rng: random.Random) -> str:
     b = _small_surd(rng, d)
     m, n = rng.randint(1, 30), rng.randint(1, 30)
     a = b * m / n
-    assert mixed_ratio_eq(line(a), line(b), m, n), (
-        "ratio %d:%d was not recognized against its own multiples" % (m, n)
-    )
+    if not mixed_ratio_eq(line(a), line(b), m, n):
+        raise AssertionError(
+            "ratio %d:%d was not recognized against its own multiples" % (m, n)
+        )
     other_m, other_n = rng.randint(1, 30), rng.randint(1, 30)
     want = other_m * n == m * other_n
     got = mixed_ratio_eq(line(a), line(b), other_m, other_n)
-    assert got == want, "mixed proportion verdict disagrees with the fractions"
+    if got != want:
+        raise AssertionError("mixed proportion verdict disagrees with the fractions")
     return PASS
 
 
@@ -333,10 +359,12 @@ def _prop_commensurable_routes(rng: random.Random) -> str:
     c = rng.randint(1, 300)
     verdict = commensurable_pure(a, c)  # self-checks the two routes
     witness = square_ratio_witness(c, a)
-    assert (witness is not None) == verdict, "witness disagrees with verdict"
+    if (witness is not None) != verdict:
+        raise AssertionError("witness disagrees with verdict")
     if witness is not None:
         m, n = witness
-        assert c * n * n == a * m * m, "witness does not satisfy C*n^2 == A*m^2"
+        if c * n * n != a * m * m:
+            raise AssertionError("witness does not satisfy C*n^2 == A*m^2")
     return PASS
 
 
@@ -386,7 +414,8 @@ def _make_checker_property(name: str) -> Callable[[random.Random], str]:
             raise AssertionError(
                 "%s: constructed hypotheses were not recognized" % name
             )
-        assert report.conclusion_holds, "%s: conclusion failed under hypotheses" % name
+        if not report.conclusion_holds:
+            raise AssertionError("%s: conclusion failed under hypotheses" % name)
         return PASS
 
     prop.__name__ = "prop_" + name
@@ -402,7 +431,8 @@ def _rat(rng: random.Random, hi: int = 30) -> QuadSurd:
 
 def _prop_square_of_sum(rng: random.Random) -> str:
     rep = ar.check_ii4(_rat(rng), _rat(rng))
-    assert rep.holds, "square-of-sum identity failed"
+    if not rep.holds:
+        raise AssertionError("square-of-sum identity failed")
     return PASS
 
 
@@ -410,13 +440,15 @@ def _prop_gnomon_within(rng: random.Random) -> str:
     a = _rat(rng)
     x = a / rng.randint(3, 9)
     rep = ar.check_ii5(a, x)
-    assert rep.holds, "interior gnomon identity failed"
+    if not rep.holds:
+        raise AssertionError("interior gnomon identity failed")
     return PASS
 
 
 def _prop_gnomon_beyond(rng: random.Random) -> str:
     rep = ar.check_ii6(_rat(rng), _rat(rng))
-    assert rep.holds, "exterior gnomon identity failed"
+    if not rep.holds:
+        raise AssertionError("exterior gnomon identity failed")
     return PASS
 
 
@@ -424,17 +456,22 @@ def _prop_defect_application(rng: random.Random) -> str:
     a = _rat(rng)
     m = a * rng.randint(1, 4) / 8
     x = ar.apply_in_defect(a, m)
-    assert x * (a - x) == m * m, "defect product mismatch"
-    assert x > 0, "defect cut not positive"
-    assert not x > a / 2, "defect cut is not the smaller one"
+    if x * (a - x) != m * m:
+        raise AssertionError("defect product mismatch")
+    if not x > 0:
+        raise AssertionError("defect cut not positive")
+    if x > a / 2:
+        raise AssertionError("defect cut is not the smaller one")
     return PASS
 
 
 def _prop_excess_application(rng: random.Random) -> str:
     a, m = _rat(rng), _rat(rng)
     x = ar.apply_in_excess(a, m)
-    assert x * (a + x) == m * m, "excess product mismatch"
-    assert x > 0, "excess extension not positive"
+    if x * (a + x) != m * m:
+        raise AssertionError("excess product mismatch")
+    if not x > 0:
+        raise AssertionError("excess extension not positive")
     return PASS
 
 
@@ -447,7 +484,8 @@ def _prop_mean_proportional_roundtrip(rng: random.Random) -> str:
     small = x if x <= a - x else a - x
     if m.is_rational:
         got = ar.apply_in_defect(a, m)
-        assert got == small, "defect application did not recover the cut"
+        if got != small:
+            raise AssertionError("defect application did not recover the cut")
     return PASS
 
 
@@ -462,7 +500,8 @@ def _prop_distributivity(rng: random.Random) -> str:
     rhs = terms[0] * b
     for t in terms[1:]:
         rhs = rhs + t * b
-    assert lhs == rhs, "rectangle distributivity failed"
+    if lhs != rhs:
+        raise AssertionError("rectangle distributivity failed")
     return PASS
 
 
@@ -471,7 +510,8 @@ def _prop_pythagorean_construction(rng: random.Random) -> str:
     x = ar.apply_in_excess(a, m)
     half = a / 2
     hyp = x + half  # hypotenuse of the right triangle with legs m, a/2
-    assert hyp * hyp == m * m + half * half, "hypotenuse square mismatch"
+    if hyp * hyp != m * m + half * half:
+        raise AssertionError("hypotenuse square mismatch")
     return PASS
 
 

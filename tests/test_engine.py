@@ -201,6 +201,22 @@ class TestContinuedFraction:
         with pytest.raises(DomainError, match="^head: n must be an integer, got "):
             ContinuedFraction((1, 2), (3,)).head(n)
 
+    def test_head_equals_the_element_by_element_unroll(self):
+        cfs = [
+            ContinuedFraction((1,), (2,)),
+            ContinuedFraction((), (1, 2, 3)),
+            ContinuedFraction((0, 2), (7, 1)),
+            run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 139))[0],
+            run_anthyphairesis(QuadraticForm(DEFECT, 83, 260, 197))[0],
+        ]
+        for cf in cfs:
+            pre, per = cf.preperiod, cf.period
+            unrolled = []
+            for n in range(len(pre) + 3 * len(per) + 1):
+                head = cf.head(n)
+                assert type(head) is tuple and head == tuple(unrolled), (cf, n)
+                unrolled.append(pre[n] if n < len(pre) else per[(n - len(pre)) % len(per)])
+
     def test_truncated_equality_is_never_true(self):
         t = ContinuedFraction((1, 2), None, truncated=True)
         assert t != t
@@ -716,6 +732,50 @@ class TestMirroredCycle:
         monkeypatch.setattr(engine, "isqrt", lambda n: 0)  # k too small
         with pytest.raises(InternalInvariantError, match="k=0"):
             run_anthyphairesis(form)
+
+    def test_the_walk_stops_at_the_second_centre(self, monkeypatch):
+        # a walk to the full-period return gives the same results as a half
+        # walk, only slower, so the iterations of the cycle loop are counted
+        # on the iterator it loops over
+        counts = []
+        real = engine.repeat
+
+        def counting(item, times):
+            counts.append(0)
+            for x in real(item, times):
+                counts[-1] += 1
+                yield x
+
+        monkeypatch.setattr(engine, "repeat", counting)
+
+        def walk(form):
+            del counts[:]
+            cf, _ = run_anthyphairesis(form)
+            assert not cf.truncated and len(counts) == 1, form
+            return cf.period, counts[0]
+
+        for n in range(2, 2000):
+            if not is_perfect_square(n):
+                period, taken = walk(QuadraticForm(EXCESS, 1, 0, n))
+                assert taken == (len(period) + 1) // 2, n
+        forms = [
+            QuadraticForm(EXCESS, a, b, n)
+            for n in range(1, 200)
+            for a, b in ((2, 0), (1, 1), (3, 3))
+        ]
+        forms += _expandable_forms(random.Random(1029), 600, 400)
+        symmetric = walked = 0
+        for form in forms:
+            if not form.is_expandable or is_perfect_square(form.disc):
+                continue
+            period, taken = walk(form)
+            if _is_symmetric(period):
+                symmetric += 1
+                assert taken <= len(period), form
+            else:
+                walked += 1
+                assert taken == len(period) + 1, form
+        assert symmetric > 800 and walked > 100
 
 
 def _expandable_forms(rng, count, lim):

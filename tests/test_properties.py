@@ -1,6 +1,11 @@
 """The seeded verification harness itself: determinism and accounting."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +19,14 @@ from anthyphairesis import (
     PropertyResult,
     SUITES,
     check_proposition,
+    properties,
     ratios,
     run_property,
     run_suite,
 )
 from anthyphairesis.properties import _constructive_inputs
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestSuitesRegistry:
@@ -72,6 +80,50 @@ class TestRunProperty:
         result = run_property("engine", "shy", shy, 4, 0)
         assert result.vacuous == 4 and result.passed == 0 and result.failed == 0
         assert result.first_failure is None
+
+
+class TestOptimizedInterpreter:
+    """`python -O` strips assert statements, so no property may rely on one."""
+
+    # disc_invariance sees each successor with B one too large: a wrong
+    # discriminant, as a broken step would give
+    BROKEN_STEP = (
+        "import sys\n"
+        "from anthyphairesis import cli, properties\n"
+        "from anthyphairesis.engine import QuadraticForm\n"
+        "real = properties.excess_step\n"
+        "def wrong(form):\n"
+        "    k, g = real(form)\n"
+        "    return k, QuadraticForm(g.kind, g.A, g.B + 1, g.C)\n"
+        "properties.excess_step = wrong\n"
+        "sys.exit(cli.main(['verify', '--suite', 'engine', '--trials', '5']))\n"
+    )
+
+    def _verify(self, *flags):
+        env = dict(os.environ)
+        env.pop("PYTHONOPTIMIZE", None)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", self.BROKEN_STEP],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_a_failing_property_fails_under_dash_o(self):
+        plain = self._verify()
+        optimized = self._verify("-O")
+        assert optimized == plain
+        code, out, err = optimized
+        assert code == 2 and err == ""
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+        assert rows["engine/disc_invariance"] == "passed 0 vacuous 0 failed 5".split()
+        assert "first failure: discriminant drifted: " in out
+        assert out.endswith("result: fail (10 properties, 5 trials each, seed 0, 5 failures)\n")
+
+    def test_no_property_uses_an_assert_statement(self):
+        tree = ast.parse(Path(properties.__file__).read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == []
 
 
 class TestRunSuite:
