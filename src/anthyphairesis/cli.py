@@ -24,6 +24,8 @@ from .engine import (
     remainder,
     run_anthyphairesis,
     state_space_size,
+    _MAX_STEPS,
+    _tag,
     _triple,
 )
 from .errors import DomainError, InternalInvariantError
@@ -46,8 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_UNDECIDED = 3
-
-_MAX_STEPS = 10_000  # the default step budget of every command that expands
 
 # argparse reads an argument that starts with '-' as an option unless it
 # looks like a negative number, which to argparse is only '-5' or '-.5'.
@@ -88,11 +88,8 @@ def _cf_json(cf: ContinuedFraction) -> dict[str, Any]:
 
 
 def _form_json(form: QuadraticForm) -> dict[str, Any]:
-    kind = form.kind
-    if form.smaller_root:
-        kind = "defect-"
     return {
-        "kind": kind,
+        "kind": _tag(form),
         "A": str(form.A),
         "B": str(form.B),
         "C": str(form.C),

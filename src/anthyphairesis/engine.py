@@ -68,7 +68,7 @@ from math import isqrt  # every caller here passes an int
 
 from ._value import Frozen, _rebuild, _set
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, _is_fraction, _require_int, as_surd, is_perfect_square
+from .exactarith import QuadSurd, _is_fraction, _require_int, as_surd
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: neither module is imported at run time
@@ -80,6 +80,8 @@ DEFECT = "defect"
 MIXED = "mixed"
 
 _KINDS = (EXCESS, DEFECT, MIXED)
+
+_MAX_STEPS = 10_000  # the default step budget of every expansion, library and CLI
 
 
 class QuadraticForm(Frozen):
@@ -141,22 +143,13 @@ class QuadraticForm(Frozen):
             return QuadSurd._in_field(b + s * j, 0, 2 * a, 1)
         return QuadSurd(b, s, 2 * a, disc)
 
-    def root_fraction(self) -> Fraction:
-        """The designated root when the discriminant is a perfect square."""
-        if not is_perfect_square(self.disc):
-            raise DomainError("root_fraction: discriminant %d is not a square" % self.disc)
-        return self.root().as_fraction()
-
     @property
     def is_expandable(self) -> bool:
         """True when the designated root exceeds 1 (integer tests only)."""
         return _expandable(*_triple(self))
 
     def __str__(self) -> str:
-        tag = self.kind
-        if self.kind == DEFECT and self.smaller_root:
-            tag = "defect-"
-        return "%s(%d, %d, %d)" % (tag, self.A, self.B, self.C)
+        return "%s(%d, %d, %d)" % (_tag(self), self.A, self.B, self.C)
 
 
 class ContinuedFraction(Frozen):
@@ -373,6 +366,11 @@ def _triple(form: QuadraticForm) -> tuple[int, int, int, int]:
     return form.A, form.B, -form.C, -1 if form.smaller_root else 1
 
 
+def _tag(form: QuadraticForm) -> str:
+    """The kind as printed and in JSON: a smaller-root defect form is "defect-"."""
+    return "defect-" if form.smaller_root else form.kind
+
+
 def _disc(a: int, b: int, c: int) -> int:
     """The discriminant of the signed triple (a, b, c)."""
     return b * b + 4 * a * c
@@ -482,7 +480,7 @@ def _budget(value: int, caller: str, name: str = "max_steps") -> None:
 
 
 def run_anthyphairesis(
-    form: QuadraticForm, max_steps: int = 10_000
+    form: QuadraticForm, max_steps: int = _MAX_STEPS
 ) -> tuple[ContinuedFraction, ExpansionTrace]:
     """Full expansion of a form's designated root, with its state trace.
 
@@ -609,7 +607,7 @@ def _truncated(
     return _rebuild(ContinuedFraction, (qs, None, True)), ExpansionTrace(qs, form, None)
 
 
-def surd_cf(x: QuadSurd | Fraction | int, max_steps: int = 10_000) -> ContinuedFraction:
+def surd_cf(x: QuadSurd | Fraction | int, max_steps: int = _MAX_STEPS) -> ContinuedFraction:
     """Expansion of any positive exact value by the generic recurrence.
 
     This is the form engine's independent oracle: repeatedly split off

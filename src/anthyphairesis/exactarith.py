@@ -12,11 +12,12 @@ constructions and the verify suites read ``u`` and ``w`` and build no
 Fraction, so no command loads ``fractions``, nor the ``decimal`` and
 ``numbers`` modules it pulls in.  The hash follows Python's documented
 numeric-hash recipe, so a rational value hashes as the equal int or
-Fraction without one.  A Fraction is accepted as input wherever an int
-is, and is recognized without an import: none can exist before
-``fractions`` is loaded, so ``_is_fraction`` looks the class up in
-``sys.modules``.  Only ``as_fraction`` builds a Fraction, importing the
-module there; ``engine.QuadraticForm.root_fraction`` calls it.
+Fraction without one.  A Fraction is accepted as a value (in arithmetic
+and comparisons, ``as_surd``, area segments, ``euclid_cf``, ``surd_cf``,
+``remainder`` and ``minimal_form``), never as a component or a count,
+and the library builds none.  It is recognized without an import: none
+can exist before ``fractions`` is loaded, so ``_is_fraction`` looks the
+class up in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -210,13 +211,6 @@ class QuadSurd(Frozen):
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise DomainError("as_fraction: value is irrational")
-        from fractions import Fraction
-
-        return Fraction(self.u, self.w)
-
     # -- field bookkeeping ----------------------------------------------
 
     def _join_field(self, other: "QuadSurd") -> int:
@@ -290,13 +284,8 @@ class QuadSurd(Frozen):
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadSurd":
-        """Multiplicative inverse.  Zero has none."""
-        if self.is_zero:
-            raise DomainError("inverse: value is zero")
-        # 1/((u + v*sqrt(d))/w) = w*(u - v*sqrt(d)) / (u^2 - v^2*d);
-        # the norm vanishes only at zero because d is not a square.
-        norm = self.u * self.u - self.v * self.v * self.d
-        return QuadSurd._in_field(self.w * self.u, -self.w * self.v, norm, self.d)
+        """Multiplicative inverse, 1 / self.  Zero has none."""
+        return _ONE.__truediv__(self)
 
     def __truediv__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         o = self._coerce(other)
@@ -367,8 +356,7 @@ class QuadSurd(Frozen):
                 h = hash(hash(abs(self.u)) * pow(self.w, -1, sys.hash_info.modulus))
             except ValueError:  # w has no inverse modulo the hash modulus
                 h = sys.hash_info.inf
-            h = h if self.u >= 0 else -h
-            return -2 if h == -1 else h
+            return h if self.u >= 0 else -h  # hash() turns a -1 into -2
         return hash((self.u, self.v, self.w, self.d))
 
     def floor(self) -> int:
@@ -408,27 +396,19 @@ class QuadSurd(Frozen):
             return core
         return "(%s)/%d" % (core, self.w)
 
-    def decimal(self, places: int = 6) -> str:
-        """The value rounded down to places decimals, for reports; display only.
-
-        places must be an int >= 0; at 0 the floor prints with no point.
-        """
-        _require_int(places, "decimal", "places")
-        if places < 0:
-            raise DomainError("decimal: places must be >= 0, got %d" % places)
-        scale = 10**places
-        n = (self * scale).floor()
-        if places == 0:
-            return str(n)
+    def decimal(self) -> str:
+        """The value rounded down to six decimals, for reports; display only."""
+        n = (self * 1_000_000).floor()
         sign = "-" if n < 0 else ""
-        q, r = divmod(abs(n), scale)
-        return "%s%d.%0*d" % (sign, q, places, r)
+        q, r = divmod(abs(n), 1_000_000)
+        return "%s%d.%06d" % (sign, q, r)
 
 
 _new = object.__new__
 # the slots' own setters store a field past the refusing __setattr__, and
 # are quicker than object.__setattr__ on the arithmetic path
 _set_u, _set_v, _set_w, _set_d = (QuadSurd.__dict__[n].__set__ for n in QuadSurd._fields)
+_ONE = QuadSurd._in_field(1, 0, 1, 1)
 
 
 def _sign(u: int, v: int, d: int) -> int:

@@ -33,6 +33,7 @@ from .engine import (
     euclid_cf,
     minimal_form,
     run_anthyphairesis,
+    _MAX_STEPS,
     _budget,
 )
 from .errors import DomainError, InternalInvariantError
@@ -146,7 +147,7 @@ def _ratio(a: Magnitude, b: Magnitude, caller: str) -> QuadSurd:
         raise DomainError("%s: %s" % (caller, exc)) from None
 
 
-def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = 10_000) -> ContinuedFraction:
+def anth_of_ratio(a: Magnitude, b: Magnitude, max_steps: int = _MAX_STEPS) -> ContinuedFraction:
     """Canonical expansion of the ratio a : b.
 
     Every irrational ratio runs on the quadratic-form engine.  A ratio

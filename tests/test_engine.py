@@ -71,12 +71,6 @@ class TestQuadraticForm:
         )
         assert QuadraticForm(MIXED, 1, 2, 7).root() == QuadSurd(-1, 2, 1, 2)
 
-    def test_root_fraction(self):
-        assert QuadraticForm(EXCESS, 1, 0, 4).root_fraction() == 2
-        assert QuadraticForm(EXCESS, 2, 3, 2).root_fraction() == 2
-        with pytest.raises(DomainError):
-            QuadraticForm(EXCESS, 1, 0, 2).root_fraction()
-
     def test_a_square_discriminant_root_factors_nothing(self, monkeypatch):
         # past the split budget, yet a square: its root is read off isqrt
         splits = []
@@ -87,10 +81,6 @@ class TestQuadraticForm:
         r = 10**12 + 39
         form = QuadraticForm(EXCESS, 1, 0, r * r)
         assert form.root() == r and form.root().is_rational
-        assert form.root_fraction() == r and type(form.root_fraction()) is Fraction
-        huge = QuadraticForm(EXCESS, 1, 0, r * (10**12 + 61))  # not a square
-        with pytest.raises(DomainError, match="is not a square"):
-            huge.root_fraction()
         assert splits == []
 
     def test_expandability(self):
@@ -106,6 +96,15 @@ class TestQuadraticForm:
     def test_str_tags(self):
         assert str(QuadraticForm(EXCESS, 1, 0, 2)) == "excess(1, 0, 2)"
         assert str(QuadraticForm(DEFECT, 1, 6, 7, smaller_root=True)) == "defect-(1, 6, 7)"
+
+    def test_json_kind_is_the_printed_tag(self):
+        from anthyphairesis import cli
+
+        forms = [QuadraticForm(kind, 1, 6, 7) for kind in (EXCESS, DEFECT, MIXED)]
+        forms.append(QuadraticForm(DEFECT, 1, 6, 7, smaller_root=True))
+        tags = [cli._form_json(form)["kind"] for form in forms]
+        assert tags == ["excess", "defect", "mixed", "defect-"]
+        assert tags == [str(form).partition("(")[0] for form in forms]
 
 
 class TestEuclid:
@@ -588,6 +587,41 @@ class TestRunAnthyphairesis:
         monkeypatch.setattr(engine, "_step", lambda a, b, c, s, j: (1, 1, 2, 0, 1))
         with pytest.raises(InternalInvariantError, match="sign pattern"):
             run_anthyphairesis(root2)
+
+    # each breaks one clause of the chain's test (c > 0 and s > 0) or (c < 0 and b > 0)
+    @pytest.mark.parametrize("pattern", [
+        (1, 1, 1, -1),  # c > 0, b > 0, s < 0
+        (1, -1, 1, -1),  # c > 0, b < 0, s < 0
+        (1, -1, -1, 1),  # c < 0, b < 0, s > 0
+        (1, 0, -1, 1),  # c < 0, b == 0
+        (1, 1, 0, 1),  # c == 0, s > 0
+        (1, 1, 0, -1),  # c == 0, b > 0
+        (1, 1, 1, 0),  # c > 0, b > 0, no selector
+    ])
+    def test_defect_chain_refuses_an_impossible_sign_pattern(self, monkeypatch, pattern):
+        # only the first step is broken; any later one is the real rule
+        real = engine._step
+        calls = []
+
+        def first_broken(a, b, c, s, j):
+            calls.append(1)
+            return (1,) + pattern if len(calls) == 1 else real(a, b, c, s, j)
+
+        monkeypatch.setattr(engine, "_step", first_broken)
+        with pytest.raises(InternalInvariantError, match="impossible sign pattern"):
+            run_anthyphairesis(QuadraticForm(DEFECT, 1, 3, 1))  # the chain steps first
+        assert len(calls) == 1
+
+    def test_the_default_budget_is_10_000_quotients(self):
+        # sqrt(10^12 + 39) has period 532,572, so each default run is cut at the budget
+        n = 10**12 + 39
+        x = QuadSurd(0, 1, 1, n)
+        cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, n))
+        ratio = anth_of_ratio(line(x), line(1))
+        oracle = surd_cf(x)
+        for got in (cf, ratio, oracle):
+            assert got.truncated and len(got.preperiod) == 10_000
+        assert cf.preperiod == ratio.preperiod == oracle.preperiod
 
     def test_output_is_canonical_without_canonicalize(self, monkeypatch):
         want = {

