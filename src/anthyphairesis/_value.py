@@ -4,7 +4,9 @@ A value type lists its fields once, as ``__slots__ = _fields = (...)``,
 and writes its own ``__init__``.  ``Record`` compares, shows and pickles
 an instance as the tuple of its fields, as a dataclass would; ``Frozen``
 also refuses assignment and deletion and hashes that tuple, so a frozen
-type's ``__init__`` stores its fields with ``object.__setattr__``.
+type's ``__init__`` stores its fields with ``object.__setattr__``, or,
+where many values are built, with its slots' own setters
+(``_slot_setters``).
 Only a type whose equality is not field equality defines its own
 ``__eq__`` and ``__hash__``: ``QuadSurd`` equals ints and Fractions and
 hashes a rational value as its ``Fraction``, and a truncated
@@ -27,6 +29,16 @@ def _rebuild(cls: type, values: tuple) -> object:
     for name, value in zip(cls._fields, values):
         _set(x, name, value)
     return x
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field slot of cls, in field order.
+
+    Each stores one field past Frozen's refusing ``__setattr__`` in about
+    half the time of ``object.__setattr__`` by name; the library's own
+    builders of its hot value types use them.
+    """
+    return tuple(cls.__dict__[name].__set__ for name in cls._fields)
 
 
 class Record:

@@ -29,7 +29,7 @@ from .engine import (
     _triple,
 )
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, as_surd
+from .exactarith import QuadSurd, _in_field, as_surd
 from .ratios import (
     Magnitude,
     anth_of_ratio,
@@ -158,7 +158,7 @@ def _root_text(form: QuadraticForm) -> str:
     except DomainError:  # disc is past the factoring budget: show sqrt(disc) unsplit
         # sign and floor, hence the decimal, need only a non-square radicand
         a, b, _, s = _triple(form)
-        return _surd_display(QuadSurd._in_field(b, s, 2 * a, form.disc))
+        return _surd_display(_in_field(b, s, 2 * a, form.disc))
 
 
 # -- anth ---------------------------------------------------------------------

@@ -66,9 +66,9 @@ import math
 from itertools import repeat
 from math import isqrt  # every caller here passes an int
 
-from ._value import Frozen, _rebuild, _set
+from ._value import Frozen, _new, _rebuild, _set, _slot_setters
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, _is_fraction, _require_int, as_surd
+from .exactarith import QuadSurd, _in_field, _is_fraction, _require_int, as_surd
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: neither module is imported at run time
@@ -123,11 +123,11 @@ class QuadraticForm(Frozen):
             )
         if smaller_root and kind != DEFECT:
             raise DomainError("QuadraticForm: smaller_root applies to defect only")
-        _set(self, "kind", kind)
-        _set(self, "A", A)
-        _set(self, "B", B)
-        _set(self, "C", C)
-        _set(self, "smaller_root", smaller_root)
+        _set_kind(self, kind)
+        _set_A(self, A)
+        _set_B(self, B)
+        _set_C(self, C)
+        _set_smaller_root(self, smaller_root)
 
     @property
     def disc(self) -> int:
@@ -140,7 +140,7 @@ class QuadraticForm(Frozen):
         disc = _disc(a, b, c)
         j = isqrt(disc)
         if j * j == disc:
-            return QuadSurd._in_field(b + s * j, 0, 2 * a, 1)
+            return _in_field(b + s * j, 0, 2 * a, 1)
         return QuadSurd(b, s, 2 * a, disc)
 
     @property
@@ -150,6 +150,9 @@ class QuadraticForm(Frozen):
 
     def __str__(self) -> str:
         return "%s(%d, %d, %d)" % (_tag(self), self.A, self.B, self.C)
+
+
+_set_kind, _set_A, _set_B, _set_C, _set_smaller_root = _slot_setters(QuadraticForm)
 
 
 class ContinuedFraction(Frozen):
@@ -393,14 +396,28 @@ def _form(a: int, b: int, c: int, s: int) -> QuadraticForm:
     |c| >= 1 are tested, B >= 0 (excess) or B >= 1 (mixed, defect)
     follows from the sign pattern, and a defect form's B^2 - 4*A*C is the
     discriminant b^2 + 4ac, positive for every form and kept by a step.
+    So the step successors, minimal_form results and replayed trace
+    states built here skip the kind, type, sign and discriminant checks
+    and store the five fields with the slots' own setters.
     """
-    if a > 0:
-        if c > 0 and s > 0:
-            if b >= 0:
-                return _rebuild(QuadraticForm, (EXCESS, a, b, c, False))
-            return _rebuild(QuadraticForm, (MIXED, a, -b, c, False))
-        if c < 0 and b > 0:
-            return _rebuild(QuadraticForm, (DEFECT, a, b, -c, s < 0))
+    if a > 0 and (c > 0 and s > 0 or c < 0 and b > 0):
+        x = _new(QuadraticForm)
+        _set_A(x, a)
+        if c < 0:
+            _set_kind(x, DEFECT)
+            _set_B(x, b)
+            _set_C(x, -c)
+            _set_smaller_root(x, s < 0)
+            return x
+        if b >= 0:
+            _set_kind(x, EXCESS)
+            _set_B(x, b)
+        else:
+            _set_kind(x, MIXED)
+            _set_B(x, -b)
+        _set_C(x, c)
+        _set_smaller_root(x, False)
+        return x
     # c == 0 forces a square discriminant; the other patterns have no root
     # above 1, and a <= 0 none at all
     raise InternalInvariantError(

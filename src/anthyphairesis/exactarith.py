@@ -26,7 +26,7 @@ import functools
 import math
 import sys
 
-from ._value import Frozen
+from ._value import Frozen, _slot_setters
 from .errors import DomainError, InternalInvariantError
 
 TYPE_CHECKING = False
@@ -106,13 +106,15 @@ def square_free_split(n: int) -> tuple[int, int]:
                 "square_free_split: radicand %d cannot be split by trial division "
                 "below %d" % (radicand, _TRIAL_DIVISION_LIMIT)
             )
-        e = 0
-        while n % f == 0:
+        if n % f == 0:  # the exponent is sought only for a divisor
             n //= f
-            e += 1
-        s *= f ** (e // 2)
-        if e % 2:
-            d *= f
+            e = 1
+            while n % f == 0:
+                n //= f
+                e += 1
+            s *= f ** (e // 2)
+            if e % 2:
+                d *= f
         f += step
         step = 6 - step
     r = math.isqrt(n)
@@ -142,8 +144,12 @@ class QuadSurd(Frozen):
     A value is checked once, where it enters.  The public constructor
     checks the type of each component (one exact ``int`` test each, a
     full check only for anything else) and the radicand.  A value the
-    library builds from values already checked goes through ``_in_field``,
-    which only normalizes.
+    library builds from values already checked goes through
+    ``_in_field``, which only normalizes.  An operand of ``+ - * /``, a
+    comparison or ``==`` that is a ``QuadSurd`` is used as it is: only
+    an int or a Fraction goes through ``_coerce``, and only operands of
+    two different radicands (one of them rational, or two fields, which
+    is an error) go through ``_join_field``.
     """
 
     __slots__ = _fields = ("u", "v", "w", "d")
@@ -170,36 +176,7 @@ class QuadSurd(Frozen):
             if d == 1:  # radicand was a perfect square: fold into u
                 u += v
                 v = 0
-        self._settle(u, v, w, d)
-
-    @classmethod
-    def _in_field(cls, u: int, v: int, w: int, d: int) -> "QuadSurd":
-        """(u + v*sqrt(d))/w in normal form, for a d that is already squarefree.
-
-        Every normalization step but the factoring of d: arithmetic on
-        normalized operands stays in their field.
-        """
-        x = _new(cls)
-        x._settle(u, v, w, d)
-        return x
-
-    def _settle(self, u: int, v: int, w: int, d: int) -> None:
-        """Store the normal form of (u + v*sqrt(d))/w, d squarefree."""
-        if w == 0:
-            raise DomainError("QuadSurd: denominator w must be nonzero")
-        if v == 0:
-            d = 1
-        if w < 0:
-            u, v, w = -u, -v, -w
-        g = math.gcd(u, v, w)
-        if g > 1:
-            u, v, w = u // g, v // g, w // g
-        if u == 0 and v == 0:
-            w = 1
-        _set_u(self, u)
-        _set_v(self, v)
-        _set_w(self, w)
-        _set_d(self, d)
+        _settle(self, u, v, w, d)
 
     # -- classification ------------------------------------------------
 
@@ -214,17 +191,19 @@ class QuadSurd(Frozen):
     # -- field bookkeeping ----------------------------------------------
 
     def _join_field(self, other: "QuadSurd") -> int:
-        """Common radicand for self and other, or DomainError."""
+        """Common radicand of self and other, whose radicands differ.
+
+        A rational value joins the other's field; two irrational values
+        lie in distinct fields, a DomainError.
+        """
         if self.v == 0:
             return other.d
         if other.v == 0:
             return self.d
-        if self.d != other.d:
-            raise DomainError(
-                "values lie in distinct quadratic fields (sqrt(%d) vs sqrt(%d))"
-                % (self.d, other.d)
-            )
-        return self.d
+        raise DomainError(
+            "values lie in distinct quadratic fields (sqrt(%d) vs sqrt(%d))"
+            % (self.d, other.d)
+        )
 
     # -- arithmetic ------------------------------------------------------
 
@@ -235,20 +214,25 @@ class QuadSurd(Frozen):
         if isinstance(x, int):
             if isinstance(x, bool):
                 return NotImplemented  # type: ignore[return-value]
-            return QuadSurd._in_field(x, 0, 1, 1)
+            return _in_field(x, 0, 1, 1)
         if _is_fraction(x):
-            return QuadSurd._in_field(x.numerator, 0, x.denominator, 1)
+            return _in_field(x.numerator, 0, x.denominator, 1)
         return NotImplemented  # type: ignore[return-value]
 
     def __neg__(self) -> "QuadSurd":
-        return QuadSurd._in_field(-self.u, -self.v, self.w, self.d)
+        return _in_field(-self.u, -self.v, self.w, self.d)
 
     def __add__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._join_field(o)
-        return QuadSurd._in_field(
+        if type(other) is QuadSurd:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        d = self.d
+        if d != o.d:
+            d = self._join_field(o)
+        return _in_field(
             self.u * o.w + o.u * self.w,
             self.v * o.w + o.v * self.w,
             self.w * o.w,
@@ -258,23 +242,39 @@ class QuadSurd(Frozen):
     __radd__ = __add__
 
     def __sub__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.__add__(-o)
+        if type(other) is QuadSurd:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        d = self.d
+        if d != o.d:
+            d = self._join_field(o)
+        return _in_field(
+            self.u * o.w - o.u * self.w,
+            self.v * o.w - o.v * self.w,
+            self.w * o.w,
+            d,
+        )
 
     def __rsub__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o.__add__(-self)
+        return o.__sub__(self)
 
     def __mul__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._join_field(o)
-        return QuadSurd._in_field(
+        if type(other) is QuadSurd:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        d = self.d
+        if d != o.d:
+            d = self._join_field(o)
+        return _in_field(
             self.u * o.u + self.v * o.v * d,
             self.u * o.v + self.v * o.u,
             self.w * o.w,
@@ -288,10 +288,15 @@ class QuadSurd(Frozen):
         return _ONE.__truediv__(self)
 
     def __truediv__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._join_field(o)  # the field message comes before "zero"
+        if type(other) is QuadSurd:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        d = self.d
+        if d != o.d:
+            d = self._join_field(o)  # the field message comes before "zero"
         c, e = o.u, o.v
         if c == 0 and e == 0:
             raise DomainError("inverse: value is zero")
@@ -299,7 +304,7 @@ class QuadSurd(Frozen):
         #     = q*(a + b*sqrt(d))*(c - e*sqrt(d)) / (p*(c^2 - e^2*d)),
         # normalized once where self * o.inverse() normalizes twice; the
         # norm c^2 - e^2*d vanishes only at zero, d not being a square
-        return QuadSurd._in_field(
+        return _in_field(
             o.w * (self.u * c - self.v * e * d),
             o.w * (self.v * c - self.u * e),
             self.w * (c * c - e * e * d),
@@ -320,12 +325,17 @@ class QuadSurd(Frozen):
 
     def _cmp(self, other: QuadSurd | Fraction | int) -> int:
         """Sign of self - other, from the numerator of the difference alone."""
-        if type(other) is int:  # x > 0, x > 1: nothing to coerce
+        if type(other) is QuadSurd:
+            o = other
+        elif type(other) is int:  # x > 0, x > 1: nothing to coerce
             return _sign(self.u - other * self.w, self.v, self.d)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented  # type: ignore[return-value]
-        d = self._join_field(o)
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented  # type: ignore[return-value]
+        d = self.d
+        if d != o.d:
+            d = self._join_field(o)
         return _sign(self.u * o.w - o.u * self.w, self.v * o.w - o.v * self.w, d)
 
     def __lt__(self, other: QuadSurd | Fraction | int) -> bool:
@@ -345,10 +355,13 @@ class QuadSurd(Frozen):
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)  # type: ignore[arg-type]
-        if o is NotImplemented:
-            return NotImplemented
-        return (self.u, self.v, self.w, self.d) == (o.u, o.v, o.w, o.d)
+        if type(other) is QuadSurd:
+            o = other
+        else:
+            o = self._coerce(other)  # type: ignore[arg-type]
+            if o is NotImplemented:
+                return NotImplemented
+        return self.u == o.u and self.v == o.v and self.w == o.w and self.d == o.d
 
     def __hash__(self) -> int:
         if self.v == 0:  # the hash of the equal int or Fraction, by Python's recipe
@@ -405,10 +418,42 @@ class QuadSurd(Frozen):
 
 
 _new = object.__new__
-# the slots' own setters store a field past the refusing __setattr__, and
-# are quicker than object.__setattr__ on the arithmetic path
-_set_u, _set_v, _set_w, _set_d = (QuadSurd.__dict__[n].__set__ for n in QuadSurd._fields)
-_ONE = QuadSurd._in_field(1, 0, 1, 1)
+_gcd = math.gcd
+_set_u, _set_v, _set_w, _set_d = _slot_setters(QuadSurd)
+
+
+def _settle(x: QuadSurd, u: int, v: int, w: int, d: int) -> None:
+    """Store in x the normal form of (u + v*sqrt(d))/w, d squarefree."""
+    if w == 0:
+        raise DomainError("QuadSurd: denominator w must be nonzero")
+    if v == 0:
+        d = 1
+    if w < 0:
+        u, v, w = -u, -v, -w
+    g = _gcd(u, v, w)  # w when u == v == 0, so zero is stored as 0/1
+    if g > 1:
+        u, v, w = u // g, v // g, w // g
+    _set_u(x, u)
+    _set_v(x, v)
+    _set_w(x, w)
+    _set_d(x, d)
+
+
+def _in_field(u: int, v: int, w: int, d: int) -> QuadSurd:
+    """(u + v*sqrt(d))/w in normal form, for a d that is already squarefree.
+
+    Every normalization step of the public constructor (the shared
+    _settle) but its type checks and the factoring of d: arithmetic on
+    normalized operands stays in their field, and a coerced int or
+    Fraction is rational.  Its callers pass ints computed from checked
+    values, so no component is checked again.
+    """
+    x = _new(QuadSurd)
+    _settle(x, u, v, w, d)
+    return x
+
+
+_ONE = _in_field(1, 0, 1, 1)
 
 
 def _sign(u: int, v: int, d: int) -> int:

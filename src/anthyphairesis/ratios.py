@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Frozen, _rebuild, _set
+from ._value import Frozen, _rebuild, _set, _slot_setters
 from .engine import (
     ContinuedFraction,
     euclid_cf,
@@ -37,7 +37,7 @@ from .engine import (
     _budget,
 )
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, _require_int, as_surd, is_perfect_square, isqrt
+from .exactarith import QuadSurd, _require_int, _sign, as_surd, is_perfect_square, isqrt
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: neither module is imported at run time
@@ -56,6 +56,10 @@ class Magnitude(Frozen):
     Areas enter the calculus as rectangles, i.e. products of two lines
     of one field; see rectangle().  The tag keeps ratios homogeneous:
     a ratio is always line to line or area to area.
+
+    A QuadSurd value is kept as it is and only an int or a Fraction goes
+    through as_surd; the sign is one _sign call on the value's
+    components, and both fields are stored with the slots' own setters.
     """
 
     __slots__ = _fields = ("value", "role")
@@ -63,11 +67,11 @@ class Magnitude(Frozen):
     def __init__(self, value: ValueLike, role: str = LINE) -> None:
         if role not in (LINE, AREA):
             raise DomainError("Magnitude: role must be %r or %r" % (LINE, AREA))
-        val = as_surd(value)
-        if val.sign() < 1:
+        val = value if type(value) is QuadSurd else as_surd(value)
+        if _sign(val.u, val.v, val.d) < 1:
             raise DomainError("Magnitude: value must be positive, got %s" % val)
-        _set(self, "value", val)
-        _set(self, "role", role)
+        _set_value(self, val)
+        _set_role(self, role)
 
     def __add__(self, other: "Magnitude") -> "Magnitude":
         if not isinstance(other, Magnitude):
@@ -87,6 +91,9 @@ class Magnitude(Frozen):
 
     def __str__(self) -> str:
         return "%s %s" % (self.role, self.value)
+
+
+_set_value, _set_role = _slot_setters(Magnitude)
 
 
 def line(x: ValueLike) -> Magnitude:

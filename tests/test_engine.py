@@ -556,15 +556,16 @@ class TestRunAnthyphairesis:
                     assert trace.repeat_at[0] <= first_excess + 1, form
 
     def test_states_are_built_only_when_read(self, monkeypatch):
-        # the engine builds its forms through _rebuild, never the public __init__
+        # the engine builds its forms through _form, never the public __init__
         built = [0]
-        real = engine._rebuild
+        real = engine._form
 
-        def counting(cls, values):
-            built[0] += cls is QuadraticForm
-            return real(cls, values)
+        def counting(a, b, c, s):
+            form = real(a, b, c, s)
+            built[0] += type(form) is QuadraticForm
+            return form
 
-        monkeypatch.setattr(engine, "_rebuild", counting)
+        monkeypatch.setattr(engine, "_form", counting)
         form = QuadraticForm(EXCESS, 1, 0, 1000003)
         cf, trace = run_anthyphairesis(form)
         assert len(trace.quotients) > 400 and not cf.truncated
@@ -831,8 +832,8 @@ def _expandable_forms(rng, count, lim):
 def test_engine_forms_pass_the_public_checks():
     """Every form the engine builds equals its rebuild by the public constructor.
 
-    The engine builds its forms through _value._rebuild, which skips the
-    public checks; the public rebuild raises if any of them fails.  The
+    The engine builds its forms through _form, which skips the public
+    checks; the public rebuild raises if any of them fails.  The
     forms: trace states, excess_step and defect_step successors and
     minimal_form results, of all four kinds.
     """

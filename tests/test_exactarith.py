@@ -6,6 +6,7 @@ far above the oracle's rounding error, so disagreement means a bug.
 """
 
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -213,7 +214,7 @@ class TestArithmetic:
             if x.is_zero:
                 continue
             u, v, w, d = x.u, x.v, x.w, x.d
-            expected = QuadSurd._in_field(w * u, -w * v, u * u - v * v * d, d)
+            expected = exactarith._in_field(w * u, -w * v, u * u - v * v * d, d)
             y = x.inverse()
             assert (y.u, y.v, y.w, y.d) == (expected.u, expected.v, expected.w, expected.d), x
 
@@ -483,9 +484,9 @@ def test_comparison_is_the_sign_of_the_difference(x, y):
 def test_comparisons_build_no_values(monkeypatch):
     x, y = QuadSurd(1, 2, 3, 7), QuadSurd(-5, 1, 2, 7)
     built = []
-    real = QuadSurd._settle
+    real = exactarith._settle
     monkeypatch.setattr(
-        QuadSurd, "_settle", lambda self, *t: built.append(t) or real(self, *t)
+        exactarith, "_settle", lambda x, *t: built.append(t) or real(x, *t)
     )
     assert x > 1 and x >= 0 and y < 1 and not x < y and x > y and y <= x
     assert x.floor() == 2 and y.floor() == -2
@@ -598,7 +599,7 @@ class TestSplitMemo:
         for _ in range(500):
             u, v, w = rng.randint(-99, 99), rng.randint(1, 99), rng.randint(1, 99)
             x = QuadSurd(u, v, w, 1000003)
-            assert x == QuadSurd._in_field(u, v, w, 1000003)
+            assert x == exactarith._in_field(u, v, w, 1000003)
         info = square_free_split.cache_info()
         assert (info.misses, info.hits) == (1, 499)
 
@@ -607,3 +608,182 @@ class TestSplitMemo:
             square_free_split(n)
         info = square_free_split.cache_info()
         assert info.maxsize == 32 and info.currsize <= info.maxsize
+
+
+def _split_testing_every_candidate(n: int) -> tuple[int, int]:
+    """The trial-division loop as it was before divisors were tested once.
+
+    It computes the exponent of every candidate, 0 for a non-divisor, and
+    raises at the same divisor limit with the same message.
+    """
+    radicand = n
+    s = d = 1
+    for p in (2, 3):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    f, step = 5, 2
+    while f * f * f <= n:
+        if f > exactarith._TRIAL_DIVISION_LIMIT:
+            raise DomainError(
+                "square_free_split: radicand %d cannot be split by trial division "
+                "below %d" % (radicand, exactarith._TRIAL_DIVISION_LIMIT)
+            )
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        s *= f ** (e // 2)
+        if e % 2:
+            d *= f
+        f += step
+        step = 6 - step
+    r = math.isqrt(n)
+    if r * r == n:
+        s *= r
+    else:
+        d *= n
+    return s, d
+
+
+class TestSplitTestsEachDivisorOnce:
+    """The split seeks an exponent only for a divisor; the old loop is the oracle."""
+
+    SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+    def test_agrees_below_100000(self):
+        split = square_free_split.__wrapped__
+        for n in range(1, 100_000):
+            assert split(n) == _split_testing_every_candidate(n), n
+
+    def test_agrees_on_seeded_radicands_below_10_to_the_18(self):
+        """3,000 seeded n < 10**18.
+
+        A third are log-uniform.  The rest are a log-uniform cofactor
+        below 10**12 times up to four small prime powers (exponents 1 to
+        4), so the exponent loop runs on squares, cubes and fourth powers
+        of several divisors of one radicand.
+        """
+        split = square_free_split.__wrapped__
+        rng = random.Random(27)
+        drawn = 0
+        powers = 0
+        while drawn < 3000:
+            if drawn % 3 == 0:
+                n = int(10 ** rng.uniform(0, 18))
+            else:
+                n = int(10 ** rng.uniform(0, 12))
+                for _ in range(rng.randint(1, 4)):
+                    e = rng.randint(1, 4)
+                    powers += e > 1
+                    n *= rng.choice(self.SMALL_PRIMES) ** e
+                if n >= 10**18:
+                    continue
+            assert split(n) == _split_testing_every_candidate(n), n
+            drawn += 1
+        assert powers > 1000
+
+    def test_the_budget_error_is_unchanged(self):
+        n = 10**31 + 57
+        with pytest.raises(DomainError) as old:
+            _split_testing_every_candidate(n)
+        with pytest.raises(DomainError) as new:
+            square_free_split.__wrapped__(n)
+        assert str(new.value) == str(old.value) == (
+            "square_free_split: radicand %d cannot be split by trial division "
+            "below 2097152" % n
+        )
+
+
+_FIELDS = r"^values lie in distinct quadratic fields \(sqrt\(2\) vs sqrt\(3\)\)$"
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _as_surd_route(op, x, y):
+    """op on x and y both coerced by as_surd first: the path an operand took before."""
+    return _BINARY[op](as_surd(x), as_surd(y))
+
+
+class TestOperandTable:
+    """Each operator on each kind of operand equals its as_surd route.
+
+    A QuadSurd operand is used as it is, an int or a Fraction is coerced,
+    a bool is refused, and values of two fields raise one message.
+    """
+
+    ROOT2 = QuadSurd(3, 5, 7, 2)
+    OPERANDS = {
+        "same field": QuadSurd(-2, 9, 4, 2),
+        "rational QuadSurd": QuadSurd(-5, 0, 3),
+        "int": 4,
+        "Fraction": Fraction(-7, 3),
+    }
+
+    @pytest.mark.parametrize("op", list(_BINARY))
+    @pytest.mark.parametrize("kind", list(OPERANDS))
+    def test_result_equals_the_as_surd_route(self, op, kind):
+        x, y = self.ROOT2, self.OPERANDS[kind]
+        for left, right in ((x, y), (y, x)):
+            got = _BINARY[op](left, right)
+            want = _as_surd_route(op, left, right)
+            assert type(got) is type(want) and got == want, (left, op, right)
+            if type(got) is QuadSurd:
+                assert (got.u, got.v, got.w, got.d) == (want.u, want.v, want.w, want.d)
+
+    def test_seeded_operands_equal_the_as_surd_route(self):
+        # x is rational in one draw in 19 (v == 0), so rational meets rational too
+        rng = random.Random(2727)
+        for _ in range(2000):
+            d = rng.choice((2, 3, 13, 1000003))
+            x = QuadSurd(rng.randint(-40, 40), rng.randint(-9, 9), rng.randint(1, 30), d)
+            y = rng.choice((
+                QuadSurd(rng.randint(-40, 40), rng.randint(-9, 9), rng.randint(1, 30), d),
+                QuadSurd(rng.randint(-40, 40), 0, rng.randint(1, 30)),
+                rng.randint(-40, 40),
+                Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
+            ))
+            for op in _BINARY:
+                for left, right in ((x, y), (y, x)):
+                    if op == "/" and as_surd(right).is_zero:
+                        continue
+                    assert _BINARY[op](left, right) == _as_surd_route(op, left, right)
+
+    @pytest.mark.parametrize("op", list(_BINARY))
+    def test_a_bool_is_refused(self, op):
+        for left, right in ((self.ROOT2, True), (False, self.ROOT2)):
+            with pytest.raises(TypeError):
+                _BINARY[op](left, right)
+        assert (self.ROOT2 == True) is False and (self.ROOT2 != False) is True  # noqa: E712
+
+    @pytest.mark.parametrize("op", list(_BINARY))
+    def test_distinct_fields_raise_one_message(self, op):
+        root3 = QuadSurd(1, 1, 2, 3)
+        for x in (QuadSurd(0, 1, 1, 2), self.ROOT2):
+            with pytest.raises(DomainError, match=_FIELDS):
+                _BINARY[op](x, root3)
+
+    def test_equality_across_fields_is_false(self):
+        assert QuadSurd(0, 1, 1, 2) != QuadSurd(0, 1, 1, 3)
+        assert QuadSurd(1, 0, 2) == Fraction(1, 2) and QuadSurd(2) == 2
+
+    def test_magnitude_refuses_as_before(self):
+        cases = (
+            (True, "cannot interpret True as an exact quadratic value"),
+            (0, "Magnitude: value must be positive, got 0"),
+            (QuadSurd(0), "Magnitude: value must be positive, got 0"),
+            (-3, "Magnitude: value must be positive, got -3"),
+            (Fraction(-1, 2), "Magnitude: value must be positive, got -1/2"),
+            (QuadSurd(1, -1, 1, 2), "Magnitude: value must be positive, got 1 - sqrt(2)"),
+        )
+        for value, msg in cases:
+            with pytest.raises(DomainError, match="^%s$" % re.escape(msg)):
+                line(value)
+        assert line(QuadSurd(-1, 1, 1, 2)).value == QuadSurd(-1, 1, 1, 2)
+        assert type(line(Fraction(3, 2)).value) is QuadSurd
