@@ -561,9 +561,10 @@ def run_anthyphairesis(
     A0, P0, C0 = A, P, C
     j2 = 2 * j
     # the loop steps states 0 .. room, one more than the budget allows, so it
-    # needs no budget test of its own: a result that outruns the budget is
-    # cut to it after the loop.  State m is the one stepped while the period
-    # holds m quotients.
+    # needs no budget test of its own: a result that outruns the budget,
+    # whether the walk ran out with the period open (room + 1 quotients) or
+    # the reflection below lengthened it, is cut to it after the loop.
+    # State m is the one stepped while the period holds m quotients.
     room = max_steps - anchor_at
     for _ in repeat(None, room + 1):
         if A == C:  # state m = len(period) is its own reverse: centre 2m - 1
@@ -586,8 +587,6 @@ def run_anthyphairesis(
             if len(centres) == 2:
                 break
         A, P, C = A1, P1, A
-    else:  # the budget ran out with the period still open
-        return _truncated((pre + period)[:max_steps], form)
 
     if len(centres) == 2:
         # q[i] == q[h - i] for every centre h: two give the primitive period
@@ -600,8 +599,8 @@ def run_anthyphairesis(
             period += period[h2 - n : h1 if h1 >= 0 else None : -1]
         if h1 == -2:
             period.append(last)
-        if anchor_at + len(period) > max_steps:
-            return _truncated((pre + period)[:max_steps], form)
+    if anchor_at + len(period) > max_steps:
+        return _truncated((pre + period)[:max_steps], form)
     # canonical as it stands: the primitive period is closed, and the
     # unreduced state before the anchor cannot share the period's last
     # quotient (it would equal that state)

@@ -15,9 +15,11 @@ numeric-hash recipe, so a rational value hashes as the equal int or
 Fraction without one.  A Fraction is accepted as a value (in arithmetic
 and comparisons, ``as_surd``, area segments, ``euclid_cf``, ``surd_cf``,
 ``remainder`` and ``minimal_form``), never as a component or a count,
-and the library builds none.  It is recognized without an import: none
-can exist before ``fractions`` is loaded, so ``_is_fraction`` looks the
-class up in ``sys.modules``.
+and the library builds none.  An operator hands an int or Fraction
+operand to ``_foreign``, the one place an operand is coerced.  A
+Fraction is recognized without an import: none can exist before
+``fractions`` is loaded, so ``_is_fraction`` looks the class up in
+``sys.modules``.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ import functools
 import math
 import sys
 
-from ._value import Frozen, _slot_setters
+from ._value import Frozen, _new, _slot_setters
 from .errors import DomainError, InternalInvariantError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: fractions is not imported at run time
+    from collections.abc import Callable
     from fractions import Fraction
 
 
@@ -146,10 +149,13 @@ class QuadSurd(Frozen):
     full check only for anything else) and the radicand.  A value the
     library builds from values already checked goes through
     ``_in_field``, which only normalizes.  An operand of ``+ - * /``, a
-    comparison or ``==`` that is a ``QuadSurd`` is used as it is: only
-    an int or a Fraction goes through ``_coerce``, and only operands of
-    two different radicands (one of them rational, or two fields, which
-    is an error) go through ``_join_field``.
+    comparison or ``==`` that is a ``QuadSurd`` (or a subclass) is used
+    as it is.  ``_foreign`` takes any other operand: it coerces an int
+    or a Fraction through ``_coerce`` and calls the operator again, and
+    gives NotImplemented for anything else, a bool included (a
+    comparison reads an int directly).  Only operands of two different
+    radicands (one of them rational, or two fields, which is an error)
+    go through ``_join_field``.
     """
 
     __slots__ = _fields = ("u", "v", "w", "d")
@@ -223,38 +229,30 @@ class QuadSurd(Frozen):
         return _in_field(-self.u, -self.v, self.w, self.d)
 
     def __add__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        if type(other) is QuadSurd:
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is NotImplemented:
-                return NotImplemented
+        if not isinstance(other, QuadSurd):
+            return _foreign(QuadSurd.__add__, self, other)
         d = self.d
-        if d != o.d:
-            d = self._join_field(o)
+        if d != other.d:
+            d = self._join_field(other)
         return _in_field(
-            self.u * o.w + o.u * self.w,
-            self.v * o.w + o.v * self.w,
-            self.w * o.w,
+            self.u * other.w + other.u * self.w,
+            self.v * other.w + other.v * self.w,
+            self.w * other.w,
             d,
         )
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        if type(other) is QuadSurd:
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is NotImplemented:
-                return NotImplemented
+        if not isinstance(other, QuadSurd):
+            return _foreign(QuadSurd.__sub__, self, other)
         d = self.d
-        if d != o.d:
-            d = self._join_field(o)
+        if d != other.d:
+            d = self._join_field(other)
         return _in_field(
-            self.u * o.w - o.u * self.w,
-            self.v * o.w - o.v * self.w,
-            self.w * o.w,
+            self.u * other.w - other.u * self.w,
+            self.v * other.w - other.v * self.w,
+            self.w * other.w,
             d,
         )
 
@@ -265,19 +263,15 @@ class QuadSurd(Frozen):
         return o.__sub__(self)
 
     def __mul__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        if type(other) is QuadSurd:
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is NotImplemented:
-                return NotImplemented
+        if not isinstance(other, QuadSurd):
+            return _foreign(QuadSurd.__mul__, self, other)
         d = self.d
-        if d != o.d:
-            d = self._join_field(o)
+        if d != other.d:
+            d = self._join_field(other)
         return _in_field(
-            self.u * o.u + self.v * o.v * d,
-            self.u * o.v + self.v * o.u,
-            self.w * o.w,
+            self.u * other.u + self.v * other.v * d,
+            self.u * other.v + self.v * other.u,
+            self.w * other.w,
             d,
         )
 
@@ -288,25 +282,21 @@ class QuadSurd(Frozen):
         return _ONE.__truediv__(self)
 
     def __truediv__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        if type(other) is QuadSurd:
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is NotImplemented:
-                return NotImplemented
+        if not isinstance(other, QuadSurd):
+            return _foreign(QuadSurd.__truediv__, self, other)
         d = self.d
-        if d != o.d:
-            d = self._join_field(o)  # the field message comes before "zero"
-        c, e = o.u, o.v
+        if d != other.d:
+            d = self._join_field(other)  # the field message comes before "zero"
+        c, e = other.u, other.v
         if c == 0 and e == 0:
             raise DomainError("inverse: value is zero")
         # ((a + b*sqrt(d))/p) / ((c + e*sqrt(d))/q)
         #     = q*(a + b*sqrt(d))*(c - e*sqrt(d)) / (p*(c^2 - e^2*d)),
-        # normalized once where self * o.inverse() normalizes twice; the
+        # normalized once where self * other.inverse() normalizes twice; the
         # norm c^2 - e^2*d vanishes only at zero, d not being a square
         return _in_field(
-            o.w * (self.u * c - self.v * e * d),
-            o.w * (self.v * c - self.u * e),
+            other.w * (self.u * c - self.v * e * d),
+            other.w * (self.v * c - self.u * e),
             self.w * (c * c - e * e * d),
             d,
         )
@@ -325,18 +315,15 @@ class QuadSurd(Frozen):
 
     def _cmp(self, other: QuadSurd | Fraction | int) -> int:
         """Sign of self - other, from the numerator of the difference alone."""
-        if type(other) is QuadSurd:
-            o = other
-        elif type(other) is int:  # x > 0, x > 1: nothing to coerce
-            return _sign(self.u - other * self.w, self.v, self.d)
-        else:
-            o = self._coerce(other)
-            if o is NotImplemented:
-                return NotImplemented  # type: ignore[return-value]
+        if not isinstance(other, QuadSurd):
+            if type(other) is int:  # x > 0, x > 1: nothing to coerce
+                return _sign(self.u - other * self.w, self.v, self.d)
+            return _foreign(QuadSurd._cmp, self, other)
         d = self.d
-        if d != o.d:
-            d = self._join_field(o)
-        return _sign(self.u * o.w - o.u * self.w, self.v * o.w - o.v * self.w, d)
+        if d != other.d:
+            d = self._join_field(other)
+        return _sign(self.u * other.w - other.u * self.w,
+                     self.v * other.w - other.v * self.w, d)
 
     def __lt__(self, other: QuadSurd | Fraction | int) -> bool:
         c = self._cmp(other)
@@ -355,13 +342,10 @@ class QuadSurd(Frozen):
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is QuadSurd:
-            o = other
-        else:
-            o = self._coerce(other)  # type: ignore[arg-type]
-            if o is NotImplemented:
-                return NotImplemented
-        return self.u == o.u and self.v == o.v and self.w == o.w and self.d == o.d
+        if not isinstance(other, QuadSurd):
+            return _foreign(QuadSurd.__eq__, self, other)
+        return (self.u == other.u and self.v == other.v
+                and self.w == other.w and self.d == other.d)
 
     def __hash__(self) -> int:
         if self.v == 0:  # the hash of the equal int or Fraction, by Python's recipe
@@ -417,7 +401,6 @@ class QuadSurd(Frozen):
         return "%s%d.%06d" % (sign, q, r)
 
 
-_new = object.__new__
 _gcd = math.gcd
 _set_u, _set_v, _set_w, _set_d = _slot_setters(QuadSurd)
 
@@ -454,6 +437,19 @@ def _in_field(u: int, v: int, w: int, d: int) -> QuadSurd:
 
 
 _ONE = _in_field(1, 0, 1, 1)
+
+
+def _foreign(op: Callable, x: QuadSurd, other: object) -> object:
+    """op(x, other) for an operand other that is not a QuadSurd.
+
+    The one place an operator coerces: an int or a Fraction becomes a
+    rational QuadSurd through _coerce, anything else (a bool included)
+    gives NotImplemented, so Python tries the reflected operator.
+    """
+    o = QuadSurd._coerce(other)  # type: ignore[arg-type]
+    if o is NotImplemented:
+        return NotImplemented
+    return op(x, o)
 
 
 def _sign(u: int, v: int, d: int) -> int:

@@ -36,7 +36,7 @@ from .engine import (
     _MAX_STEPS,
     _budget,
 )
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError
 from .exactarith import QuadSurd, _require_int, _sign, as_surd, is_perfect_square, isqrt
 
 TYPE_CHECKING = False
@@ -225,19 +225,15 @@ def commensurable_pure(a_coeff: int, c_coeff: int) -> bool:
     """Commensurability of a, b tied by A*a^2 = C*b^2.
 
     The pair is commensurable exactly when C/A in lowest terms has
-    square numerator and denominator, equivalently when A*C is a
-    perfect square; both routes are computed and must agree.
+    square numerator and denominator (equivalently, when A*C is a
+    perfect square), that is, when square_ratio_witness finds the m, n
+    with C/A = m^2/n^2.
     """
     _require_int(a_coeff, "commensurable_pure", "a_coeff")
     _require_int(c_coeff, "commensurable_pure", "c_coeff")
     if a_coeff < 1 or c_coeff < 1:
         raise DomainError("commensurable_pure: coefficients must be >= 1")
-    g = math.gcd(a_coeff, c_coeff)
-    reduced = is_perfect_square(a_coeff // g) and is_perfect_square(c_coeff // g)
-    product = is_perfect_square(a_coeff * c_coeff)
-    if reduced != product:
-        raise InternalInvariantError("commensurable_pure: the two routes disagree")
-    return reduced
+    return square_ratio_witness(c_coeff, a_coeff) is not None
 
 
 def square_ratio_witness(c_coeff: int, a_coeff: int) -> tuple[int, int] | None:
@@ -254,8 +250,6 @@ def square_ratio_witness(c_coeff: int, a_coeff: int) -> tuple[int, int] | None:
     cr, ar = c_coeff // g, a_coeff // g
     if is_perfect_square(cr) and is_perfect_square(ar):
         return isqrt(cr), isqrt(ar)
-    if is_perfect_square(a_coeff * c_coeff):
-        raise InternalInvariantError("square_ratio_witness: missed a square ratio")
     return None
 
 

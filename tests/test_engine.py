@@ -756,6 +756,19 @@ class TestMirroredCycle:
             anchor_at, p = len(cf.preperiod), len(cf.period)
             for budget in range(max(anchor_at + p // 2 - 2, 0), anchor_at + p + 2):
                 _assert_as_oracle(form, budget)
+        # cycles with no centre: the walk runs to the full-period return, and a
+        # budget below it is cut by the same test after the loop
+        for form in (
+            QuadraticForm(DEFECT, 2, 23, 7),  # period 4
+            QuadraticForm(DEFECT, 64, 656, 223),  # period 54
+            QuadraticForm(DEFECT, 26, 49, 3),  # preperiod 2, period 23
+            QuadraticForm(MIXED, 2, 23, 29),  # period 7
+            QuadraticForm(EXCESS, 2, 15, 12),  # its own anchor, period 6
+        ):
+            cf, _ = run_anthyphairesis(form)
+            assert not _is_symmetric(cf.period), form
+            for budget in range(len(cf.preperiod) + len(cf.period) + 2):
+                _assert_as_oracle(form, budget)
 
     def test_cycle_step_invariant_is_checked(self, monkeypatch):
         # a wrong square root is the only way in: excess(1, 2, 1) is its own

@@ -711,11 +711,16 @@ def _as_surd_route(op, x, y):
     return _BINARY[op](as_surd(x), as_surd(y))
 
 
+class _Sub(QuadSurd):
+    __slots__ = ()
+
+
 class TestOperandTable:
     """Each operator on each kind of operand equals its as_surd route.
 
-    A QuadSurd operand is used as it is, an int or a Fraction is coerced,
-    a bool is refused, and values of two fields raise one message.
+    A QuadSurd operand, or one of a subclass, is used as it is, an int or
+    a Fraction is coerced, a bool is refused, and values of two fields
+    raise one message.
     """
 
     ROOT2 = QuadSurd(3, 5, 7, 2)
@@ -724,6 +729,7 @@ class TestOperandTable:
         "rational QuadSurd": QuadSurd(-5, 0, 3),
         "int": 4,
         "Fraction": Fraction(-7, 3),
+        "subclass": _Sub(-2, 9, 4, 2),
     }
 
     @pytest.mark.parametrize("op", list(_BINARY))
