@@ -258,10 +258,6 @@ def _count(args: argparse.Namespace, default: int) -> int:
 
 
 def _cmd_convergents(args: argparse.Namespace) -> int:
-    a: QuadSurd | None = None
-    b: QuadSurd | None = None
-    expansion: ContinuedFraction | None = None
-
     if args.quotients is not None:
         # the quotients are given, so there is nothing for a budget to bound
         if args.max_steps is not None:
@@ -272,9 +268,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
             qs_all = tuple(_int(t) for t in args.quotients.split(","))
         except ValueError:
             raise DomainError("convergents: --quotients must be comma separated integers")
-        if min(qs_all) < 1:  # a head 0 too: convergents() takes none
-            raise DomainError("convergents: quotients must be integers >= 1")
-        expansion = ContinuedFraction(qs_all)
+        sd = convergents(qs_all, len(qs_all))  # refuses a quotient below 1, a head 0 too
         count = _count(args, len(qs_all))
         if count > len(qs_all):
             raise DomainError(
@@ -282,7 +276,8 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
                 % (len(qs_all), count)
             )
         qs = qs_all[:count]
-        command = "convergents"
+        a = b = None
+        shown = _bracketed(qs_all)
         input_obj = {"quotients": [str(k) for k in qs_all], "count": str(count)}
     else:
         if len(args.source) != 2 or args.source[0] != "sqrt":
@@ -307,12 +302,15 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
             raise DomainError(
                 "convergents: sqrt(%d) has only %d quotients, %d requested" % (n, have, count)
             )
+        if count > max_steps:  # periodic: head(count) unrolls the period count long
+            print("undecided: convergents: count %d for sqrt(%d) exceeds max_steps %d "
+                  "(raise --max-steps)" % (count, n, max_steps), file=sys.stderr)
+            return EXIT_UNDECIDED
         qs = expansion.head(count)
+        sd = convergents(qs, count)
         a, b = QuadSurd(0, 1, 1, n), as_surd(1)
-        command = "convergents"
+        shown = str(expansion)
         input_obj = {"radicand": str(n), "count": str(count)}
-
-    sd = convergents(qs, count)
 
     rows = []
     table = []
@@ -346,9 +344,9 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         )
 
     headers = ("n", "k", "p", "q", "remainder", "value")
-    lines = [_kv("expansion", expansion)] + _table(headers, table)
+    lines = [_kv("expansion", shown)] + _table(headers, table)
 
-    _emit(args, command, input_obj, {"rows": rows}, lines)
+    _emit(args, "convergents", input_obj, {"rows": rows}, lines)
     return EXIT_OK
 
 

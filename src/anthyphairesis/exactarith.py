@@ -15,11 +15,11 @@ numeric-hash recipe, so a rational value hashes as the equal int or
 Fraction without one.  A Fraction is accepted as a value (in arithmetic
 and comparisons, ``as_surd``, area segments, ``euclid_cf``, ``surd_cf``,
 ``remainder`` and ``minimal_form``), never as a component or a count,
-and the library builds none.  An operator hands an int or Fraction
-operand to ``_foreign``, the one place an operand is coerced.  A
-Fraction is recognized without an import: none can exist before
-``fractions`` is loaded, so ``_is_fraction`` looks the class up in
-``sys.modules``.
+and the library builds none.  Every operator, reflected ones included,
+hands an int or Fraction operand to ``_foreign``, the one place an
+operator coerces.  A Fraction is recognized without an import: none can
+exist before ``fractions`` is loaded, so ``_is_fraction`` looks the
+class up in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -150,10 +150,13 @@ class QuadSurd(Frozen):
     library builds from values already checked goes through
     ``_in_field``, which only normalizes.  An operand of ``+ - * /``, a
     comparison or ``==`` that is a ``QuadSurd`` (or a subclass) is used
-    as it is.  ``_foreign`` takes any other operand: it coerces an int
-    or a Fraction through ``_coerce`` and calls the operator again, and
-    gives NotImplemented for anything else, a bool included (a
-    comparison reads an int directly).  Only operands of two different
+    as it is.  ``_foreign`` takes any other operand, the reflected
+    ``-`` and ``/`` included: it coerces an int or a Fraction through
+    ``_coerce`` and calls the operator again, and gives NotImplemented
+    for anything else, a bool included (a comparison reads an int
+    directly).  ``_coerce``, a module function, gives the operand as a
+    ``QuadSurd`` or None; only ``_foreign``, ``as_surd`` and
+    ``_rational`` call it.  Only operands of two different
     radicands (one of them rational, or two fields, which is an error)
     go through ``_join_field``.
     """
@@ -213,18 +216,6 @@ class QuadSurd(Frozen):
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x: QuadSurd | Fraction | int) -> QuadSurd:
-        if isinstance(x, QuadSurd):
-            return x
-        if isinstance(x, int):
-            if isinstance(x, bool):
-                return NotImplemented  # type: ignore[return-value]
-            return _in_field(x, 0, 1, 1)
-        if _is_fraction(x):
-            return _in_field(x.numerator, 0, x.denominator, 1)
-        return NotImplemented  # type: ignore[return-value]
-
     def __neg__(self) -> "QuadSurd":
         return _in_field(-self.u, -self.v, self.w, self.d)
 
@@ -257,10 +248,9 @@ class QuadSurd(Frozen):
         )
 
     def __rsub__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__sub__(self)
+        if not isinstance(other, QuadSurd):
+            return _foreign(QuadSurd.__rsub__, self, other)
+        return other.__sub__(self)
 
     def __mul__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
         if not isinstance(other, QuadSurd):
@@ -302,10 +292,9 @@ class QuadSurd(Frozen):
         )
 
     def __rtruediv__(self, other: QuadSurd | Fraction | int) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__truediv__(self)
+        if not isinstance(other, QuadSurd):
+            return _foreign(QuadSurd.__rtruediv__, self, other)
+        return other.__truediv__(self)
 
     # -- order -----------------------------------------------------------
 
@@ -439,17 +428,26 @@ def _in_field(u: int, v: int, w: int, d: int) -> QuadSurd:
 _ONE = _in_field(1, 0, 1, 1)
 
 
+def _coerce(x: object) -> QuadSurd | None:
+    """x itself, an int or a Fraction as a rational QuadSurd, else None (a bool too)."""
+    if isinstance(x, QuadSurd):
+        return x
+    if isinstance(x, int):
+        return None if isinstance(x, bool) else _in_field(x, 0, 1, 1)
+    if _is_fraction(x):
+        return _in_field(x.numerator, 0, x.denominator, 1)
+    return None
+
+
 def _foreign(op: Callable, x: QuadSurd, other: object) -> object:
     """op(x, other) for an operand other that is not a QuadSurd.
 
     The one place an operator coerces: an int or a Fraction becomes a
     rational QuadSurd through _coerce, anything else (a bool included)
-    gives NotImplemented, so Python tries the reflected operator.
+    gives NotImplemented, so Python tries the other operand's method.
     """
-    o = QuadSurd._coerce(other)  # type: ignore[arg-type]
-    if o is NotImplemented:
-        return NotImplemented
-    return op(x, o)
+    o = _coerce(other)
+    return NotImplemented if o is None else op(x, o)
 
 
 def _sign(u: int, v: int, d: int) -> int:
@@ -474,16 +472,16 @@ def _sign(u: int, v: int, d: int) -> int:
 
 def as_surd(x: QuadSurd | Fraction | int) -> QuadSurd:
     """Coerce an int, Fraction or QuadSurd into a QuadSurd."""
-    out = QuadSurd._coerce(x)
-    if out is NotImplemented:
+    out = _coerce(x)
+    if out is None:
         raise DomainError("cannot interpret %r as an exact quadratic value" % (x,))
     return out
 
 
 def _rational(x: QuadSurd | Fraction | int, caller: str) -> QuadSurd:
     """x as a rational QuadSurd; anything else is a DomainError naming caller."""
-    r = QuadSurd._coerce(x)
-    if r is NotImplemented or r.v:
+    r = _coerce(x)
+    if r is None or r.v:
         raise DomainError("%s: argument must be an int, a Fraction or a rational "
                           "QuadSurd, got %r" % (caller, x))
     return r

@@ -8,6 +8,12 @@ failure by raising AssertionError explicitly, never by an assert
 statement, so that `python -O` strips none of the checks; any other
 exception also counts as a failure, because properties must not crash
 on their own inputs.
+
+A property raises only on a fact that nothing before it on the same
+path has checked: neither its own earlier comparison (an expansion
+equal to a finite or purely periodic one is itself finite or purely
+periodic) nor the code it calls, whose own guards (a quotient below 1,
+a coefficient below 1) raise InternalInvariantError first.
 """
 
 from __future__ import annotations
@@ -164,10 +170,8 @@ def _prop_disc_invariance(rng: random.Random) -> str:
     disc = form.disc
     cur = form
     for _ in range(100):
-        k, cur = excess_step(cur)
-        if k < 1:
-            raise AssertionError("quotient below 1")
-        if cur.A < 1 or cur.B < 1 or cur.C < 1:
+        cur = excess_step(cur)[1]
+        if cur.B < 1:
             raise AssertionError("nonpositive coefficient")
         if cur.disc != disc:
             raise AssertionError("discriminant drifted: %d -> %d" % (disc, cur.disc))
@@ -188,11 +192,11 @@ def _prop_pigeonhole_recurrence(rng: random.Random) -> str:
 
 def _prop_quotients_positive(rng: random.Random) -> str:
     form = _random_excess(rng) if rng.random() < 0.5 else _random_defect(rng)
-    cf, trace = run_anthyphairesis(form, max_steps=50_000)
+    # the engine raises InternalInvariantError where it makes a quotient
+    # below 1, so a run that ends has emitted only positive quotients
+    cf, _ = run_anthyphairesis(form, max_steps=50_000)
     if cf.truncated:
         raise AssertionError("unexpected truncation")
-    if not all(k >= 1 for k in trace.quotients):
-        raise AssertionError("nonpositive quotient emitted")
     return PASS
 
 
@@ -204,9 +208,7 @@ def _prop_defect_reaches_excess(rng: random.Random) -> str:
     while cur.kind != EXCESS:
         if steps > form.B:
             raise AssertionError("defect chain did not shrink")
-        k, cur = defect_step(cur)
-        if k < 1:
-            raise AssertionError
+        cur = defect_step(cur)[1]
         if cur.disc != disc:
             raise AssertionError("discriminant changed across the defect chain")
         steps += 1
@@ -250,8 +252,6 @@ def _prop_oracle_agreement(rng: random.Random) -> str:
     oracle = surd_cf(form.root(), max_steps=50_000)
     if cf != oracle:
         raise AssertionError("engine and generic expansions disagree on %s" % (form,))
-    if cf.head(50) != oracle.head(50):
-        raise AssertionError("leading quotients disagree")
     return PASS
 
 
@@ -262,8 +262,6 @@ def _prop_period_roundtrip(rng: random.Random) -> str:
     want = ContinuedFraction((), per)
     if cf != canonicalize_cf(want):
         raise AssertionError("period %r did not round-trip: %s" % (per, cf))
-    if cf.preperiod != ():
-        raise AssertionError("round trip is not purely periodic")
     return PASS
 
 
@@ -280,8 +278,6 @@ def _prop_rational_fallback(rng: random.Random) -> str:
     form = _random_square_disc_excess(rng)
     cf, _ = run_anthyphairesis(form)
     root = form.root()
-    if not cf.is_finite:
-        raise AssertionError("square discriminant must give a finite expansion")
     if cf != euclid_cf(root.u, root.w):
         raise AssertionError("fallback mismatch")
     return PASS

@@ -101,6 +101,7 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "anth sqrt 12",
     "anth sqrt 12 --json",
     "anth sqrt 3 --max-steps 2",
+    "anth sqrt 7 --trace --max-steps 2",
     "anth sqrt 3 --max-steps -1",
     "anth sqrt 10000000000000061 --max-steps 10",
     "anth sqrt 10000000000000061 --max-steps 10 --json",
@@ -121,10 +122,14 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "anth surd 0 1 0 2",
     "anth surd 0 1 1 -2",
     "anth surd 0 1 1 " + _SPLIT_LIMIT_PRIME,
+    "convergents --quotients 1,2,2",
+    "convergents --quotients 3,1,4,1,5 --count 3 --json",
     "convergents --quotients 1,2,2 --max-steps -1",
     "convergents --quotients 1,2,3 --max-steps 0 --json",
     "convergents sqrt 2 --count -1",
     "convergents sqrt 3 --max-steps 2",
+    "convergents sqrt 2 --count 4 --max-steps 3",
+    "convergents sqrt 2 --count 3 --max-steps 3",
     "convergents sqrt 4 --count 3",
     "convergents sqrt 1 --count 1",
     "theodorus --max 1",
@@ -145,6 +150,7 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "ratio eq 0,1,1,2 1 2 0,1,1,2 --max-steps -1",
     "ratio eq 2 1,1,1,2 3 1",
     "ratio eq 2 1,1,1,2 3 1 --max-steps -1",
+    "ratio eq 0,1,1,2 2 1 1 --max-steps 0",
     # ratio mixed
     "ratio mixed 3 2 3 2",
     "ratio mixed 3 2 2 3 --json",

@@ -304,6 +304,26 @@ class TestConvergents:
             "2  1  1  2  2*b - a    2 - sqrt(3)",
         ]
 
+    @pytest.mark.parametrize(
+        "argv, count, budget",
+        [(("--max-steps", "3"), "4", "3"), ((), "1000000000", "10000")],
+    )
+    def test_periodic_count_past_the_budget_is_undecided(self, capsys, argv, count, budget):
+        # refused before head(count) unrolls the period into count quotients
+        start = time.process_time()
+        code, out, err = run(capsys, "convergents", "sqrt", "2", "--count", count, *argv)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "undecided: convergents: count %s for sqrt(2) exceeds max_steps %s "
+            "(raise --max-steps)\n" % (count, budget)
+        )
+
+    def test_periodic_count_at_the_budget_prints_its_rows(self, capsys):
+        code, out, err = run(capsys, "convergents", "sqrt", "2", "--count", "3", "--max-steps", "3")
+        assert code == 0 and err == ""
+        assert [ln.split()[0] for ln in out.splitlines()[2:]] == ["0", "1", "2", "3"]
+
     def test_explicit_quotients(self, capsys):
         code, out, _ = run(capsys, "convergents", "--quotients", "1,2,2", "--json")
         assert code == 0

@@ -719,8 +719,8 @@ class TestOperandTable:
     """Each operator on each kind of operand equals its as_surd route.
 
     A QuadSurd operand, or one of a subclass, is used as it is, an int or
-    a Fraction is coerced, a bool is refused, and values of two fields
-    raise one message.
+    a Fraction is coerced, a bool or any other type is refused, and
+    values of two fields raise one message.
     """
 
     ROOT2 = QuadSurd(3, 5, 7, 2)
@@ -761,12 +761,16 @@ class TestOperandTable:
                         continue
                     assert _BINARY[op](left, right) == _as_surd_route(op, left, right)
 
+    REFUSED = (True, False, 1.5, "2", None, 1j)
+
     @pytest.mark.parametrize("op", list(_BINARY))
     def test_a_bool_is_refused(self, op):
-        for left, right in ((self.ROOT2, True), (False, self.ROOT2)):
-            with pytest.raises(TypeError):
-                _BINARY[op](left, right)
-        assert (self.ROOT2 == True) is False and (self.ROOT2 != False) is True  # noqa: E712
+        # as is every operand that is not a QuadSurd, an int or a Fraction
+        for other in self.REFUSED:
+            for left, right in ((self.ROOT2, other), (other, self.ROOT2)):
+                with pytest.raises(TypeError):
+                    _BINARY[op](left, right)
+            assert (self.ROOT2 == other) is False and (other != self.ROOT2) is True
 
     @pytest.mark.parametrize("op", list(_BINARY))
     def test_distinct_fields_raise_one_message(self, op):

@@ -93,7 +93,7 @@ def test_rational_values_match_fraction_before_it_is_loaded():
     # follows Python's numeric-hash recipe on the reduced pair
     code = """
 import random, sys
-from anthyphairesis import QuadSurd
+from anthyphairesis import QuadSurd, as_surd
 
 M = sys.hash_info.modulus  # a denominator M, or 2M, has the infinite hash
 rng = random.Random(2020)
@@ -115,7 +115,7 @@ print((
     strs == [str(f) for f in fs],
     hashes == [hash(f) for f in fs],
     hashes == [hash(x) for x in xs],
-    all(x == f and f == x and x == QuadSurd._coerce(f) for x, f in zip(xs, fs)),
+    all(x == f and f == x and x == as_surd(f) for x, f in zip(xs, fs)),
 ))
 """
     assert _fresh(code) == (True,) * 6
