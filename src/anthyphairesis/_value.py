@@ -3,10 +3,16 @@
 A value type lists its fields once, as ``__slots__ = _fields = (...)``,
 and writes its own ``__init__``.  ``Record`` compares, shows and pickles
 an instance as the tuple of its fields, as a dataclass would; ``Frozen``
-also refuses assignment and deletion and hashes that tuple, so a frozen
-type's ``__init__`` stores its fields with ``object.__setattr__``, or,
-where many values are built, with its slots' own setters
-(``_slot_setters``).
+also refuses assignment and deletion and hashes that tuple.
+A frozen value is built one way: each field goes through its slot's own
+``__set__``, which stores past Frozen's refusing ``__setattr__``.
+``Record`` binds these setters once per class, in field order, as
+``cls._setters``.  A type's ``__init__`` hands its checked values to
+``_store`` and ``_rebuild`` is ``_store`` on a fresh instance, while the
+builders of the most common values (``QuadSurd``, ``QuadraticForm`` and
+``Magnitude``) unpack ``cls._setters`` and call one setter per field.
+``PropertyResult``, a mutable ``Record``, assigns its fields as any
+object does.
 Only a type whose equality is not field equality defines its own
 ``__eq__`` and ``__hash__``: ``QuadSurd`` equals ints and Fractions and
 hashes a rational value as its ``Fraction``, and a truncated
@@ -16,7 +22,13 @@ hashes a rational value as its ``Fraction``, and a truncated
 from __future__ import annotations
 
 _new = object.__new__
-_set = object.__setattr__  # stores a field past Frozen's refusing __setattr__
+
+
+def _store(x: object, values: tuple) -> object:
+    """x holding values, one per field, stored through its slots' setters."""
+    for put, value in zip(x._setters, values):
+        put(x, value)
+    return x
 
 
 def _rebuild(cls: type, values: tuple) -> object:
@@ -25,25 +37,19 @@ def _rebuild(cls: type, values: tuple) -> object:
     Pickle and copy build through it, and so do the library's own
     results, from fields their builder has already checked.
     """
-    x = _new(cls)
-    for name, value in zip(cls._fields, values):
-        _set(x, name, value)
-    return x
-
-
-def _slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each field slot of cls, in field order.
-
-    Each stores one field past Frozen's refusing ``__setattr__`` in about
-    half the time of ``object.__setattr__`` by name; the library's own
-    builders of its hot value types use them.
-    """
-    return tuple(cls.__dict__[name].__set__ for name in cls._fields)
+    return _store(_new(cls), values)
 
 
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        # looked up through the MRO, so a subclass without __slots__ stores
+        # through the slots it inherits
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

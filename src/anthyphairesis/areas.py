@@ -8,7 +8,7 @@ the identity so a caller can display the arithmetic, not just a verdict.
 
 from __future__ import annotations
 
-from ._value import Frozen
+from ._value import Frozen, _store
 from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, _rational, rational_sqrt
 
@@ -23,10 +23,7 @@ class AreaIdentityReport(Frozen):
     __slots__ = _fields = ("identity", "lhs", "rhs", "holds")
 
     def __init__(self, identity: str, lhs: QuadSurd, rhs: QuadSurd, holds: bool) -> None:
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
+        _store(self, (identity, lhs, rhs, holds))
 
 
 def _segment(name: str, x: QuadSurd | Fraction | int) -> QuadSurd:

@@ -250,7 +250,10 @@ def _cmd_anth(args: argparse.Namespace) -> int:
 
 
 def _count(args: argparse.Namespace, default: int) -> int:
-    """The rows convergents should produce: --count, else default; at least 1."""
+    """The quotients convergents should use: --count, else default; at least 1.
+
+    The table shows row 0 and then one row per quotient, count + 1 rows.
+    """
     count = default if args.count is None else args.count
     if count < 1:
         raise DomainError("convergents: count must be >= 1")
@@ -570,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_conv.add_argument(
         "--count", type=int,
-        help="rows to produce (default 5, or all given quotients)",
+        help="quotients to use, one row each after row 0 (default 5, or all given quotients)",
     )
     common(p_conv)
     # None marks --max-steps as not given, which --quotients requires

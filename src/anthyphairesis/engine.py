@@ -66,7 +66,7 @@ import math
 from itertools import repeat
 from math import isqrt  # every caller here passes an int
 
-from ._value import Frozen, _new, _rebuild, _set, _slot_setters
+from ._value import Frozen, _new, _rebuild, _store
 from .errors import DomainError, InternalInvariantError
 from .exactarith import QuadSurd, _in_field, _is_fraction, _require_int, as_surd
 
@@ -110,6 +110,8 @@ class QuadraticForm(Frozen):
         for name, x in (("A", A), ("B", B), ("C", C)):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise DomainError("QuadraticForm: %s must be an int" % name)
+        if not isinstance(smaller_root, bool):
+            raise DomainError("QuadraticForm: smaller_root must be a bool")
         if A < 1 or C < 1:
             raise DomainError("QuadraticForm: A and C must be >= 1")
         if kind == EXCESS:
@@ -152,7 +154,7 @@ class QuadraticForm(Frozen):
         return "%s(%d, %d, %d)" % (_tag(self), self.A, self.B, self.C)
 
 
-_set_kind, _set_A, _set_B, _set_C, _set_smaller_root = _slot_setters(QuadraticForm)
+_set_kind, _set_A, _set_B, _set_C, _set_smaller_root = QuadraticForm._setters
 
 
 class ContinuedFraction(Frozen):
@@ -177,6 +179,8 @@ class ContinuedFraction(Frozen):
         period: Sequence[int] | None = None,
         truncated: bool = False,
     ) -> None:
+        if not isinstance(truncated, bool):
+            raise DomainError("ContinuedFraction: truncated must be a bool")
         pre = tuple(preperiod)
         per = None if period is None else tuple(period)
         least = 0  # the head may be 0
@@ -197,9 +201,7 @@ class ContinuedFraction(Frozen):
             per = tuple(map(int, per))
         elif not pre and not truncated:
             raise DomainError("ContinuedFraction: empty expansion")
-        _set(self, "preperiod", tuple(map(int, pre)))
-        _set(self, "period", per)
-        _set(self, "truncated", truncated)
+        _store(self, (tuple(map(int, pre)), per, truncated))
 
     @property
     def is_finite(self) -> bool:
@@ -259,8 +261,7 @@ class SideDiameter(Frozen):
             raise DomainError("SideDiameter: p and q must be nonempty, equal length")
         if p[0] != 0 or q[0] != 1:
             raise DomainError("SideDiameter: seeds must be p0 = 0, q0 = 1")
-        _set(self, "p", p)
-        _set(self, "q", q)
+        _store(self, (p, q))
 
 
 class ExpansionTrace(Frozen):
@@ -284,9 +285,7 @@ class ExpansionTrace(Frozen):
         start: QuadraticForm,
         repeat_at: tuple[int, int] | None = None,
     ) -> None:
-        _set(self, "quotients", quotients)
-        _set(self, "start", start)
-        _set(self, "repeat_at", repeat_at)
+        _store(self, (quotients, start, repeat_at))
 
     @property
     def states(self) -> tuple[QuadraticForm, ...]:
@@ -303,7 +302,7 @@ class ExpansionTrace(Frozen):
                 _, a, b, c, s = _step(a, b, c, s, j)
                 out.append(_form(a, b, c, s))
         states = tuple(out)
-        _set(self, "_states", states)
+        ExpansionTrace._states.__set__(self, states)
         return states
 
 
@@ -336,8 +335,8 @@ def canonicalize_cf(cf: ContinuedFraction) -> ContinuedFraction:
     period is cut to its primitive word, then the preperiod is shortened
     by rotating the period while its last entry matches the preperiod's
     last entry.  Truncated input is returned untouched.  Idempotent.
-    run_anthyphairesis is canonical by construction and does not call
-    this; the oracle surd_cf does.
+    Neither run_anthyphairesis nor the oracle surd_cf calls this: each is
+    canonical by construction, and calling it could only hide a fault.
     """
     if cf.truncated:
         return cf
@@ -526,7 +525,7 @@ def run_anthyphairesis(
         if b + s * j < 2 * a:
             raise DomainError(too_small % (form,))
         cf = euclid_cf(b + s * j, 2 * a)
-        return cf, ExpansionTrace(cf.preperiod, form, None)
+        return cf, _rebuild(ExpansionTrace, (cf.preperiod, form, None))
     if not _expandable(a, b, c, s):
         raise DomainError(too_small % (form,))
 
@@ -612,7 +611,7 @@ def run_anthyphairesis(
     # cycle loop, so the tuples are stored without a second scan
     cf = _rebuild(ContinuedFraction, (tuple(pre), tuple(period), False))
     quotients = cf.preperiod + cf.period
-    return cf, ExpansionTrace(quotients, form, (anchor_at, len(quotients)))
+    return cf, _rebuild(ExpansionTrace, (quotients, form, (anchor_at, len(quotients))))
 
 
 def _truncated(
@@ -620,7 +619,8 @@ def _truncated(
 ) -> tuple[ContinuedFraction, ExpansionTrace]:
     """The result of a run whose step budget ran out after these quotients."""
     qs = tuple(quotients)
-    return _rebuild(ContinuedFraction, (qs, None, True)), ExpansionTrace(qs, form, None)
+    cf = _rebuild(ContinuedFraction, (qs, None, True))
+    return cf, _rebuild(ExpansionTrace, (qs, form, None))
 
 
 def surd_cf(x: QuadSurd | Fraction | int, max_steps: int = _MAX_STEPS) -> ContinuedFraction:
@@ -642,10 +642,11 @@ def surd_cf(x: QuadSurd | Fraction | int, max_steps: int = _MAX_STEPS) -> Contin
     cur = val
     while True:
         if cur in seen:
+            # the first tail value seen twice, so the result is canonical: a
+            # shorter period, or a preperiod ending in the period's last
+            # quotient (two equal tails one step earlier), repeats sooner
             i = seen[cur]
-            return canonicalize_cf(
-                ContinuedFraction(tuple(quotients[:i]), tuple(quotients[i:]))
-            )
+            return ContinuedFraction(tuple(quotients[:i]), tuple(quotients[i:]))
         seen[cur] = len(quotients)
         if len(quotients) >= max_steps:
             return ContinuedFraction(tuple(quotients), None, truncated=True)

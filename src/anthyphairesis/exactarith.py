@@ -28,7 +28,7 @@ import functools
 import math
 import sys
 
-from ._value import Frozen, _new, _slot_setters
+from ._value import Frozen, _new
 from .errors import DomainError, InternalInvariantError
 
 TYPE_CHECKING = False
@@ -391,7 +391,7 @@ class QuadSurd(Frozen):
 
 
 _gcd = math.gcd
-_set_u, _set_v, _set_w, _set_d = _slot_setters(QuadSurd)
+_set_u, _set_v, _set_w, _set_d = QuadSurd._setters
 
 
 def _settle(x: QuadSurd, u: int, v: int, w: int, d: int) -> None:

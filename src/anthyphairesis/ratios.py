@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Frozen, _rebuild, _set, _slot_setters
+from ._value import Frozen, _rebuild, _store
 from .engine import (
     ContinuedFraction,
     euclid_cf,
@@ -93,7 +93,7 @@ class Magnitude(Frozen):
         return "%s %s" % (self.role, self.value)
 
 
-_set_value, _set_role = _slot_setters(Magnitude)
+_set_value, _set_role = Magnitude._setters
 
 
 def line(x: ValueLike) -> Magnitude:
@@ -135,11 +135,7 @@ class PropReport(Frozen):
         lhs: QuadSurd | None,
         rhs: QuadSurd | None,
     ) -> None:
-        _set(self, "proposition", proposition)
-        _set(self, "hypotheses_hold", hypotheses_hold)
-        _set(self, "conclusion_holds", conclusion_holds)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        _store(self, (proposition, hypotheses_hold, conclusion_holds, lhs, rhs))
 
 
 def _ratio(a: Magnitude, b: Magnitude, caller: str) -> QuadSurd:
@@ -278,9 +274,7 @@ class _Rule(Frozen):
         conclusion: tuple[_RatioSpec, _RatioSpec] | tuple[int, int],
         condition: Callable[..., bool] | None = None,
     ) -> None:
-        _set(self, "hypotheses", hypotheses)
-        _set(self, "conclusion", conclusion)
-        _set(self, "condition", condition)
+        _store(self, (hypotheses, conclusion, condition))
 
 
 def _form(term: _Term, m: Sequence[Magnitude]) -> Magnitude:

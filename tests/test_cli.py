@@ -1,5 +1,6 @@
 """End to end command line behaviour: output shape and exit codes."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -323,6 +324,15 @@ class TestConvergents:
         code, out, err = run(capsys, "convergents", "sqrt", "2", "--count", "3", "--max-steps", "3")
         assert code == 0 and err == ""
         assert [ln.split()[0] for ln in out.splitlines()[2:]] == ["0", "1", "2", "3"]
+
+    def test_count_help_says_it_counts_quotients(self):
+        # --count 3 prints rows 0 to 3 (the test above), one row per quotient
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        (count,) = [a for a in sub.choices["convergents"]._actions if a.dest == "count"]
+        assert count.help == (
+            "quotients to use, one row each after row 0 (default 5, or all given quotients)"
+        )
 
     def test_explicit_quotients(self, capsys):
         code, out, _ = run(capsys, "convergents", "--quotients", "1,2,2", "--json")

@@ -1128,6 +1128,27 @@ class TestSurdCf:
         cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 10**6 + 3))
         assert (cf.preperiod, cf.period) == ((pre,), tuple(period))
 
+    def test_output_is_canonical_without_canonicalize(self, monkeypatch):
+        """The first repeated tail value gives the canonical pair by itself."""
+
+        def refuse(cf):
+            raise AssertionError("surd_cf called canonicalize_cf")
+
+        monkeypatch.setattr(engine, "canonicalize_cf", refuse)
+        rng = random.Random(30)
+        below = above = 0
+        while below < 150 or above < 150:
+            d = rng.choice((2, 3, 5, 6, 7, 10, 13, 19, 29, 94))
+            v = rng.choice((-3, -2, -1, 1, 2, 3))
+            x = QuadSurd(rng.randint(-20, 20), v, rng.randint(1, 12), d)
+            if not x > 0:
+                continue
+            if x < 1:
+                below += 1
+            else:
+                above += 1
+            assert surd_cf(x) == anth_of_ratio(line(x), line(1)), x
+
     def test_only_the_oracle_property_calls_it(self):
         """surd_cf is an oracle: no production path may expand with it."""
         uses, importers = [], set()

@@ -4,12 +4,15 @@ These pins describe what callers see of each value type, independently
 of how the classes are written.
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import anthyphairesis
 from anthyphairesis import (
     AREA,
     DEFECT,
@@ -31,6 +34,7 @@ from anthyphairesis import (
     line,
     run_anthyphairesis,
 )
+from anthyphairesis._value import _rebuild
 from anthyphairesis.ratios import _Rule, cross_product_eq
 
 ROOT5 = QuadSurd(1, 2, 3, 5)
@@ -435,8 +439,45 @@ class TestConstruction:
         with pytest.raises(DomainError, match=message):
             build()
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1])
+    def test_flags_must_be_bools(self, flag):
+        with pytest.raises(DomainError, match="^QuadraticForm: smaller_root must be a bool$"):
+            QuadraticForm(DEFECT, 1, 6, 7, smaller_root=flag)
+        with pytest.raises(DomainError, match="^ContinuedFraction: truncated must be a bool$"):
+            ContinuedFraction((1, 2), truncated=flag)
+
     def test_unchecked_types_store_what_they_are_given(self):
         report = PropReport("x", 1, 0, "lhs", None)
         assert (report.hypotheses_hold, report.conclusion_holds, report.lhs) == (1, 0, "lhs")
         area = AreaIdentityReport("x", 1, 2, None)
         assert (area.lhs, area.rhs, area.holds) == (1, 2, None)
+
+
+class TestStorage:
+    """A frozen value stores each field through its slot's setter, bound once per class."""
+
+    def test_no_module_stores_a_field_by_name(self):
+        found = []
+        for path in sorted(Path(anthyphairesis.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"
+                ):
+                    found.append((path.name, node.lineno, "object.__setattr__"))
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.FunctionDef, ast.alias)):
+                    name = node.name
+                if name in ("_set", "_slot_setters"):
+                    found.append((path.name, node.lineno, name))
+        assert found == []
+
+    def test_a_subclass_without_slots_stores_through_inherited_ones(self):
+        class Sub(QuadSurd):
+            pass
+
+        x = _rebuild(Sub, (1, 2, 3, 5))
+        assert type(x) is Sub and (x.u, x.v, x.w, x.d) == (1, 2, 3, 5)
+        assert vars(x) == {}  # in the inherited slots, not the instance dict
