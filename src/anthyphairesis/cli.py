@@ -1,22 +1,25 @@
 """Command line front end.
 
 Reports go to stdout, diagnostics to stderr, and nothing is written to
-disk.  Exit codes: 0 success, 1 bad input or an unusable request, 2
-verification failure (a suite found counterexamples or an internal
-invariant broke), 3 indeterminate (a step budget ran out before an
-answer was reached).
+disk.  Exit codes: 0 success, 1 bad input, an unusable request or a
+stdout its reader closed, 2 verification failure (a suite found
+counterexamples or an internal invariant broke), 3 indeterminate (a
+step budget ran out before an answer was reached).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+from itertools import islice
 
 from . import __version__
 from .engine import (
     EXCESS,
     ContinuedFraction,
+    ExpansionTrace,
     QuadraticForm,
     convergents,
     euclid_cf,
@@ -41,7 +44,8 @@ from .ratios import (
 )
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: typing is not imported at run time
+if TYPE_CHECKING:  # annotations only: neither module is imported at run time
+    from collections.abc import Iterable, Iterator
     from typing import Any
 
 EXIT_OK = 0
@@ -102,7 +106,7 @@ def _surd_json(x: QuadSurd) -> dict[str, str]:
 
 
 def _emit(args: argparse.Namespace, command: str, input_obj: Any, result: Any,
-          lines: list[str]) -> None:
+          lines: Iterable[str]) -> None:
     if args.json:
         import json  # loaded only by the commands that print it
 
@@ -112,7 +116,11 @@ def _emit(args: argparse.Namespace, command: str, input_obj: Any, result: Any,
             "result": result,
             "version": __version__,
         }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        # written as made, in batches: an unbuffered stdout makes each write a system call
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        print()
     else:
         for ln in lines:
             print(ln)
@@ -165,41 +173,39 @@ def _root_text(form: QuadraticForm) -> str:
 
 
 def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
-              form: QuadraticForm) -> int:
+              form: QuadraticForm, root: QuadSurd | None = None) -> int:
     cf, trace = run_anthyphairesis(form, args.max_steps)
-    code = EXIT_UNDECIDED if cf.truncated else EXIT_OK
-    if args.json:  # the states are replayed on read; text shows them under --trace
+    result = None
+    if args.json:  # states replay as printed; the text lines, never made, would factor disc
         result = {
             **_form_json(form),
             "quotients": [str(k) for k in trace.quotients],
             **_cf_json(cf),
-            "states": [_form_json(st) for st in trace.states],
+            "states": [_form_json(st) for st in trace._replay()],
         }
-        _emit(args, command, input_obj, result, [])  # the text lines would factor disc
-        return code
-    lines = [
-        _kv("form", form),
-        _kv("disc", form.disc),
-        _kv("root", _root_text(form)),
-        _kv("expansion", cf),
-        _kv("preperiod", _bracketed(cf.preperiod)),
-        _kv("period", "-" if cf.period is None else _bracketed(cf.period)),
-        _kv("truncated", "yes" if cf.truncated else "no"),
-        _kv("steps", len(trace.quotients)),
-    ]
+    _emit(args, command, input_obj, result, _form_lines(args, form, cf, trace, root))
+    return EXIT_UNDECIDED if cf.truncated else EXIT_OK
+
+
+def _form_lines(args: argparse.Namespace, form: QuadraticForm, cf: ContinuedFraction,
+                trace: ExpansionTrace, root: QuadSurd | None) -> Iterator[str]:
+    yield _kv("form", form)
+    yield _kv("disc", form.disc)
+    yield _kv("root", _root_text(form) if root is None else _surd_display(root))
+    yield _kv("expansion", cf)
+    yield _kv("preperiod", _bracketed(cf.preperiod))
+    yield _kv("period", "-" if cf.period is None else _bracketed(cf.period))
+    yield _kv("truncated", "yes" if cf.truncated else "no")
+    yield _kv("steps", len(trace.quotients))
     if args.trace:
-        lines.append("trace      :")
-        for t, st in enumerate(trace.states):
-            note = ""
-            if t < len(trace.quotients):
-                note = "  k=%d" % trace.quotients[t]
+        yield "trace      :"
+        for t, st in enumerate(trace._replay()):
+            note = "  k=%d" % trace.quotients[t] if t < len(trace.quotients) else ""
             if trace.repeat_at is not None and t == trace.repeat_at[1]:
                 note += "  (repeat of t=%d)" % trace.repeat_at[0]
-            lines.append("  t=%-4d %s%s" % (t, st, note))
+            yield "  t=%-4d %s%s" % (t, st, note)
         if cf.truncated:
-            lines.append("  step budget exhausted")
-    _emit(args, command, input_obj, None, lines)
-    return code
+            yield "  step budget exhausted"
 
 
 def _run_plain_cf(args: argparse.Namespace, command: str, input_obj: Any,
@@ -239,7 +245,7 @@ def _cmd_anth(args: argparse.Namespace) -> int:
         raise DomainError("anth surd: the value must be positive, got %s" % x)
     input_obj = _surd_json(x)
     if not x.is_rational and x > 1:
-        return _run_form(args, "anth surd", input_obj, minimal_form(x))
+        return _run_form(args, "anth surd", input_obj, minimal_form(x), x)
     cf = anth_of_ratio(line(x), line(1), args.max_steps)
     kind = "rational" if x.is_rational else "surd"
     head = _kv("value", _surd_display(x))
@@ -641,7 +647,16 @@ def main(argv: list[str] | None = None) -> int:
         _input_digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is left goes to devnull, so the flush at
+        # exit raises nothing ("Note on SIGPIPE" in Python's signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -72,7 +72,7 @@ from .exactarith import QuadSurd, _in_field, _is_fraction, _require_int, as_surd
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: neither module is imported at run time
-    from collections.abc import Sequence
+    from collections.abc import Iterator, Sequence
     from fractions import Fraction
 
 EXCESS = "excess"
@@ -271,13 +271,13 @@ class ExpansionTrace(Frozen):
     state is the first one seen twice (or the frontier if truncated).
     repeat_at = (i, j) says states[i] == states[j]: i is the anchor and
     j - i the primitive period, which a symmetric cycle knows before it
-    has stepped that far.  The run keeps only the quotients and its
-    start form: states is replayed from start on first access, then
-    cached.
+    has stepped that far.  A square discriminant is expanded by Euclid's
+    division, which steps no form: states is then the start form alone.
+    The run keeps only the quotients and its start form: states is
+    replayed from start on each read.
     """
 
-    _fields = ("quotients", "start", "repeat_at")
-    __slots__ = _fields + ("_states",)
+    __slots__ = _fields = ("quotients", "start", "repeat_at")
 
     def __init__(
         self,
@@ -289,21 +289,17 @@ class ExpansionTrace(Frozen):
 
     @property
     def states(self) -> tuple[QuadraticForm, ...]:
-        try:
-            return self._states
-        except AttributeError:  # first read: replay the run from start
-            pass
-        out = [self.start]
+        return tuple(self._replay())
+
+    def _replay(self) -> Iterator[QuadraticForm]:
+        yield self.start
         a, b, c, s = _triple(self.start)
         disc = _disc(a, b, c)
         j = isqrt(disc)
         if j * j != disc:
             for _ in self.quotients:
                 _, a, b, c, s = _step(a, b, c, s, j)
-                out.append(_form(a, b, c, s))
-        states = tuple(out)
-        ExpansionTrace._states.__set__(self, states)
-        return states
+                yield _form(a, b, c, s)
 
 
 def euclid_cf(m: Fraction | int, n: Fraction | int) -> ContinuedFraction:

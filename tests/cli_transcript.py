@@ -107,6 +107,9 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "anth sqrt 10000000000000061 --max-steps 10 --json",
     "anth form 1 0 1 --kind excess",
     "anth form 4 0 1 --kind excess",
+    # a square discriminant: Euclid's division, and a trace of the start form alone
+    "anth form 5 12 7 --kind defect --trace",
+    "anth form 5 12 7 --kind defect --trace --json",
     "anth rational 0 2",
     "anth rational 2 0",
     "anth rational -1 2",
@@ -122,6 +125,8 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "anth surd 0 1 0 2",
     "anth surd 0 1 1 -2",
     "anth surd 0 1 1 " + _SPLIT_LIMIT_PRIME,
+    # the root is the value given, not a split of the minimal form's disc
+    "anth surd 0 1000000000039 1 2 --max-steps 5",
     "convergents --quotients 1,2,2",
     "convergents --quotients 3,1,4,1,5 --count 3 --json",
     "convergents --quotients 1,2,2 --max-steps -1",

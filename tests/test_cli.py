@@ -5,8 +5,12 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 import sympy
@@ -190,6 +194,14 @@ class TestAnth:
         head = list(itertools.islice(sympy.continued_fraction_iterator(sympy.sqrt(n)), 10))
         assert "preperiod  : %s\n" % head in out
         assert "steps      : 10\n" in out
+
+    def test_surd_prints_the_value_it_was_given_as_its_root(self, capsys):
+        # the radicand the user gives is split once, the minimal form's disc never
+        exactarith.square_free_split.cache_clear()
+        code, out, err = run(capsys, "anth", "surd", "1", "1", "1", "9223372036854775783")
+        assert code == 3 and err == ""
+        assert exactarith.square_free_split.cache_info().misses == 1
+        assert "root       : 1 + sqrt(9223372036854775783) ~ 3037000500.976049\n" in out
 
     def test_json_factors_no_root_it_does_not_print(self, capsys, monkeypatch):
         calls = []
@@ -634,6 +646,61 @@ class TestTopLevel:
     def test_unknown_command_is_usage(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+class _Sink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreaming:
+    """Each state is made as it is printed, and a closed stdout ends the run."""
+
+    @staticmethod
+    def _peak(*argv):
+        """Exit code, tracemalloc peak and output size of one in-process run."""
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = cli.main(list(argv))
+            return code, tracemalloc.get_traced_memory()[1], sink.size
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_follows_the_run_not_the_output(self):
+        # 10,000 states at the default budget, 1.7 MB of JSON
+        argv = ("anth", "sqrt", "1000000000039")
+        code, plain, _ = self._peak(*argv)
+        assert code == 3
+        code, traced, _ = self._peak(*argv, "--trace")
+        assert code == 3 and traced <= 1.5 * plain
+        code, peak, size = self._peak(*argv, "--json")
+        assert code == 3 and size > 10**6 and peak <= 5 * size
+
+    def test_a_reader_that_closes_stdout_early_gets_no_traceback(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "anthyphairesis.cli", "anth", "sqrt", "1000000000039",
+                "--max-steps", "100000", "--trace"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline() == b"form       : excess(1, 0, 1000000000039)\n"
+            proc.stdout.close()  # megabytes of trace are still to come
+            err = proc.stderr.read()
+            code = proc.wait(timeout=300)
+        assert code == 1 and err == b""  # no BrokenPipeError traceback
 
 
 class TestDigitLimit:

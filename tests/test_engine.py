@@ -437,6 +437,12 @@ class TestRunAnthyphairesis:
         assert trace.repeat_at is None
         cf, _ = run_anthyphairesis(QuadraticForm(EXCESS, 2, 3, 2))
         assert cf == ContinuedFraction((2,))
+        # Euclid's division steps no form: the trace holds the start form alone
+        form = QuadraticForm(DEFECT, 5, 12, 7)
+        cf, trace = run_anthyphairesis(form)
+        assert trace.quotients == (1, 2, 2) and cf == ContinuedFraction((1, 2, 2))
+        assert trace.states == (form,)
+        assert trace.repeat_at is None
 
     def test_square_disc_runs_expand_the_fraction_root(self):
         # every form with coefficients up to 30 and a square discriminant:
@@ -573,7 +579,9 @@ class TestRunAnthyphairesis:
         states = trace.states
         assert len(states) == len(trace.quotients) + 1 and states[0] is form
         assert built[0] == len(trace.quotients)  # start is the caller's form
-        assert trace.states is states  # cached: read again, built once
+        # not cached: a second read replays the run again and builds as many forms
+        assert trace.states == states
+        assert built[0] == 2 * len(trace.quotients)
         walk = [form]
         for _ in trace.quotients:
             walk.append(excess_step(walk[-1])[1])
