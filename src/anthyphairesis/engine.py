@@ -38,10 +38,17 @@ centres show as states:
 
 Two centres differ by a period, and the centres of a primitive period p
 are h1 + pZ, so the first two found from -2 upwards, h1 < h2, give
-p = h2 - h1 and the unstepped quotients by reflection about h2.  The
-cycle walk stops about h2 / 2 steps in: ceil(p/2) + O(1) for sqrt(N)
-(h1 = -2) and fewer than p for any symmetric cycle.  A cycle that never
-meets its reverse has no centre and is walked to the return, p steps.
+p = h2 - h1 and the unstepped quotients by reflection about h2.  For
+every centre h, state h + 1 - i is rev of state i, so the quotients up
+to a centre are known by reflection once half of them are stepped, and
+state h + 1 is rev(anchor).  The cycle walk runs in two phases.  Phase
+1, needed only when neither -2 nor -1 is a centre, steps until a state
+shows the first centre h1 >= 0 or returns to the anchor; a cycle that
+never meets its reverse has no centre and ends there, after p steps.
+At h1 it fills q[m + 1 .. h1] by reflection and goes on from state
+h1 + 1, which is rev(anchor).  Phase 2 steps with only the two centre
+tests until the second centre.  A symmetric cycle so costs at most
+ceil(p/2) + 1 steps, and sqrt(N) (h1 = -2) at most ceil(p/2).
 
 The walk holds the outer coefficients doubled, A = 2a and C = 2c, and
 the middle one shifted, P = b + j with j = isqrt(D).  The quotient is
@@ -427,13 +434,18 @@ def _step(a: int, b: int, c: int, s: int, j: int) -> tuple[int, int, int, int, i
     a1 = (b - a * k) * k + c  # -P(k)
     b1 = two_a * k - b
     if k < 1 or a1 == 0:
-        raise InternalInvariantError(
-            "step: successor left the positive cone (k=%d, leading coefficient %d)"
-            % (k, -a1)
-        )
+        raise _outside_the_cone(k, -a1)
     if a1 > 0:
         return k, a1, b1, a, s
     return k, -a1, -b1, -a, -s
+
+
+def _outside_the_cone(k: int, lead: int) -> InternalInvariantError:
+    """The error of a step whose quotient k or leading coefficient is below 1."""
+    return InternalInvariantError(
+        "step: successor left the positive cone (k=%d, leading coefficient %d)"
+        % (k, lead)
+    )
 
 
 def _checked_step(form: QuadraticForm, name: str, too_small: str) -> tuple[int, QuadraticForm]:
@@ -505,10 +517,12 @@ def run_anthyphairesis(
     anchor the reduced step is inlined on (A, P, C) = (2a, b + j, 2c),
     j = isqrt(D): the quotient is P // A and the successor is
     (C + k*(P - P1), P1, A) with P1 = 2j - P % A.  A symmetric cycle is
-    walked only to its second centre and mirrored (see the module
-    docstring).  The run still holds O(1) states besides the quotients:
-    the current triple, the anchor and at most two centres; the cycle
-    steps taken are the period's length when the walk stops.
+    walked only to its second centre, jumping from its first to
+    rev(anchor), and mirrored (see the module docstring).  The run still
+    holds O(1) states besides the quotients: the current triple, the
+    anchor and at most two centres.  The cycle steps taken are the
+    period's length when the walk stops, less the quotients a first centre
+    h1 >= 0 reflected.
     """
     _budget(max_steps, "run_anthyphairesis")
     a, b, c, s = _triple(form)
@@ -549,39 +563,63 @@ def run_anthyphairesis(
     anchor_at = len(pre)
     last, *rev_next = _step(c, b, a, 1, j)
     centres = [-2] if rev_next == [a, b, c, 1] else []
+    if a == c:  # the anchor is its own reverse
+        centres.append(-1)
     period: list[int] = []
     append = period.append
     # the walk holds A = 2a, P = b + j and C = 2c (see the module docstring)
     A, P, C = 2 * a, b + j, 2 * c
     A0, P0, C0 = A, P, C
     j2 = 2 * j
-    # the loop steps states 0 .. room, one more than the budget allows, so it
-    # needs no budget test of its own: a result that outruns the budget,
-    # whether the walk ran out with the period open (room + 1 quotients) or
-    # the reflection below lengthened it, is cut to it after the loop.
-    # State m is the one stepped while the period holds m quotients.
+    # both phases draw on one budget of room + 1 steps, one more than the
+    # budget allows, so neither needs a budget test of its own: a result
+    # that outruns the budget, whether the walk ran out with the period open
+    # (each step adds a quotient) or a reflection lengthened it, is cut to
+    # it after the walk.  The step that makes quotient m = len(period)
+    # takes state m to state m + 1, and every test is on state m + 1.
     room = max_steps - anchor_at
-    for _ in repeat(None, room + 1):
-        if A == C:  # state m = len(period) is its own reverse: centre 2m - 1
-            centres.append(2 * len(period) - 1)
-            if len(centres) == 2:
+    steps = repeat(None, room + 1)
+    if not centres:
+        # phase 1: on to the first centre, or to the anchor if none comes
+        for _ in steps:
+            k = P // A
+            P1 = j2 - P % A
+            A1 = C + k * (P - P1)
+            if k < 1 or A1 < 2:  # A1 = 2*a1 is even: a1 < 1
+                raise _outside_the_cone(k, -(A1 // 2))
+            append(k)
+            if A1 == C and P1 == P:  # state m + 1 is rev of state m: centre 2m
+                h1 = 2 * len(period) - 2
+            elif A1 == A:  # state m + 1 is its own reverse: centre 2m + 1
+                h1 = 2 * len(period) - 1
+            elif A1 == A0 and P1 == P0 and A == C0:
+                break  # back at the anchor with no centre: the full period
+            else:
+                A, P, C = A1, P1, A
+                continue
+            # state h1 + 1 - i is rev of state i: q[m + 1 .. h1] reflect
+            # q[h1 - m - 1 .. 0], and the walk goes on from state h1 + 1,
+            # rev(anchor)
+            centres.append(h1)
+            period += reversed(period[: h1 + 1 - len(period)])
+            A, P, C = C0, P0, A0
+            break
+    if len(centres) == 1:
+        # phase 2: on to the second centre, which a cycle with one must reach
+        for _ in steps:
+            k = P // A
+            P1 = j2 - P % A
+            A1 = C + k * (P - P1)
+            if k < 1 or A1 < 2:
+                raise _outside_the_cone(k, -(A1 // 2))
+            append(k)
+            if A1 == C and P1 == P:
+                centres.append(2 * len(period) - 2)
                 break
-        elif A == A0 and P == P0 and C == C0 and period:
-            break  # back at the anchor with no centre: the full period
-        k = P // A
-        P1 = j2 - P % A
-        A1 = C + k * (P - P1)
-        if k < 1 or A1 < 2:  # A1 = 2*a1 is even: a1 < 1
-            raise InternalInvariantError(
-                "step: successor left the positive cone (k=%d, leading coefficient %d)"
-                % (k, -(A1 // 2))
-            )
-        append(k)
-        if A1 == C and P1 == P:  # state m + 1 is rev of state m: centre 2m
-            centres.append(2 * len(period) - 2)
-            if len(centres) == 2:
+            if A1 == A:
+                centres.append(2 * len(period) - 1)
                 break
-        A, P, C = A1, P1, A
+            A, P, C = A1, P1, A
 
     if len(centres) == 2:
         # q[i] == q[h - i] for every centre h: two give the primitive period

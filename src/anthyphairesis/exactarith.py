@@ -416,9 +416,10 @@ def _in_field(u: int, v: int, w: int, d: int) -> QuadSurd:
 
     Every normalization step of the public constructor (the shared
     _settle) but its type checks and the factoring of d: arithmetic on
-    normalized operands stays in their field, and a coerced int or
-    Fraction is rational.  Its callers pass ints computed from checked
-    values, so no component is checked again.
+    normalized operands stays in their field, and a coerced Fraction is
+    rational (a coerced int skips it: n/1 is in normal form as it is).
+    Its callers pass ints computed from checked values, so no component
+    is checked again.
     """
     x = _new(QuadSurd)
     _settle(x, u, v, w, d)
@@ -433,7 +434,15 @@ def _coerce(x: object) -> QuadSurd | None:
     if isinstance(x, QuadSurd):
         return x
     if isinstance(x, int):
-        return None if isinstance(x, bool) else _in_field(x, 0, 1, 1)
+        if isinstance(x, bool):
+            return None
+        # n/1 is in normal form: _settle's checks would all do nothing
+        r = _new(QuadSurd)
+        _set_u(r, x)
+        _set_v(r, 0)
+        _set_w(r, 1)
+        _set_d(r, 1)
+        return r
     if _is_fraction(x):
         return _in_field(x.numerator, 0, x.denominator, 1)
     return None

@@ -384,6 +384,15 @@ def _is_symmetric(period):
     return any((word + word)[i:i + len(word)] == word[::-1] for i in range(len(word)))
 
 
+def _first_centre(period):
+    """The least h >= -2 with q[i] == q[h - i] around the period, or None."""
+    p = len(period)
+    for h in range(-2, p - 2):
+        if all(period[i] == period[(h - i) % p] for i in range(p)):
+            return h
+    return None
+
+
 def _assert_as_oracle(form, budget):
     """One run against the seen-dict recurrence: result, trace and states.
 
@@ -764,6 +773,15 @@ class TestMirroredCycle:
             anchor_at, p = len(cf.preperiod), len(cf.period)
             for budget in range(max(anchor_at + p // 2 - 2, 0), anchor_at + p + 2):
                 _assert_as_oracle(form, budget)
+        # a first centre late in the period: from budget 0 up, the budget runs
+        # out before it (phase 1), on the step that finds it (the jump to
+        # rev(anchor) past the reflected quotients) and on the way to the second
+        late = [QuadraticForm(DEFECT, 7, 200, 1234)] + list(trace.states[3:5])
+        for form in late:
+            cf, _ = run_anthyphairesis(form)
+            assert _first_centre(cf.period) >= 12, form
+            for budget in range(len(cf.preperiod) + len(cf.period) + 2):
+                _assert_as_oracle(form, budget)
         # cycles with no centre: the walk runs to the full-period return, and a
         # budget below it is cut by the same test after the loop
         for form in (
@@ -779,46 +797,58 @@ class TestMirroredCycle:
                 _assert_as_oracle(form, budget)
 
     def test_cycle_step_invariant_is_checked(self, monkeypatch):
-        # a wrong square root is the only way in: excess(1, 2, 1) is its own
-        # anchor, the one _step (on its reverse) passes, and the cycle loop raises
-        form = QuadraticForm(EXCESS, 1, 2, 1)
-        monkeypatch.setattr(engine, "isqrt", lambda n: 100)  # k too big
-        with pytest.raises(InternalInvariantError, match="leading coefficient 2498"):
-            run_anthyphairesis(form)
-        monkeypatch.setattr(engine, "isqrt", lambda n: 0)  # k too small
-        with pytest.raises(InternalInvariantError, match="k=0"):
-            run_anthyphairesis(form)
+        # a wrong square root is the only way in.  excess(1, 2, 1) is its own
+        # anchor and its own reverse, so its walk starts in phase 2; the one
+        # _step (on its reverse) passes, and the cycle loop raises.  excess(1,
+        # 8, 3) is its own anchor with its first centre at 0, so its walk
+        # starts in phase 1, which raises on the first step.
+        for form, first, big in (
+            (QuadraticForm(EXCESS, 1, 2, 1), -2, "k=51, leading coefficient 2498"),
+            (QuadraticForm(EXCESS, 1, 8, 3), 0, "k=54, leading coefficient 2481"),
+        ):
+            assert _first_centre(run_anthyphairesis(form)[0].period) == first
+            monkeypatch.setattr(engine, "isqrt", lambda n: 100)  # k too big
+            with pytest.raises(InternalInvariantError, match=big):
+                run_anthyphairesis(form)
+            monkeypatch.setattr(engine, "isqrt", lambda n: 0)  # k too small
+            with pytest.raises(InternalInvariantError, match="k=0"):
+                run_anthyphairesis(form)
+            monkeypatch.undo()
 
     def test_the_walk_stops_at_the_second_centre(self, monkeypatch):
         # a walk to the full-period return gives the same results as a half
-        # walk, only slower, so the iterations of the cycle loop are counted
-        # on the iterator it loops over
-        counts = []
+        # walk, only slower, so the steps are counted on the budget iterator
+        # that both phases of the cycle walk draw on
+        drawn = []
         real = engine.repeat
 
         def counting(item, times):
-            counts.append(0)
             for x in real(item, times):
-                counts[-1] += 1
+                drawn.append(x)
                 yield x
 
         monkeypatch.setattr(engine, "repeat", counting)
 
         def walk(form):
-            del counts[:]
+            del drawn[:]
             cf, _ = run_anthyphairesis(form)
-            assert not cf.truncated and len(counts) == 1, form
-            return cf.period, counts[0]
+            assert not cf.truncated, form
+            return cf.period, len(drawn)
 
         for n in range(2, 2000):
             if not is_perfect_square(n):
                 period, taken = walk(QuadraticForm(EXCESS, 1, 0, n))
-                assert taken == (len(period) + 1) // 2, n
-        forms = [
-            QuadraticForm(EXCESS, a, b, n)
-            for n in range(1, 200)
-            for a, b in ((2, 0), (1, 1), (3, 3))
-        ]
+                assert taken <= (len(period) + 1) // 2, n
+        rng = random.Random(3)
+        forms = []
+        for _ in range(20_000):
+            kind = rng.choice((EXCESS, DEFECT, MIXED))
+            a, b, c = rng.randint(1, 30), rng.randint(0, 300), rng.randint(1, 300)
+            smaller = kind == DEFECT and rng.choice((False, True))
+            try:
+                forms.append(QuadraticForm(kind, a, b, c, smaller_root=smaller))
+            except DomainError:
+                pass
         forms += _expandable_forms(random.Random(1029), 600, 400)
         symmetric = walked = 0
         for form in forms:
@@ -827,11 +857,11 @@ class TestMirroredCycle:
             period, taken = walk(form)
             if _is_symmetric(period):
                 symmetric += 1
-                assert taken <= len(period), form
+                assert taken <= (len(period) + 1) // 2 + 1, form
             else:
                 walked += 1
-                assert taken == len(period) + 1, form
-        assert symmetric > 800 and walked > 100
+                assert taken == len(period), form
+        assert symmetric > 10_000 and walked > 2000
 
 
 def _expandable_forms(rng, count, lim):

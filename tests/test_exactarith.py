@@ -761,6 +761,18 @@ class TestOperandTable:
                         continue
                     assert _BINARY[op](left, right) == _as_surd_route(op, left, right)
 
+    def test_a_coerced_int_is_its_public_build(self):
+        class MyInt(int):
+            pass
+
+        for n in (0, 1, -1, -37, 10**40, -(10**40), MyInt(7), MyInt(-5)):
+            got, want = exactarith._coerce(n), QuadSurd(n)
+            assert type(got) is QuadSurd, n
+            fields = [(type(f), f) for f in (got.u, got.v, got.w, got.d)]
+            assert fields == [(type(f), f) for f in (want.u, want.v, want.w, want.d)], n
+            assert got == want and hash(got) == hash(want) == hash(n), n
+        assert exactarith._coerce(True) is None and exactarith._coerce(False) is None
+
     REFUSED = (True, False, 1.5, "2", None, 1j)
 
     @pytest.mark.parametrize("op", list(_BINARY))
