@@ -35,8 +35,12 @@ def _rebuild(cls: type, values: tuple) -> object:
     """An instance of cls holding values, one per field; no checks run.
 
     Pickle and copy build through it, and so do the library's own
-    results, from fields their builder has already checked.
+    results, from fields their builder has already checked.  A pickle
+    of an earlier layout, with another number of fields, is first
+    converted by the class's ``_convert``.
     """
+    if len(values) != len(cls._setters):
+        values = cls._convert(values)
     return _store(_new(cls), values)
 
 
@@ -50,6 +54,13 @@ class Record:
         # through the slots it inherits
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    @classmethod
+    def _convert(cls, values: tuple) -> tuple:
+        """The fields of an instance stored in an earlier layout; none is known."""
+        raise TypeError(
+            "%s has %d fields, not %d" % (cls.__qualname__, len(cls._fields), len(values))
+        )
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

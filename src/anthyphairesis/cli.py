@@ -196,13 +196,15 @@ def _form_lines(args: argparse.Namespace, form: QuadraticForm, cf: ContinuedFrac
     yield _kv("preperiod", _bracketed(cf.preperiod))
     yield _kv("period", "-" if cf.period is None else _bracketed(cf.period))
     yield _kv("truncated", "yes" if cf.truncated else "no")
-    yield _kv("steps", len(trace.quotients))
+    quotients = trace.quotients  # derived on each read: read once per report
+    yield _kv("steps", len(quotients))
     if args.trace:
+        repeat_at = trace.repeat_at
         yield "trace      :"
         for t, st in enumerate(trace._replay()):
-            note = "  k=%d" % trace.quotients[t] if t < len(trace.quotients) else ""
-            if trace.repeat_at is not None and t == trace.repeat_at[1]:
-                note += "  (repeat of t=%d)" % trace.repeat_at[0]
+            note = "  k=%d" % quotients[t] if t < len(quotients) else ""
+            if repeat_at is not None and t == repeat_at[1]:
+                note += "  (repeat of t=%d)" % repeat_at[0]
             yield "  t=%-4d %s%s" % (t, st, note)
         if cf.truncated:
             yield "  step budget exhausted"

@@ -274,25 +274,37 @@ class SideDiameter(Frozen):
 class ExpansionTrace(Frozen):
     """Step-by-step record of one expansion run.
 
-    states[t] is the form whose quotient is quotients[t]; the final
-    state is the first one seen twice (or the frontier if truncated).
-    repeat_at = (i, j) says states[i] == states[j]: i is the anchor and
-    j - i the primitive period, which a symmetric cycle knows before it
-    has stepped that far.  A square discriminant is expanded by Euclid's
-    division, which steps no form: states is then the start form alone.
-    The run keeps only the quotients and its start form: states is
-    replayed from start on each read.
+    A trace holds the expansion its run returned, as the very same
+    object, and the start form; its quotients, repeat and states are
+    derived from those two on each read.  quotients is the preperiod
+    followed by the period.  states[t] is the form whose quotient is
+    quotients[t]; the final state is the first one seen twice (or the
+    frontier if truncated).  repeat_at = (i, j) says states[i] ==
+    states[j]: i is the anchor and j - i the primitive period, which a
+    symmetric cycle knows before it has stepped that far; it is None
+    unless the expansion is periodic.  A square discriminant is expanded
+    by Euclid's division, which steps no form: states is then the start
+    form alone.  A trace equals another when its expansion and start
+    form do, so the trace of a truncated run follows ContinuedFraction's
+    rule and equals no other trace.
     """
 
-    __slots__ = _fields = ("quotients", "start", "repeat_at")
+    __slots__ = _fields = ("expansion", "start")
 
-    def __init__(
-        self,
-        quotients: tuple[int, ...],
-        start: QuadraticForm,
-        repeat_at: tuple[int, int] | None = None,
-    ) -> None:
-        _store(self, (quotients, start, repeat_at))
+    def __init__(self, expansion: ContinuedFraction, start: QuadraticForm) -> None:
+        _store(self, (expansion, start))
+
+    @property
+    def quotients(self) -> tuple[int, ...]:
+        cf = self.expansion
+        return cf.preperiod if cf.period is None else cf.preperiod + cf.period
+
+    @property
+    def repeat_at(self) -> tuple[int, int] | None:
+        cf = self.expansion
+        if cf.period is None:
+            return None
+        return len(cf.preperiod), len(cf.preperiod) + len(cf.period)
 
     @property
     def states(self) -> tuple[QuadraticForm, ...]:
@@ -304,9 +316,26 @@ class ExpansionTrace(Frozen):
         disc = _disc(a, b, c)
         j = isqrt(disc)
         if j * j != disc:
-            for _ in self.quotients:
+            cf = self.expansion
+            for _ in range(len(cf.preperiod) + len(cf.period or ())):
                 _, a, b, c, s = _step(a, b, c, s, j)
                 yield _form(a, b, c, s)
+
+    @classmethod
+    def _convert(cls, values: tuple) -> tuple:
+        """The fields of a trace pickled as (quotients, start, repeat_at).
+
+        repeat_at (i, j) splits the quotients into preperiod and period;
+        without it they are Euclid's finite expansion when the start
+        form's discriminant is a square, else a truncated one.
+        """
+        quotients, start, repeat_at = values
+        if repeat_at is not None:
+            i, j = repeat_at
+            return ContinuedFraction(quotients[:i], quotients[i:j]), start
+        disc = start.disc
+        square = isqrt(disc) ** 2 == disc
+        return ContinuedFraction(quotients, None, not square), start
 
 
 def euclid_cf(m: Fraction | int, n: Fraction | int) -> ContinuedFraction:
@@ -535,7 +564,7 @@ def run_anthyphairesis(
         if b + s * j < 2 * a:
             raise DomainError(too_small % (form,))
         cf = euclid_cf(b + s * j, 2 * a)
-        return cf, _rebuild(ExpansionTrace, (cf.preperiod, form, None))
+        return cf, _rebuild(ExpansionTrace, (cf, form))
     if not _expandable(a, b, c, s):
         raise DomainError(too_small % (form,))
 
@@ -644,17 +673,15 @@ def run_anthyphairesis(
     # every quotient passed k >= 1 where it was made, in _step or in the
     # cycle loop, so the tuples are stored without a second scan
     cf = _rebuild(ContinuedFraction, (tuple(pre), tuple(period), False))
-    quotients = cf.preperiod + cf.period
-    return cf, _rebuild(ExpansionTrace, (quotients, form, (anchor_at, len(quotients))))
+    return cf, _rebuild(ExpansionTrace, (cf, form))
 
 
 def _truncated(
     quotients: list[int], form: QuadraticForm
 ) -> tuple[ContinuedFraction, ExpansionTrace]:
     """The result of a run whose step budget ran out after these quotients."""
-    qs = tuple(quotients)
-    cf = _rebuild(ContinuedFraction, (qs, None, True))
-    return cf, _rebuild(ExpansionTrace, (qs, form, None))
+    cf = _rebuild(ContinuedFraction, (tuple(quotients), None, True))
+    return cf, _rebuild(ExpansionTrace, (cf, form))
 
 
 def surd_cf(x: QuadSurd | Fraction | int, max_steps: int = _MAX_STEPS) -> ContinuedFraction:

@@ -3,11 +3,15 @@
 Every BENCH_*.json at the root stores the runs of both sides and the
 verdicts read off them.  Each end-to-end verdict is recomputed here from
 those runs with bench/compare.py's rule and BENCHMARK.json's bounds, so
-a record cannot claim more than its runs show.
+a record cannot claim more than its runs show.  Each record also runs
+every workload of BENCHMARK.json, untraced, as often on both sides, and
+its claimed workload in at least the 10 pairs that the rule's 9 in 10
+wins are counted over.
 """
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +59,16 @@ def test_recorded_verdicts_follow_from_the_runs():
         worse = [(w, m) for w, rows in recomputed.items() for m, r in rows.items()
                  if r["verdict"] == "worse"]
         assert worse == [], path.name
+
+
+def test_every_record_runs_every_workload_in_pairs():
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    for path in RECORDS:
+        record = json.loads(path.read_text())
+        parent, change = (
+            Counter(run["workload"] for run in record[side] if not run["trace"])
+            for side in ("parent_runs", "change_runs")
+        )
+        assert set(parent) == set(change) == workloads, path.name
+        assert parent == change, path.name
+        assert parent[record["claimed"]["workload"]] >= 10, path.name

@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anthyphairesis.cli as cli
-from anthyphairesis import InternalInvariantError, __version__, exactarith, properties
+from anthyphairesis import (
+    ExpansionTrace,
+    InternalInvariantError,
+    __version__,
+    exactarith,
+    properties,
+)
 
 
 def run(capsys, *argv):
@@ -686,6 +692,24 @@ class TestStreaming:
         assert code == 3 and traced <= 1.5 * plain
         code, peak, size = self._peak(*argv, "--json")
         assert code == 3 and size > 10**6 and peak <= 5 * size
+
+    @pytest.mark.parametrize("flag", ["--trace", "--json"])
+    def test_a_report_reads_the_derived_quotients_and_repeat_once(self, monkeypatch, flag):
+        # a trace derives both from its expansion on each read, so a report
+        # that read them once per state would be quadratic in the period
+        reads = dict.fromkeys(("quotients", "repeat_at"), 0)
+        for name in reads:
+            def counted(trace, _get=vars(ExpansionTrace)[name].fget, _name=name):
+                reads[_name] += 1
+                return _get(trace)
+
+            monkeypatch.setattr(ExpansionTrace, name, property(counted))
+        sink = _Sink()
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["anth", "sqrt", "1000000007", "--max-steps", "100000", flag])
+        # period 12,352: one line or JSON object of 20 characters or more per state
+        assert code == 0 and sink.size > 20 * 12_352
+        assert 1 <= reads["quotients"] <= 2 and reads["repeat_at"] <= 2, reads
 
     def test_a_reader_that_closes_stdout_early_gets_no_traceback(self):
         env = dict(os.environ)

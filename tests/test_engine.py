@@ -216,6 +216,15 @@ class TestContinuedFraction:
                 assert type(head) is tuple and head == tuple(unrolled), (cf, n)
                 unrolled.append(pre[n] if n < len(pre) else per[(n - len(pre)) % len(per)])
 
+    def test_finite_means_neither_periodic_nor_truncated(self):
+        cut = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 7), 2)[0]
+        for cf, finite, periodic in (
+            (ContinuedFraction((3, 2, 2)), True, False),
+            (ContinuedFraction((1,), (2,)), False, True),
+            (cut, False, False),
+        ):
+            assert (cf.is_finite, cf.is_periodic) == (finite, periodic), cf
+
     def test_truncated_equality_is_never_true(self):
         t = ContinuedFraction((1, 2), None, truncated=True)
         assert t != t

@@ -9,6 +9,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -223,6 +224,13 @@ class TestArithmetic:
         for x in (QuadSurd(-1), QuadSurd(-3, 0, 3), -QuadSurd(1)):
             assert x.__hash__() == -1
             assert hash(x) == hash(-1) == hash(Fraction(-1)) == -2
+
+    def test_a_denominator_without_inverse_hashes_as_its_fraction(self):
+        # w a multiple of the hash modulus M: Python's recipe hashes u/w as +-inf
+        m = sys.hash_info.modulus
+        for u, w in ((1, m), (-3, 2 * m), (5, 7 * m)):
+            assert hash(QuadSurd(u, 0, w)) == hash(Fraction(u, w)), (u, w)
+        assert hash(QuadSurd(1, 0, m)) == sys.hash_info.inf
 
     def test_mixed_operand_kinds(self):
         x = QuadSurd(0, 1, 1, 2)

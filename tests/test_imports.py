@@ -141,6 +141,12 @@ def test_lazy_names_are_listed_and_load_on_first_read():
     assert after is True and same is True
 
 
+def test_dir_lists_the_lazy_names_in_process():
+    names = dir(anthyphairesis)
+    assert names == sorted(set(names))
+    assert {"areas", "properties", "SUITES", "check_ii4", "ExpansionTrace"} <= set(names)
+
+
 def test_unknown_names_still_raise():
     with pytest.raises(AttributeError, match="no_such_name"):
         anthyphairesis.no_such_name

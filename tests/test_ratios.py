@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -67,6 +68,14 @@ class TestMagnitude:
             a - rectangle(line(1), line(1))
         with pytest.raises(DomainError):
             b - a  # difference must stay positive
+
+    def test_only_magnitudes_add_and_subtract(self):
+        a = line(3)
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(a, 1)
+            with pytest.raises(TypeError):
+                op(1, a)
 
     def test_rectangle(self):
         r = rectangle(line(SQRT2), line(SQRT2))
@@ -181,6 +190,14 @@ class TestCrossProductEq:
     def test_distinct_fields_are_rejected(self):
         with pytest.raises(DomainError):
             cross_product_eq(line(SQRT2), line(1), line(SQRT3), line(1))
+
+    def test_non_magnitudes_rejected(self):
+        message = "^cross_product_eq: arguments must be magnitudes$"
+        for i in range(4):
+            args = [line(1)] * 4
+            args[i] = QuadSurd(1)
+            with pytest.raises(DomainError, match=message):
+                cross_product_eq(*args)
 
     def test_role_mismatch_rejected(self):
         with pytest.raises(DomainError):

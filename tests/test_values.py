@@ -56,7 +56,7 @@ def _values():
             ContinuedFraction((2,), (1, 1, 1, 4)),
             ContinuedFraction((1, 2, 3)),
             SideDiameter((0, 1, 2), (1, 1, 3)),
-            ExpansionTrace((2, 1), QuadraticForm(EXCESS, 1, 0, 7), (1, 5)),
+            ExpansionTrace(ContinuedFraction((2,), (1, 1, 1, 4)), QuadraticForm(EXCESS, 1, 0, 7)),
             Magnitude(QuadSurd(0, 1, 1, 2)),
             Magnitude(Fraction(3, 2), AREA),
             PropReport("alternando", True, True, QuadSurd(0, 1, 1, 2), None),
@@ -99,8 +99,9 @@ class TestRepr:
             (convergents((1, 2, 2), 3), "SideDiameter(p=(0, 1, 2, 5), q=(1, 1, 3, 7))"),
             (
                 SQRT7_TRACE,
-                "ExpansionTrace(quotients=(2, 1, 1, 1, 4), start=QuadraticForm("
-                "kind='excess', A=1, B=0, C=7, smaller_root=False), repeat_at=(1, 5))",
+                "ExpansionTrace(expansion=ContinuedFraction(preperiod=(2,), "
+                "period=(1, 1, 1, 4), truncated=False), start=QuadraticForm("
+                "kind='excess', A=1, B=0, C=7, smaller_root=False))",
             ),
             (
                 line(QuadSurd(0, 1, 1, 2)),
@@ -170,7 +171,9 @@ class TestEquality:
         assert QuadraticForm(DEFECT, 1, 6, 7) != QuadraticForm(DEFECT, 1, 6, 7, True)
         assert QuadraticForm(EXCESS, 1, 0, 7) != QuadraticForm(EXCESS, 1, 0, 6)
         assert SideDiameter((0, 1), (1, 1)) != SideDiameter((0, 1), (1, 2))
-        assert ExpansionTrace((2,), FORM) != ExpansionTrace((2,), FORM, (0, 1))
+        two = ContinuedFraction((2,))
+        assert ExpansionTrace(two, FORM) != ExpansionTrace(ContinuedFraction((), (2,)), FORM)
+        assert ExpansionTrace(two, FORM) != ExpansionTrace(two, QuadraticForm(EXCESS, 1, 0, 6))
         assert line(2) != Magnitude(2, AREA)
         assert _Rule((), (0, 1)) != _Rule((), (0, 1), cross_product_eq)
         base = ("alternando", True, True, None, None)
@@ -198,6 +201,14 @@ class TestEquality:
         cut = run_anthyphairesis(FORM, 2)[0]
         assert cut != cut and not (cut == cut)
         assert hash(cut) == hash(run_anthyphairesis(FORM, 2)[0])
+
+    def test_a_trace_holds_the_expansion_its_run_returns(self):
+        for form, budget in ((QuadraticForm(EXCESS, 1, 0, 4), 10), (FORM, 2), (FORM, 10)):
+            cf, trace = run_anthyphairesis(form, budget)
+            assert trace.expansion is cf and trace.start is form
+        # truncated expansions equal nothing, so neither do their traces
+        cut, again = run_anthyphairesis(FORM, 2)[1], run_anthyphairesis(FORM, 2)[1]
+        assert cut != again and hash(cut) == hash(again)
 
     def test_reports_hold_equal_expansions(self):
         assert REPORT == check_proposition("alternando", [line(2), line(4), line(3), line(6)])
@@ -312,7 +323,7 @@ class TestCopyAndPickle:
             b"canthyphairesis.engine\nQuadraticForm\nq\x03(X\x06\x00\x00\x00excessq\x04"
             b"K\x01K\x00K\x07\x89tq\x05\x86q\x06Rq\x07K\x01K\x05\x86q\x08\x87q\t\x86q\n"
             b"Rq\x0b.",
-            ExpansionTrace((2, 1, 1, 1, 4), FORM, (1, 5)),
+            ExpansionTrace(ContinuedFraction((2,), (1, 1, 1, 4)), FORM),
         ),
         (
             b"\x80\x02canthyphairesis._value\n_rebuild\nq\x00canthyphairesis.ratios\n"
@@ -334,7 +345,27 @@ class TestCopyAndPickle:
         assert fields == [getattr(fresh, name) for name in fresh._fields]
         assert hash(old) == hash(fresh)
         if isinstance(fresh, ExpansionTrace):
+            assert old == fresh == SQRT7_TRACE
+            assert (old.quotients, old.repeat_at) == ((2, 1, 1, 1, 4), (1, 5))
             assert old.states == fresh.states == SQRT7_TRACE.states
+
+    @pytest.mark.parametrize(
+        "form, budget",
+        [(QuadraticForm(EXCESS, 1, 0, 4), 10), (FORM, 2), (FORM, 10)],
+        ids=["euclid", "truncated", "periodic"],
+    )
+    def test_the_earlier_trace_layout_converts(self, form, budget):
+        # (quotients, start, repeat_at): repeat_at splits the period off, and
+        # without one a square discriminant means Euclid's finite expansion
+        cf, trace = run_anthyphairesis(form, budget)
+        old = _rebuild(ExpansionTrace, (trace.quotients, form, trace.repeat_at))
+        assert old.expansion._values() == cf._values() and old.start is form
+        assert (old.quotients, old.repeat_at) == (trace.quotients, trace.repeat_at)
+        assert old.states == trace.states and hash(old) == hash(trace)
+
+    def test_another_field_count_is_refused(self):
+        with pytest.raises(TypeError, match="^QuadraticForm has 5 fields, not 2$"):
+            _rebuild(QuadraticForm, (EXCESS, 1))
 
     def test_property_result_round_trips(self):
         r = PropertyResult("ratio", "p", 4, 1, 3, 0, None)
@@ -358,8 +389,9 @@ class TestConstruction:
         assert ContinuedFraction(preperiod=(), period=(1,)) == ContinuedFraction((), (1,))
         assert ContinuedFraction((1,), truncated=True).truncated
         assert SideDiameter(p=(0,), q=(1,)) == SideDiameter((0,), (1,))
-        assert ExpansionTrace((2,), FORM).repeat_at is None
-        assert ExpansionTrace(quotients=(2,), start=FORM, repeat_at=(0, 1)).repeat_at == (0, 1)
+        assert ExpansionTrace(ContinuedFraction((2,)), FORM).repeat_at is None
+        periodic = ExpansionTrace(expansion=ContinuedFraction((), (2,)), start=FORM)
+        assert (periodic.quotients, periodic.repeat_at) == ((2,), (0, 1))
         assert Magnitude(2).role == LINE and Magnitude(value=2, role=AREA).role == AREA
         assert _Rule((), (0, 1)).condition is None
         assert PropertyResult("a", "b", 1, 0, 1, 0).first_failure is None
@@ -382,7 +414,7 @@ class TestConstruction:
             lambda: QuadraticForm(EXCESS, 1, 0),
             lambda: ContinuedFraction(),
             lambda: SideDiameter((0,)),
-            lambda: ExpansionTrace((1,)),
+            lambda: ExpansionTrace(ContinuedFraction((1,))),
             lambda: Magnitude(),
             lambda: PropReport("x", True, True, None),
             lambda: AreaIdentityReport("x", QuadSurd(1), QuadSurd(1)),
