@@ -1,9 +1,11 @@
 """Plain slotted value classes.
 
 A value type lists its fields once, as ``__slots__ = _fields = (...)``,
-and writes its own ``__init__``.  ``Record`` compares, shows and pickles
-an instance as the tuple of its fields, as a dataclass would; ``Frozen``
-also refuses assignment and deletion and hashes that tuple.
+and writes its own ``__init__``.  ``Record`` shows and pickles an
+instance as the tuple of its fields, as a dataclass would, and compares
+it field by field with ``==``, so a record holding a value that equals
+nothing, not even itself, equals nothing either; ``Frozen`` also refuses
+assignment and deletion and hashes the tuple of its fields.
 A frozen value is built one way: each field goes through its slot's own
 ``__set__``, which stores past Frozen's refusing ``__setattr__``.
 ``Record`` binds these setters once per class, in field order, as
@@ -66,9 +68,14 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # field by field: a tuple of the fields would take a field identical
+        # to itself as equal, and a truncated expansion equals nothing
+        for name in self._fields:
+            if not getattr(self, name) == getattr(other, name):
+                return False
+        return True
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -286,7 +286,7 @@ class ExpansionTrace(Frozen):
     by Euclid's division, which steps no form: states is then the start
     form alone.  A trace equals another when its expansion and start
     form do, so the trace of a truncated run follows ContinuedFraction's
-    rule and equals no other trace.
+    rule and equals no trace, not even itself.
     """
 
     __slots__ = _fields = ("expansion", "start")

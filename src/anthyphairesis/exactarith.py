@@ -66,9 +66,208 @@ def is_perfect_square(n: int) -> bool:
     return s * s == n
 
 
-# Trial divisors never exceed this, so a split makes at most ~700,000
-# divisions; every n < 2**63 still splits, its cube root being below it.
-_TRIAL_DIVISION_LIMIT = 1 << 21
+# The primes below 1000, written out so that importing builds no sieve;
+# one gcd with their product finds which of them divide a radicand.
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
+    149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
+    227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
+    307, 311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383,
+    389, 397, 401, 409, 419, 421, 431, 433, 439, 443, 449, 457, 461, 463,
+    467, 479, 487, 491, 499, 503, 509, 521, 523, 541, 547, 557, 563, 569,
+    571, 577, 587, 593, 599, 601, 607, 613, 617, 619, 631, 641, 643, 647,
+    653, 659, 661, 673, 677, 683, 691, 701, 709, 719, 727, 733, 739, 743,
+    751, 757, 761, 769, 773, 787, 797, 809, 811, 821, 823, 827, 829, 839,
+    853, 857, 859, 863, 877, 881, 883, 887, 907, 911, 919, 929, 937, 941,
+    947, 953, 967, 971, 977, 983, 991, 997,
+)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+# a cofactor free of the primes above has no prime factor below 1009
+_SQUARE_1009 = 1009 * 1009
+_CUBE_1009 = 1009 * 1009 * 1009
+
+# Miller-Rabin bases in order, each with psi_t, the least composite that is
+# a strong probable prime to it and to every base before it (Jaeschke 1993;
+# Sorenson & Webster 2015): below that bound the bases so far decide.
+_MILLER_RABIN = (
+    (2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751),
+    (11, 2152302898747), (13, 3474749660383), (17, 341550071728321),
+    (19, 341550071728321), (23, 3825123056546413051),
+    (29, 3825123056546413051), (31, 3825123056546413051),
+    (37, 318665857834031151167461), (41, 3317044064679887385961981),
+)
+
+# Pollard-Brent rho steps that one split may take over all its cofactors,
+# about 0.1 s on CPython 3.11; a split past them raises DomainError, so no
+# radicand runs on.  A step on a cofactor of more than 128 bits counts
+# once per 128 bits begun, as its arithmetic costs more, so the time
+# stays about the same for a radicand of hundreds of digits.  A cofactor
+# with a prime factor p takes some 1.25*sqrt(p) steps: a smaller prime
+# near 10**9 always splits within them, one near 10**10 about half the
+# time, one near 10**11 never.
+_RHO_STEPS = 1 << 18
+_RHO_BATCH = 128  # steps whose differences share one gcd
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Whether n, odd and above 1009**2 and not a square, is prime.
+
+    Miller-Rabin to the prime bases 2 to 41 decides every n below
+    psi_13 = 3317044064679887385961981, stopping at the first base whose
+    psi_t exceeds n.  From psi_13 up a strong Lucas test follows, which
+    makes the test Baillie-PSW: no composite is known to pass it, but its
+    answer there is probable, not proven.
+    """
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a, psi in _MILLER_RABIN:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a & 1 == 0:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters, for odd n > 1009 not a square.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4.  Writing n + 1 = k * 2**s with k odd, n
+    passes when U_k = 0 or V_(k*2**r) = 0 (mod n) for some 0 <= r < s.
+    """
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    # U_1 = 1, V_1 = P = 1; double for each bit of k below its top one,
+    # then step by one for a set bit
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(k)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            if u & 1:
+                u += n
+            if v & 1:
+                v += n
+            u, v = (u >> 1) % n, (v >> 1) % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
+
+
+def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of the composite n and the steps left, or (0, 0).
+
+    Pollard's rho in Brent's form (Pollard 1975; Brent 1980): y walks
+    y -> y*y + c from y = 2, and the gcd of the product of _RHO_BATCH
+    differences x - y with n catches a cycle modulo an unknown prime
+    factor.  A walk that meets n itself goes back one step at a time, and
+    past that tries the next c: c = 1, 2, 3, ..., so a split is the same
+    on every run.  Every step is charged to steps, once per 128 bits of
+    n begun; (0, 0) means they ran out before a divisor was found.
+    """
+    cost = (n.bit_length() + 127) >> 7
+    c = 0
+    while steps > 0:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            steps -= r * cost
+            if steps < 0:
+                return 0, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - done)
+                steps -= batch * cost
+                if steps < 0:
+                    return 0, 0
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = _gcd(q, n)
+                done += batch
+            r *= 2
+        if g == n:  # the batch met n: find the first step that did
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = _gcd(x - ys, n)
+        if g != n:
+            return g, steps
+    return 0, 0
+
+
+def _large_prime_powers(radicand: int, m: int) -> dict[int, int]:
+    """{p: e} for m >= 1009**3 that has no prime factor below 1009.
+
+    A square is halved first, a prime is counted, and a composite is split
+    by _rho_divisor into two factors that are factored in turn.  All of
+    one split's rho steps share the budget _RHO_STEPS; past it DomainError.
+    """
+    powers: dict[int, int] = {}
+    todo = [(m, 1)]
+    steps = _RHO_STEPS
+    while todo:
+        m, k = todo.pop()
+        r = math.isqrt(m)
+        if r * r == m:
+            todo.append((r, 2 * k))
+        elif m < _SQUARE_1009 or _is_probable_prime(m):
+            powers[m] = powers.get(m, 0) + k
+        else:
+            f, steps = _rho_divisor(m, steps)
+            if not f:
+                raise DomainError(
+                    "square_free_split: radicand %d has a factor that %d Pollard rho "
+                    "steps do not split" % (radicand, _RHO_STEPS)
+                )
+            todo.append((f, k))
+            todo.append((m // f, k))
+    return powers
 
 
 # The magnitudes of one proportion share a field, so builds ask for the
@@ -79,53 +278,56 @@ _TRIAL_DIVISION_LIMIT = 1 << 21
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n >= 1 as s*s*d with d squarefree; return (s, d).
 
-    Trial division by 2, 3 and 6k +/- 1 runs only while f**3 <= n, about
-    n**(1/3) / 3 divisions.  What is left then has no prime factor below
-    its cube root, hence at most two prime factors: it is 1, p, p*q or
-    p*p, and an integer square root tells p*p apart.  Divisors stop at
-    _TRIAL_DIVISION_LIMIT: a radicand whose remaining cofactor is still
-    at least the cube of the next divisor there raises DomainError.
+    One gcd with the product of the primes below 1000 finds which of them
+    divide n, and only those are divided out.  What is left, m, has no
+    prime factor below 1009.  Below 1009**3 it is 1, p, p*q or p*p, and an
+    integer square root tells p*p apart.  A larger m is taken apart into
+    primes by _large_prime_powers: squares by isqrt, primes by Miller-Rabin
+    (Baillie-PSW, a probable answer, from 3.3*10**24 up), composites by
+    Pollard-Brent rho within a fixed number of steps.  So the cost follows
+    the second largest prime factor of m, and a radicand whose factor the
+    steps do not split raises DomainError.
     """
     _require_int(n, "square_free_split")
     if n < 1:
         raise DomainError("square_free_split: argument must be >= 1, got %d" % n)
-    radicand = n
-    s = 1
-    d = 1
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
+    m = n
+    s = d = 1
+    g = _gcd(m, _SMALL_PRODUCT)
+    if g > 1:
+        for p in _SMALL_PRIMES:
+            if p * p > g:  # g is squarefree: what is left of it is 1 or a prime
+                break
+            if g % p == 0:
+                g //= p
+                m, s, d = _divide_out(m, s, d, p)
+        if g > 1:
+            m, s, d = _divide_out(m, s, d, g)
+    if m < _CUBE_1009:
+        r = math.isqrt(m)
+        if r * r == m:  # p*p (or 1)
+            s *= r
+        else:  # p or p*q with p != q
+            d *= m
+        return s, d
+    for p, e in _large_prime_powers(n, m).items():
+        s *= p ** (e >> 1)
+        if e & 1:
             d *= p
-    # remaining prime factors are of the form 6k +/- 1
-    f = 5
-    step = 2
-    while f * f * f <= n:
-        if f > _TRIAL_DIVISION_LIMIT:
-            raise DomainError(
-                "square_free_split: radicand %d cannot be split by trial division "
-                "below %d" % (radicand, _TRIAL_DIVISION_LIMIT)
-            )
-        if n % f == 0:  # the exponent is sought only for a divisor
-            n //= f
-            e = 1
-            while n % f == 0:
-                n //= f
-                e += 1
-            s *= f ** (e // 2)
-            if e % 2:
-                d *= f
-        f += step
-        step = 6 - step
-    r = math.isqrt(n)
-    if r * r == n:  # p*p (or 1)
-        s *= r
-    else:  # p or p*q with p != q
-        d *= n
     return s, d
+
+
+def _divide_out(m: int, s: int, d: int, p: int) -> tuple[int, int, int]:
+    """m without its factors p, which divides it, and s and d with them counted."""
+    m //= p
+    e = 1
+    while m % p == 0:
+        m //= p
+        e += 1
+    s *= p ** (e >> 1)
+    if e & 1:
+        d *= p
+    return m, s, d
 
 
 class QuadSurd(Frozen):
@@ -138,7 +340,10 @@ class QuadSurd(Frozen):
 
     The radicand a caller supplies is split here, by square_free_split,
     which remembers its last 32 radicands, so the values of one field
-    built in a row factor it once.  Arithmetic results (``+ - * /``,
+    built in a row factor it once.  A split strips the primes below 1000
+    with one gcd; past that its cost follows the radicand's second
+    largest prime factor, not its size, and a radicand whose factors
+    outrun the split's rho budget raises DomainError.  Arithmetic results (``+ - * /``,
     ``inverse``, negation, and through them ``decimal``) inherit the
     operands' normalized radicand and are never factored again.
     ``sign``, ``floor`` and comparisons are integer arithmetic on the

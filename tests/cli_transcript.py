@@ -44,7 +44,7 @@ from pathlib import Path
 
 PATH = Path(__file__).with_name("cli_transcript.json")
 
-_SPLIT_LIMIT_PRIME = str(10**31 + 57)  # past the trial-division limit of the split
+_BIG_PRIME = str(10**31 + 57)  # a prime radicand that Miller-Rabin tells from p*q
 
 ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     # README, text and --json
@@ -124,7 +124,7 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "anth surd 3 0 2 1 --max-steps -1",
     "anth surd 0 1 0 2",
     "anth surd 0 1 1 -2",
-    "anth surd 0 1 1 " + _SPLIT_LIMIT_PRIME,
+    "anth surd 0 1 1 " + _BIG_PRIME,
     # the root is the value given, not a split of the minimal form's disc
     "anth surd 0 1000000000039 1 2 --max-steps 5",
     "convergents --quotients 1,2,2",
@@ -178,7 +178,7 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "ratio eq 0/1 1 2 3",
     "ratio mixed 0,1,0,2 1 1 1",
     "ratio cross 1 0 2 3",
-    "ratio eq 0,1,1," + _SPLIT_LIMIT_PRIME + " 1 2 3",
+    "ratio eq 0,1,1," + _BIG_PRIME + " 1 2 3",
     # literals that start with '-' reach the literal parser, not argparse
     "ratio eq -1,1,1,2 1 0,1,1,2 1",
     "ratio cross -1,1,1,2 1 0,1,1,2 1",

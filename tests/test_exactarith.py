@@ -10,6 +10,7 @@ import operator
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -130,9 +131,11 @@ class TestIntegerHelpers:
     def test_square_free_split_matches_sympy(self):
         """Against sympy.factorint, up to just below 2**63.
 
-        Trial division stops at the cube root of what is left, so the
-        cases that decide correctness are p*p, p*q and p*p*q with p and
-        q near that root, where the cofactor test has to tell them apart.
+        A cofactor free of the primes below 1000 is settled by one isqrt
+        below 1009**3 and by Miller-Rabin and rho above, so the cases
+        that decide correctness are p*p, p*q and p*p*q with p and q
+        around 10**5 and 10**7, where the cofactor test has to tell them
+        apart.
         """
         assert square_free_split(4 * (10**16 + 61)) == (2, 10**16 + 61)
         p = sympy.prevprime(10**5)
@@ -145,11 +148,7 @@ class TestIntegerHelpers:
         rng = random.Random(20261017)
         cases += [int(10 ** rng.uniform(0, 18)) for _ in range(40)]
         for n in cases:
-            s, d = 1, 1
-            for prime, e in sympy.factorint(n).items():
-                s *= prime ** (e // 2)
-                d *= prime ** (e % 2)
-            assert square_free_split(n) == (s, d), n
+            assert square_free_split(n) == _sympy_split(n), n
 
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(4, 9)) == QuadSurd(2, 0, 3)
@@ -618,11 +617,15 @@ class TestSplitMemo:
         assert info.maxsize == 32 and info.currsize <= info.maxsize
 
 
+# the divisor limit of the trial-division split, which the oracle keeps
+_OLD_DIVISOR_LIMIT = 1 << 21
+
+
 def _split_testing_every_candidate(n: int) -> tuple[int, int]:
-    """The trial-division loop as it was before divisors were tested once.
+    """The trial-division split, before divisors were tested once.
 
     It computes the exponent of every candidate, 0 for a non-divisor, and
-    raises at the same divisor limit with the same message.
+    raises past the divisor limit that split had.
     """
     radicand = n
     s = d = 1
@@ -636,10 +639,10 @@ def _split_testing_every_candidate(n: int) -> tuple[int, int]:
             d *= p
     f, step = 5, 2
     while f * f * f <= n:
-        if f > exactarith._TRIAL_DIVISION_LIMIT:
+        if f > _OLD_DIVISOR_LIMIT:
             raise DomainError(
                 "square_free_split: radicand %d cannot be split by trial division "
-                "below %d" % (radicand, exactarith._TRIAL_DIVISION_LIMIT)
+                "below %d" % (radicand, _OLD_DIVISOR_LIMIT)
             )
         e = 0
         while n % f == 0:
@@ -695,16 +698,100 @@ class TestSplitTestsEachDivisorOnce:
             drawn += 1
         assert powers > 1000
 
-    def test_the_budget_error_is_unchanged(self):
+    def test_past_the_rho_budget_the_error_names_the_radicand(self):
+        # the trial-division split gave up on the prime 10**31 + 57; Miller-
+        # Rabin now answers it, and two 16-digit primes outrun the rho budget
         n = 10**31 + 57
-        with pytest.raises(DomainError) as old:
+        with pytest.raises(DomainError, match="cannot be split by trial division"):
             _split_testing_every_candidate(n)
+        assert square_free_split.__wrapped__(n) == (1, n)
+        n = 1000000000000037 * 1000000000000091
         with pytest.raises(DomainError) as new:
             square_free_split.__wrapped__(n)
-        assert str(new.value) == str(old.value) == (
-            "square_free_split: radicand %d cannot be split by trial division "
-            "below 2097152" % n
+        assert str(new.value) == (
+            "square_free_split: radicand %d has a factor that 262144 Pollard rho "
+            "steps do not split" % n
         )
+
+    def test_the_rho_budget_stays_cheap_on_a_long_radicand(self):
+        # a step on these 1,330 bits counts as 11 steps: charged one to
+        # one, the budget would take over 1 s here
+        n = sympy.nextprime(10**200) * sympy.nextprime(3 * 10**200)
+        start = time.process_time()
+        with pytest.raises(DomainError, match="square_free_split: radicand %d " % n):
+            square_free_split.__wrapped__(n)
+        assert time.process_time() - start < 1.0
+
+
+def _sympy_split(n: int) -> tuple[int, int]:
+    """(s, d) with n = s*s*d, d squarefree, read off sympy.factorint."""
+    s = d = 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return s, d
+
+
+_P, _Q = 1000003, 1000033
+PSI_12 = 318665857834031151167461  # strong pseudoprime to the bases 2 to 37
+PSI_13 = 3317044064679887385961981  # strong pseudoprime to the bases 2 to 41
+
+
+class TestSplitOnAdversarialRadicands:
+    """The split against sympy where a primality test or a factor bound could slip."""
+
+    @pytest.mark.parametrize("n", [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to the bases 2 to 23
+        561, 41041, 825265,  # Carmichael numbers
+        997 * 1009, 1009 * 1009, 1009 * 1013, 1009**3, 1009**2 * 1013,  # the 1009 boundary
+        _P**3, _P**2 * _Q,
+        7 * 10000000000000000051**2,  # 7 * p*p, p a 20-digit prime
+        10**31 + 57,
+        2**63 - 25,
+    ])
+    def test_equals_sympy(self, n):
+        assert square_free_split.__wrapped__(n) == _sympy_split(n)
+
+    @pytest.mark.parametrize("n", [PSI_12, PSI_13])
+    def test_a_strong_pseudoprime_to_the_bases_is_never_taken_for_a_prime(self, n):
+        assert not exactarith._is_probable_prime(n)
+        try:
+            got = square_free_split.__wrapped__(n)
+        except DomainError as e:  # both factors are near 10**12, past the rho budget
+            assert str(e).startswith("square_free_split: radicand %d " % n)
+        else:
+            assert got == _sympy_split(n) != (1, n)
+
+    def test_the_bases_stop_only_below_their_bound(self):
+        """Each psi_t is composite and a strong probable prime to the first t bases."""
+        bases = [a for a, _ in exactarith._MILLER_RABIN]
+        assert bases == list(sympy.primerange(2, 42))
+        for t, (_, psi) in enumerate(exactarith._MILLER_RABIN, 1):
+            assert not sympy.isprime(psi)
+            assert sympy.ntheory.primetest.mr(psi, bases[:t])
+        assert exactarith._MILLER_RABIN[-1][1] == PSI_13
+
+    def test_the_strong_lucas_test_equals_sympys(self):
+        lucas = sympy.ntheory.primetest.is_strong_lucas_prp
+        for n in range(1011, 60_000, 2):
+            if not is_perfect_square(n):
+                assert exactarith._is_strong_lucas_probable_prime(n) == lucas(n), n
+        rng = random.Random(35)
+        for _ in range(200):
+            n = rng.randrange(PSI_13, 10**40) | 1
+            if not is_perfect_square(n):
+                assert exactarith._is_strong_lucas_probable_prime(n) == lucas(n), n
+
+    def test_primes_past_psi_13_are_found_prime(self):
+        p = sympy.nextprime(PSI_13)
+        assert exactarith._is_probable_prime(p)
+        assert square_free_split.__wrapped__(p * p * 3) == (p, 3)
+        assert square_free_split.__wrapped__(_P * p) == (1, _P * p)
+
+    def test_a_ten_digit_factor_splits_within_the_budget(self):
+        p, q = sympy.nextprime(10**9), sympy.nextprime(10**20)
+        assert square_free_split.__wrapped__(p * q * q) == (q, p)
 
 
 _FIELDS = r"^values lie in distinct quadratic fields \(sqrt\(2\) vs sqrt\(3\)\)$"

@@ -210,6 +210,19 @@ class TestEquality:
         cut, again = run_anthyphairesis(FORM, 2)[1], run_anthyphairesis(FORM, 2)[1]
         assert cut != again and hash(cut) == hash(again)
 
+    def test_a_truncated_trace_equals_nothing_not_even_itself(self):
+        # fields compare one by one: a tuple of them would take the very
+        # expansion as equal to itself, and so make t == t and a shallow
+        # copy equal, while a deep copy or a pickle round trip is not
+        _, t = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 7), 2)
+        assert t.expansion.truncated and t.expansion != t.expansion
+        for other in (t, copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert not (other == t) and other != t and not (t == other)
+        _, whole = run_anthyphairesis(QuadraticForm(EXCESS, 1, 0, 7))
+        for other in (whole, copy.copy(whole), copy.deepcopy(whole),
+                      pickle.loads(pickle.dumps(whole))):
+            assert other == whole and not (other != whole)
+
     def test_reports_hold_equal_expansions(self):
         assert REPORT == check_proposition("alternando", [line(2), line(4), line(3), line(6)])
         assert hash(REPORT) == hash(
