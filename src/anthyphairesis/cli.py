@@ -32,7 +32,7 @@ from .engine import (
     _triple,
 )
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, _in_field, as_surd
+from .exactarith import QuadSurd, _in_field, as_surd, isqrt
 from .ratios import (
     Magnitude,
     anth_of_ratio,
@@ -160,13 +160,25 @@ def _surd_display(x: QuadSurd) -> str:
     return "%s ~ %s" % (x, x.decimal())
 
 
-def _root_text(form: QuadraticForm) -> str:
+def _surd(u: int, v: int, w: int, d: int) -> QuadSurd:
+    """(u + v*sqrt(d))/w for d >= 1, with d unsplit past the factoring budget.
+
+    A square d gives the rational value by isqrt, as QuadraticForm.root()
+    does, so no surd is built over a square radicand.
+    """
+    r = isqrt(d)
+    if r * r == d:
+        return _in_field(u + v * r, 0, w, 1)
     try:
-        return _surd_display(form.root())
-    except DomainError:  # disc is past the factoring budget: show sqrt(disc) unsplit
+        return QuadSurd(u, v, w, d)
+    except DomainError:  # d is past the factoring budget: keep it unsplit
         # sign and floor, hence the decimal, need only a non-square radicand
-        a, b, _, s = _triple(form)
-        return _surd_display(_in_field(b, s, 2 * a, form.disc))
+        return _in_field(u, v, w, d)
+
+
+def _root_text(form: QuadraticForm) -> str:
+    a, b, _, s = _triple(form)
+    return _surd_display(_surd(b, s, 2 * a, form.disc))
 
 
 # -- anth ---------------------------------------------------------------------
@@ -319,7 +331,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
             return EXIT_UNDECIDED
         qs = expansion.head(count)
         sd = convergents(qs, count)
-        a, b = QuadSurd(0, 1, 1, n), as_surd(1)
+        a, b = _surd(0, 1, 1, n), as_surd(1)
         shown = str(expansion)
         input_obj = {"radicand": str(n), "count": str(count)}
 

@@ -98,31 +98,62 @@ _MILLER_RABIN = (
     (37, 318665857834031151167461), (41, 3317044064679887385961981),
 )
 
-# Pollard-Brent rho steps that one split may take over all its cofactors,
-# about 0.1 s on CPython 3.11; a split past them raises DomainError, so no
-# radicand runs on.  A step on a cofactor of more than 128 bits counts
-# once per 128 bits begun, as its arithmetic costs more, so the time
-# stays about the same for a radicand of hundreds of digits.  A cofactor
-# with a prime factor p takes some 1.25*sqrt(p) steps: a smaller prime
-# near 10**9 always splits within them, one near 10**10 about half the
-# time, one near 10**11 never.
+# The steps that one split may take over all its cofactors; a split past
+# them raises DomainError, so no radicand runs on.  A rho step counts once
+# per 128 bits of its cofactor begun, as its arithmetic costs more, and an
+# exponentiation as its squarings at that rate, bits * ceil(bits/128)
+# steps.  A cofactor with a prime factor p takes some 1.25*sqrt(p) rho
+# steps: a smaller prime near 10**9 always splits within them, one near
+# 10**10 about half the time, one near 10**11 never.  A prime pays for
+# fifteen exponentiations: every prime below 2**1456 (up to 438 digits)
+# is found within the budget, a larger one raises.  On CPython 3.11 a
+# failing split takes 0.1 s at 31 digits and at most about 0.45 s, near
+# 1,700 digits; past 5,760 bits the first exponentiation overdraws it.
 _RHO_STEPS = 1 << 18
 _RHO_BATCH = 128  # steps whose differences share one gcd
 
 
-def _is_probable_prime(n: int) -> bool:
+def _countdown(radicand: int) -> Callable[[int], None]:
+    """spend(steps) for one split of radicand: past _RHO_STEPS, DomainError."""
+    left = _RHO_STEPS
+
+    def spend(steps: int) -> None:
+        nonlocal left
+        left -= steps
+        if left < 0:
+            raise DomainError(
+                "square_free_split: radicand %d has a factor that %d Pollard rho "
+                "steps do not split" % (radicand, _RHO_STEPS)
+            )
+
+    return spend
+
+
+def _pow_steps(n: int) -> int:
+    """The steps charged for one exponentiation modulo n, as rho pays its squarings."""
+    bits = n.bit_length()
+    return bits * ((bits + 127) >> 7)
+
+
+def _is_probable_prime(n: int, spend: Callable[[int], None] | None = None) -> bool:
     """Whether n, odd and above 1009**2 and not a square, is prime.
 
     Miller-Rabin to the prime bases 2 to 41 decides every n below
     psi_13 = 3317044064679887385961981, stopping at the first base whose
     psi_t exceeds n.  From psi_13 up a strong Lucas test follows, which
     makes the test Baillie-PSW: no composite is known to pass it, but its
-    answer there is probable, not proven.
+    answer there is probable, not proven.  Each base is charged to spend
+    before its exponentiation runs, and the Lucas test as two; without a
+    spend the test has a split's budget of its own.
     """
+    if spend is None:
+        spend = _countdown(n)
+    cost = _pow_steps(n)
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
     for a, psi in _MILLER_RABIN:
+        spend(cost)
         x = pow(a, d, n)
         if x != 1 and x != n - 1:
             for _ in range(s - 1):
@@ -133,6 +164,7 @@ def _is_probable_prime(n: int) -> bool:
                 return False
         if n < psi:
             return True
+    spend(2 * cost)
     return _is_strong_lucas_probable_prime(n)
 
 
@@ -195,36 +227,42 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
-    """A proper divisor of the composite n and the steps left, or (0, 0).
+def _rho_divisor(n: int, spend: Callable[[int], None]) -> int:
+    """A proper divisor of the composite n, odd and not a square.
 
+    A prime power p**k goes first: p - 1 divides n - 1, so 2**(n-1) = 1
+    modulo p by Fermat, but not modulo p*p unless p is a Wieferich prime
+    to base 2, so one gcd of 2**(n-1) - 1 with n splits it.  (Only 1093
+    and 3511 are known; their squares are below 1009**3, and their higher
+    powers are not 1 modulo p**3.)  Then
     Pollard's rho in Brent's form (Pollard 1975; Brent 1980): y walks
     y -> y*y + c from y = 2, and the gcd of the product of _RHO_BATCH
     differences x - y with n catches a cycle modulo an unknown prime
     factor.  A walk that meets n itself goes back one step at a time, and
     past that tries the next c: c = 1, 2, 3, ..., so a split is the same
-    on every run.  Every step is charged to steps, once per 128 bits of
-    n begun; (0, 0) means they ran out before a divisor was found.
+    on every run.  The exponentiation and every step are charged to spend
+    before they run, a step once per 128 bits of n begun, so a walk that
+    finds no divisor ends in the DomainError that spend raises.
     """
+    spend(_pow_steps(n))
+    g = _gcd(pow(2, n - 1, n) - 1, n)
+    if 1 < g < n:
+        return g
     cost = (n.bit_length() + 127) >> 7
     c = 0
-    while steps > 0:
+    while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
-            steps -= r * cost
-            if steps < 0:
-                return 0, 0
+            spend(r * cost)
             for _ in range(r):
                 y = (y * y + c) % n
             done = 0
             while done < r and g == 1:
                 ys = y
                 batch = min(_RHO_BATCH, r - done)
-                steps -= batch * cost
-                if steps < 0:
-                    return 0, 0
+                spend(batch * cost)
                 for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
@@ -237,37 +275,7 @@ def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
                 ys = (ys * ys + c) % n
                 g = _gcd(x - ys, n)
         if g != n:
-            return g, steps
-    return 0, 0
-
-
-def _large_prime_powers(radicand: int, m: int) -> dict[int, int]:
-    """{p: e} for m >= 1009**3 that has no prime factor below 1009.
-
-    A square is halved first, a prime is counted, and a composite is split
-    by _rho_divisor into two factors that are factored in turn.  All of
-    one split's rho steps share the budget _RHO_STEPS; past it DomainError.
-    """
-    powers: dict[int, int] = {}
-    todo = [(m, 1)]
-    steps = _RHO_STEPS
-    while todo:
-        m, k = todo.pop()
-        r = math.isqrt(m)
-        if r * r == m:
-            todo.append((r, 2 * k))
-        elif m < _SQUARE_1009 or _is_probable_prime(m):
-            powers[m] = powers.get(m, 0) + k
-        else:
-            f, steps = _rho_divisor(m, steps)
-            if not f:
-                raise DomainError(
-                    "square_free_split: radicand %d has a factor that %d Pollard rho "
-                    "steps do not split" % (radicand, _RHO_STEPS)
-                )
-            todo.append((f, k))
-            todo.append((m // f, k))
-    return powers
+            return g
 
 
 # The magnitudes of one proportion share a field, so builds ask for the
@@ -282,11 +290,12 @@ def square_free_split(n: int) -> tuple[int, int]:
     divide n, and only those are divided out.  What is left, m, has no
     prime factor below 1009.  Below 1009**3 it is 1, p, p*q or p*p, and an
     integer square root tells p*p apart.  A larger m is taken apart into
-    primes by _large_prime_powers: squares by isqrt, primes by Miller-Rabin
-    (Baillie-PSW, a probable answer, from 3.3*10**24 up), composites by
-    Pollard-Brent rho within a fixed number of steps.  So the cost follows
-    the second largest prime factor of m, and a radicand whose factor the
-    steps do not split raises DomainError.
+    primes: squares by isqrt, primes by Miller-Rabin (Baillie-PSW, a
+    probable answer, from 3.3*10**24 up), prime powers and other
+    composites by _rho_divisor.  Every test, exponentiation and rho step
+    is charged to one countdown of _RHO_STEPS, so the cost follows the
+    second largest prime factor of m and, past a few hundred digits, the
+    size of m; a radicand the budget does not split raises DomainError.
     """
     _require_int(n, "square_free_split")
     if n < 1:
@@ -310,7 +319,21 @@ def square_free_split(n: int) -> tuple[int, int]:
         else:  # p or p*q with p != q
             d *= m
         return s, d
-    for p, e in _large_prime_powers(n, m).items():
+    spend = _countdown(n)
+    powers: dict[int, int] = {}
+    todo = [(m, 1)]
+    while todo:
+        m, k = todo.pop()
+        r = math.isqrt(m)
+        if r * r == m:
+            todo.append((r, 2 * k))
+        elif m < _SQUARE_1009 or _is_probable_prime(m, spend):
+            powers[m] = powers.get(m, 0) + k
+        else:
+            f = _rho_divisor(m, spend)
+            todo.append((f, k))
+            todo.append((m // f, k))
+    for p, e in powers.items():
         s *= p ** (e >> 1)
         if e & 1:
             d *= p
@@ -342,8 +365,8 @@ class QuadSurd(Frozen):
     which remembers its last 32 radicands, so the values of one field
     built in a row factor it once.  A split strips the primes below 1000
     with one gcd; past that its cost follows the radicand's second
-    largest prime factor, not its size, and a radicand whose factors
-    outrun the split's rho budget raises DomainError.  Arithmetic results (``+ - * /``,
+    largest prime factor, and a radicand that outruns the split's one
+    budget raises DomainError.  Arithmetic results (``+ - * /``,
     ``inverse``, negation, and through them ``decimal``) inherit the
     operands' normalized radicand and are never factored again.
     ``sign``, ``floor`` and comparisons are integer arithmetic on the

@@ -125,6 +125,8 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "anth surd 0 1 0 2",
     "anth surd 0 1 1 -2",
     "anth surd 0 1 1 " + _BIG_PRIME,
+    # (10**12 + 39)**3: a prime power past 1009**3, split by one Fermat gcd
+    "anth surd 0 1 1 1000000000117000000004563000000059319",
     # the root is the value given, not a split of the minimal form's disc
     "anth surd 0 1000000000039 1 2 --max-steps 5",
     "convergents --quotients 1,2,2",
@@ -137,6 +139,8 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "convergents sqrt 2 --count 3 --max-steps 3",
     "convergents sqrt 4 --count 3",
     "convergents sqrt 1 --count 1",
+    # two 16-digit prime factors: the remainders take sqrt(N) unsplit
+    "convergents sqrt 1000000000000128000000000003367 --max-steps 10",
     "theodorus --max 1",
     "theodorus --max 5 --max-steps 1",
     "theodorus --max 5 --max-steps 1 --json",

@@ -284,6 +284,22 @@ class TestConvergents:
         rows = json.loads(out)["result"]["rows"]
         assert rows[1]["value"] is None  # remainder is exactly zero there
 
+    def test_root_falls_back_past_the_factoring_budget(self, capsys):
+        # two 16-digit prime factors: the rows take sqrt(n) with n unsplit
+        n = 1000000000000128000000000003367
+        start = time.process_time()
+        code, out, err = run(capsys, "convergents", "sqrt", str(n), "--max-steps", "10", "--json")
+        assert time.process_time() - start < 1.0
+        assert code == 0 and err == ""
+        rows = json.loads(out)["result"]["rows"]
+        assert rows[2]["remainder"] == "1000000000000064*b - a"
+        assert rows[2]["value"] == {"u": "1000000000000064", "v": "-1", "w": "1", "D": str(n)}
+        # its square has the rational root n, taken by isqrt and never split
+        code, out, err = run(capsys, "convergents", "sqrt", str(n * n), "--count", "1", "--json")
+        assert code == 0 and err == ""
+        rows = json.loads(out)["result"]["rows"]
+        assert [r["p"] for r in rows] == ["0", "1"] and rows[1]["value"] is None
+
     def test_finite_expansion_cannot_fill_the_count(self, capsys):
         code, _, err = run(capsys, "convergents", "sqrt", "4", "--count", "3")
         assert code == 1 and err.startswith("error: ")

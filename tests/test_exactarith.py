@@ -722,6 +722,25 @@ class TestSplitTestsEachDivisorOnce:
             square_free_split.__wrapped__(n)
         assert time.process_time() - start < 1.0
 
+    def test_a_failing_split_of_4300_digits_stays_cheap(self):
+        # Miller-Rabin's exponentiations are charged to the budget as well:
+        # one on these 14,284 bits costs more than all of it, so the split
+        # raises before it runs one, where each took seconds uncharged
+        n = random.Random(36).randrange(10**4299, 10**4300) | 1
+        start = time.process_time()
+        with pytest.raises(DomainError, match="square_free_split: radicand %d " % n):
+            square_free_split.__wrapped__(n)
+        assert time.process_time() - start < 0.5
+
+    def test_primes_split_below_2_to_the_1456(self):
+        # a prime pays for thirteen bases and the Lucas test, fifteen
+        # exponentiations, and from 1457 bits up they cost more than the budget
+        below, above = 2**1456 - 827, 2**1456 + 303
+        assert sympy.isprime(below) and sympy.isprime(above)
+        assert square_free_split.__wrapped__(3 * below) == (1, 3 * below)
+        with pytest.raises(DomainError, match="square_free_split: radicand %d " % above):
+            square_free_split.__wrapped__(above)
+
 
 def _sympy_split(n: int) -> tuple[int, int]:
     """(s, d) with n = s*s*d, d squarefree, read off sympy.factorint."""
@@ -749,6 +768,11 @@ class TestSplitOnAdversarialRadicands:
         7 * 10000000000000000051**2,  # 7 * p*p, p a 20-digit prime
         10**31 + 57,
         2**63 - 25,
+        # prime powers, split by one Fermat gcd: 10**12 + 39, 10**15 + 37
+        # and 10**30 + 57 are the primes next to 10**12, 10**15 and 10**30
+        (10**12 + 39) ** 3, (10**12 + 39) ** 5,
+        7 * (10**15 + 37) ** 4, 6 * (10**30 + 57) ** 3,
+        1093**3, 7 * 3511**5,  # powers of the Wieferich primes to base 2
     ])
     def test_equals_sympy(self, n):
         assert square_free_split.__wrapped__(n) == _sympy_split(n)
