@@ -9,11 +9,10 @@ step budget ran out before an answer was reached).
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 from . import __version__
 from .engine import (
@@ -53,20 +52,11 @@ EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_UNDECIDED = 3
 
-# argparse reads an argument that starts with '-' as an option unless it
-# looks like a negative number, which to argparse is only '-5' or '-.5'.
-# A magnitude literal may start with '-' too ('-1,1,1,2' is sqrt(2) - 1,
-# '-1/2' is refused as not positive), and so may a quotient list
-# ('-1,2' is refused as not >= 1), so the ratio and convergents parsers
-# take anything that starts with '-' and a digit for an argument.  Their
-# options (-h, --max-steps, --quotients, --count) start otherwise.
-_NEGATIVE_LITERAL = re.compile(r"^-\d")
-
 # Since 3.11 and 3.10.7, CPython refuses to convert an int of more than
 # sys.get_int_max_str_digits() digits to or from a decimal string.  main
 # lifts that limit while a command runs, so output prints exactly at any
 # size, and keeps it for input, whose parsing is quadratic in its digits:
-# argparse parses before the lift, and a command parses its own literals
+# _parse converts before the lift, and a command parses its own literals
 # with _int, against the limit main saved here (0: no limit).
 _input_digits = 0
 
@@ -105,7 +95,7 @@ def _surd_json(x: QuadSurd) -> dict[str, str]:
     return {"u": str(x.u), "v": str(x.v), "w": str(x.w), "D": str(x.d)}
 
 
-def _emit(args: argparse.Namespace, command: str, input_obj: Any, result: Any,
+def _emit(args: SimpleNamespace, command: str, input_obj: Any, result: Any,
           lines: Iterable[str]) -> None:
     if args.json:
         import json  # loaded only by the commands that print it
@@ -184,7 +174,7 @@ def _root_text(form: QuadraticForm) -> str:
 # -- anth ---------------------------------------------------------------------
 
 
-def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
+def _run_form(args: SimpleNamespace, command: str, input_obj: Any,
               form: QuadraticForm, root: QuadSurd | None = None) -> int:
     cf, trace = run_anthyphairesis(form, args.max_steps)
     result = None
@@ -199,7 +189,7 @@ def _run_form(args: argparse.Namespace, command: str, input_obj: Any,
     return EXIT_UNDECIDED if cf.truncated else EXIT_OK
 
 
-def _form_lines(args: argparse.Namespace, form: QuadraticForm, cf: ContinuedFraction,
+def _form_lines(args: SimpleNamespace, form: QuadraticForm, cf: ContinuedFraction,
                 trace: ExpansionTrace, root: QuadSurd | None) -> Iterator[str]:
     yield _kv("form", form)
     yield _kv("disc", form.disc)
@@ -222,7 +212,7 @@ def _form_lines(args: argparse.Namespace, form: QuadraticForm, cf: ContinuedFrac
             yield "  step budget exhausted"
 
 
-def _run_plain_cf(args: argparse.Namespace, command: str, input_obj: Any,
+def _run_plain_cf(args: SimpleNamespace, command: str, input_obj: Any,
                   kind: str, head_line: str, cf: ContinuedFraction) -> int:
     result = {"kind": kind, **_cf_json(cf)}
     lines = [
@@ -234,7 +224,7 @@ def _run_plain_cf(args: argparse.Namespace, command: str, input_obj: Any,
     return EXIT_UNDECIDED if cf.truncated else EXIT_OK
 
 
-def _cmd_anth(args: argparse.Namespace) -> int:
+def _cmd_anth(args: SimpleNamespace) -> int:
     if args.mode == "form":
         form = QuadraticForm(args.kind, args.A, args.B, args.C)
         input_obj = {"kind": args.kind, "A": str(args.A), "B": str(args.B), "C": str(args.C)}
@@ -269,7 +259,7 @@ def _cmd_anth(args: argparse.Namespace) -> int:
 # -- convergents --------------------------------------------------------------
 
 
-def _count(args: argparse.Namespace, default: int) -> int:
+def _count(args: SimpleNamespace, default: int) -> int:
     """The quotients convergents should use: --count, else default; at least 1.
 
     The table shows row 0 and then one row per quotient, count + 1 rows.
@@ -280,7 +270,7 @@ def _count(args: argparse.Namespace, default: int) -> int:
     return count
 
 
-def _cmd_convergents(args: argparse.Namespace) -> int:
+def _cmd_convergents(args: SimpleNamespace) -> int:
     if args.quotients is not None:
         # the quotients are given, so there is nothing for a budget to bound
         if args.max_steps is not None:
@@ -355,16 +345,8 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
                 "value": None if value is None else _surd_json(value),
             }
         )
-        table.append(
-            (
-                str(i),
-                "-" if i == 0 else str(qs[i - 1]),
-                str(sd.p[i]),
-                str(sd.q[i]),
-                expr,
-                "-" if value is None else str(value),
-            )
-        )
+        table.append((str(i), "-" if i == 0 else str(qs[i - 1]), str(sd.p[i]), str(sd.q[i]),
+                      expr, "-" if value is None else str(value)))
 
     headers = ("n", "k", "p", "q", "remainder", "value")
     lines = [_kv("expansion", shown)] + _table(headers, table)
@@ -376,7 +358,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
 # -- theodorus ----------------------------------------------------------------
 
 
-def _cmd_theodorus(args: argparse.Namespace) -> int:
+def _cmd_theodorus(args: SimpleNamespace) -> int:
     if args.max < 2:
         raise DomainError("theodorus: --max must be >= 2")
     rows = []
@@ -395,16 +377,9 @@ def _cmd_theodorus(args: argparse.Namespace) -> int:
                 **_cf_json(cf),
             }
         )
-        table.append(
-            (
-                str(n),
-                str(cf),
-                "-" if cf.period is None else _bracketed(cf.period),
-                str(form.disc),
-                "-" if states is None else states,
-                "yes" if commensurable else "no",
-            )
-        )
+        table.append((str(n), str(cf), "-" if cf.period is None else _bracketed(cf.period),
+                      str(form.disc), "-" if states is None else states,
+                      "yes" if commensurable else "no"))
 
     headers = ("N", "expansion", "period", "disc", "states", "commensurable")
     lines = _table(headers, table)
@@ -439,7 +414,7 @@ def _parse_magnitude(text: str) -> Magnitude:
     return line(QuadSurd(u, v, w, d))
 
 
-def _emit_verdict(args: argparse.Namespace, command: str, input_obj: Any,
+def _emit_verdict(args: SimpleNamespace, command: str, input_obj: Any,
                   equal: bool, lhs: Any, rhs: Any, render=_cf_json,
                   names: tuple[str, str] = ("lhs", "rhs")) -> int:
     verdict = "equal" if equal else "unequal"
@@ -449,7 +424,7 @@ def _emit_verdict(args: argparse.Namespace, command: str, input_obj: Any,
     return EXIT_OK
 
 
-def _cmd_ratio(args: argparse.Namespace) -> int:
+def _cmd_ratio(args: SimpleNamespace) -> int:
     # eq and mixed take their verdicts from the library, which decides
     # every pair without a budget; --max-steps bounds only the expansions
     # they print, which are display only and may be truncated
@@ -482,7 +457,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     if args.trials < 1:
         raise DomainError("verify: --trials must be >= 1")
     from .properties import run_suite  # only verify loads the suites
@@ -527,141 +502,185 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_FAILED
 
 
-# -- parser -------------------------------------------------------------------
+# -- command table and parser -------------------------------------------------
+# A group is (help, {word: group or command}), a command (help, handler,
+# positionals, options).  A positional is (name, type, count, dest, help),
+# count 0 taking as many as are given; an option is (flag, type, default,
+# help), type None storing True, a tuple listing the values allowed.  The
+# default ... makes an option required.  A usage error is a DomainError.
+
+_STEPS = ("--max-steps", int, _MAX_STEPS, "step budget before an expansion is truncated")
+_JSON = ("--json", None, False, "emit a JSON report")
+_TRACE = ("--trace", None, False, "list the visited forms step by step")
+_MAGS = (("MAG", str, 4, "magnitudes", "magnitude literal: 'u,v,w,D', 'p/q' or an integer"),)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="anthyph",
-        description="Exact reciprocal-subtraction expansions, proportion "
-        "verdicts and seeded self checks for quadratic values.",
-    )
-    parser.add_argument(
-        "--version", action="version", version="%(prog)s " + __version__
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+def _each(names: str, kind: Any = int) -> tuple:
+    return tuple((name, kind, 1, name, "") for name in names.split())
 
-    def common(sp: argparse.ArgumentParser, trace: bool = False) -> None:
-        sp.add_argument(
-            "--max-steps", type=int, default=_MAX_STEPS, dest="max_steps",
-            help="step budget before an expansion is reported truncated",
-        )
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        if trace:
-            sp.add_argument(
-                "--trace", action="store_true",
-                help="list the visited forms step by step",
-            )
 
-    p_anth = sub.add_parser("anth", help="expand a ratio by reciprocal subtraction")
-    anth_sub = p_anth.add_subparsers(dest="mode", required=True, metavar="mode")
+_TABLE = ("Exact reciprocal-subtraction expansions, proportion verdicts and seeded "
+          "self checks for quadratic values.", {
+    "anth": ("expand a ratio by reciprocal subtraction", {
+        "form": ("expand the root of a quadratic form", _cmd_anth, _each("A B C"),
+                 (("--kind", ("excess", "defect"), ..., ""), _STEPS, _JSON, _TRACE)),
+        "sqrt": ("expand sqrt(N) : 1", _cmd_anth, _each("N"), (_STEPS, _JSON, _TRACE)),
+        "rational": ("expand M : N by Euclidean division", _cmd_anth, _each("M N"),
+                     (_STEPS, _JSON)),
+        "surd": ("expand (U + V*sqrt(D))/W : 1", _cmd_anth, _each("U V W D"),
+                 (_STEPS, _JSON, _TRACE)),
+    }),
+    "convergents": ("side and diameter numbers with remainders", _cmd_convergents, (
+        ("sqrt N", str, 0, "source", "expand sqrt(N) : 1 for the quotients and exact remainders"),
+    ), (
+        ("--quotients", str, None, "comma separated quotients to use instead of a field"),
+        ("--count", int, None,
+         "quotients to use, one row each after row 0 (default 5, or all given quotients)"),
+        # None marks --max-steps as not given, which --quotients requires
+        ("--max-steps", int, None, _STEPS[3]), _JSON)),
+    "theodorus": ("survey sqrt(N) : 1 for N = 2..max", _cmd_theodorus, (),
+                  (("--max", int, 17, ""), _STEPS, _JSON)),
+    "ratio": ("proportion verdicts for magnitudes", {
+        "eq": ("compare two ratios by their expansions", _cmd_ratio, _MAGS, (_STEPS, _JSON)),
+        "cross": ("compare by exact cross products", _cmd_ratio, _MAGS, (_JSON,)),
+        "mixed": ("compare a magnitude ratio with a number ratio", _cmd_ratio,
+                  _each("A B", str) + _each("M N"), (_STEPS, _JSON)),
+    }),
+    "verify": ("run the seeded self verification suites", _cmd_verify, (), (
+        ("--suite", ("engine", "ratio", "areas", "all"), "all", ""),
+        ("--trials", int, 100, ""), ("--seed", int, 0, ""), _JSON)),
+})
+_HELP = ("-h", "--help")
 
-    p_form = anth_sub.add_parser("form", help="expand the root of a quadratic form")
-    p_form.add_argument("A", type=int)
-    p_form.add_argument("B", type=int)
-    p_form.add_argument("C", type=int)
-    p_form.add_argument("--kind", choices=("excess", "defect"), required=True)
-    common(p_form, trace=True)
-    p_form.set_defaults(func=_cmd_anth)
 
-    p_sqrt = anth_sub.add_parser("sqrt", help="expand sqrt(N) : 1")
-    p_sqrt.add_argument("N", type=int)
-    common(p_sqrt, trace=True)
-    p_sqrt.set_defaults(func=_cmd_anth)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    p_rat = anth_sub.add_parser("rational", help="expand M : N by Euclidean division")
-    p_rat.add_argument("M", type=int)
-    p_rat.add_argument("N", type=int)
-    common(p_rat)
-    p_rat.set_defaults(func=_cmd_anth)
 
-    p_surd = anth_sub.add_parser("surd", help="expand (U + V*sqrt(D))/W : 1")
-    for name in ("U", "V", "W", "D"):
-        p_surd.add_argument(name, type=int)
-    common(p_surd, trace=True)
-    p_surd.set_defaults(func=_cmd_anth)
+def _option(token: str, flags: Iterable[str]) -> tuple[str | None, str | None] | None:
+    """None for a literal ('-', '--', '-' and a digit, or no '-' first), else the
+    flag that token or a unique prefix of it names (None: no flag) and its =value."""
+    if token[:1] != "-" or token in ("-", "--") or token[1:2].isdecimal():
+        return None
+    name, eq, value = token.partition("=")
+    found = [name] if name in flags else [f for f in flags if f.startswith(name)]
+    if len(found) > 1:
+        raise DomainError("ambiguous option: %s could match %s" % (token, ", ".join(found)))
+    return (found[0] if found else None), (value if eq else None)
 
-    p_conv = sub.add_parser(
-        "convergents", help="side and diameter numbers with remainders"
-    )
-    p_conv.add_argument(
-        "source", nargs="*", metavar="sqrt N",
-        help="expand sqrt(N) : 1 for the quotients and exact remainders",
-    )
-    p_conv.add_argument(
-        "--quotients", help="comma separated quotients to use instead of a field"
-    )
-    p_conv.add_argument(
-        "--count", type=int,
-        help="quotients to use, one row each after row 0 (default 5, or all given quotients)",
-    )
-    common(p_conv)
-    # None marks --max-steps as not given, which --quotients requires
-    p_conv.set_defaults(func=_cmd_convergents, max_steps=None)
 
-    p_theo = sub.add_parser("theodorus", help="survey sqrt(N) : 1 for N = 2..max")
-    p_theo.add_argument("--max", type=int, default=17)
-    common(p_theo)
-    p_theo.set_defaults(func=_cmd_theodorus)
+def _convert(name: str, kind: Any, text: str) -> Any:
+    """text as an argument of kind: int, str or a tuple of the values allowed."""
+    if type(kind) is tuple and text not in kind:
+        raise DomainError("argument %s: invalid choice: %r (choose from %s)"
+                          % (name, text, ", ".join(map(repr, kind))))
+    try:
+        return text if type(kind) is tuple else kind(text)
+    except ValueError:  # int() past the digit limit too: parsing precedes the lift
+        raise DomainError("argument %s: invalid %s value: %r"
+                          % (name, kind.__name__, text)) from None
 
-    p_ratio = sub.add_parser("ratio", help="proportion verdicts for magnitudes")
-    ratio_sub = p_ratio.add_subparsers(dest="mode", required=True, metavar="mode")
 
-    p_eq = ratio_sub.add_parser("eq", help="compare two ratios by their expansions")
-    p_eq.add_argument(
-        "magnitudes", nargs=4, metavar="MAG",
-        help="magnitude literal: 'u,v,w,D', 'p/q' or an integer",
-    )
-    common(p_eq)
-    p_eq.set_defaults(func=_cmd_ratio)
+def _parse(argv: list[str]) -> SimpleNamespace | int:
+    """argv read by _TABLE, or the exit code once help, the version or an error is printed.
 
-    p_cross = ratio_sub.add_parser("cross", help="compare by exact cross products")
-    p_cross.add_argument("magnitudes", nargs=4, metavar="MAG")
-    p_cross.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_cross.set_defaults(func=_cmd_ratio)
+    Tokens are read and converted left to right.  Options may follow the
+    command words anywhere; the first '--' after them makes the rest literals.
+    """
+    args, prog, node = SimpleNamespace(), "anthyph", _TABLE
+    flags: dict = dict.fromkeys(_HELP + ("--version",))
+    slots, values, extras, literal, i = [], [], [], False, 0
+    try:
+        while i < len(argv):
+            token, i = argv[i], i + 1
+            if token == "--" and len(node) == 4 and not literal:
+                literal = True
+            elif (option := None if literal else _option(token, flags)) is None:
+                if len(node) == 2:  # a group: the token names one of its commands
+                    dest = "command" if node is _TABLE else "mode"
+                    setattr(args, dest, _convert(dest, tuple(node[1]), token))
+                    prog, node, flags = prog + " " + token, node[1][token], dict.fromkeys(_HELP)
+                    if len(node) == 4:
+                        args.func = node[1]
+                        flags.update((o[0], o) for o in node[3])
+                        vars(args).update((_dest(o[0]), o[2]) for o in node[3])
+                        slots = [p[:3] for p in node[2] for _ in range(p[2] or len(argv))]
+                        rest = argv[i:]  # an ambiguous prefix is refused before all else
+                        for t in rest[:rest.index("--")] if "--" in rest else rest:
+                            _option(t, flags)
+                elif len(values) < len(slots):
+                    values.append(_convert(*slots[len(values)][:2], token))
+                else:
+                    extras.append(token)
+            elif option[0] is None:
+                extras.append(token)
+            else:
+                flag, value = option
+                kind = flags[flag] and flags[flag][1]
+                if kind is None and value is not None:
+                    raise DomainError("argument %s: ignored explicit argument %r" % (flag, value))
+                if flags[flag] is None:  # -h, --help or --version
+                    print(_help(prog, node) if flag in _HELP else "anthyph " + __version__)
+                    return EXIT_OK
+                if kind is not None and value is None:
+                    if i == len(argv) or argv[i] == "--" or _option(argv[i], ()):
+                        raise DomainError("argument %s: expected one argument" % flag)
+                    value, i = argv[i], i + 1
+                setattr(args, _dest(flag), True if kind is None else _convert(flag, kind, value))
+        if len(node) == 2:
+            missing = ["command" if node is _TABLE else "mode"]
+        else:
+            missing = [name for name, _, count in slots[len(values):] if count]
+            missing += [o[0] for o in node[3] if getattr(args, _dest(o[0])) is ...]
+        if missing:
+            raise DomainError("the following arguments are required: %s"
+                              % ", ".join(dict.fromkeys(missing)))
+        if extras:
+            raise DomainError("unrecognized arguments: %s" % " ".join(extras))
+    except DomainError as exc:
+        print("usage: %s\n%s: error: %s" % (_usage(prog, node), prog, exc), file=sys.stderr)
+        return EXIT_USAGE
+    given = iter(values)
+    for _, _, count, dest, _ in node[2]:
+        setattr(args, dest, next(given) if count == 1 else list(islice(given, count or None)))
+    return args
 
-    p_mixed = ratio_sub.add_parser(
-        "mixed", help="compare a magnitude ratio with a number ratio"
-    )
-    p_mixed.add_argument("A")
-    p_mixed.add_argument("B")
-    p_mixed.add_argument("M", type=int)
-    p_mixed.add_argument("N", type=int)
-    common(p_mixed)
-    p_mixed.set_defaults(func=_cmd_ratio)
-    # _negative_number_matcher is a private attribute of argparse, read when
-    # an option is added and while parsing, so it is set after the last
-    # add_argument.  The transcript's negative-literal entries fail if it
-    # stops working, and CI replays them on CPython 3.10 to 3.14
-    for sp in (p_conv, p_eq, p_cross, p_mixed):
-        sp._negative_number_matcher = _NEGATIVE_LITERAL
 
-    p_verify = sub.add_parser("verify", help="run the seeded self verification suites")
-    p_verify.add_argument(
-        "--suite", choices=("engine", "ratio", "areas", "all"), default="all"
-    )
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_verify.set_defaults(func=_cmd_verify)
+def _shown(option: tuple) -> str:
+    """An option as usage shows it: --json, --count COUNT, --kind {excess,defect}."""
+    flag, kind = option[:2]
+    return flag if kind is None else flag + " " + (
+        "{%s}" % ",".join(kind) if type(kind) is tuple else _dest(flag).upper())
 
-    return parser
+
+def _usage(prog: str, node: tuple) -> str:
+    if len(node) == 2:
+        return prog + (" [-h] [--version] command ..." if node is _TABLE else " [-h] mode ...")
+    words = [prog, "[-h]"] + [_shown(o) if o[2] is ... else "[%s]" % _shown(o) for o in node[3]]
+    words += ["[%s ...]" % p[0] if p[2] == 0 else " ".join([p[0]] * p[2]) for p in node[2]]
+    return " ".join(words)
+
+
+def _help(prog: str, node: tuple) -> str:
+    rows = [(word, sub[0]) for word, sub in node[1].items()] if len(node) == 2 else (
+        [(p[0], p[4]) for p in node[2]] + [(_shown(o), o[3]) for o in node[3]])
+    rows += [("-h, --help", "show this help and exit")]
+    rows += [("--version", "show the version and exit")] * (node is _TABLE)
+    lines = _table(("", ""), [("  " + name, text) for name, text in rows])
+    return "\n".join(["usage: " + _usage(prog, node), "", node[0]] + lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     global _input_digits
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return EXIT_OK if code == 0 else EXIT_USAGE
     lift = hasattr(sys, "set_int_max_str_digits")  # an older Python has no limit
     if lift:
         _input_digits = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if lift and not isinstance(args, int):
+            sys.set_int_max_str_digits(0)
+        # an int is the exit code, once help, the version or a usage error is printed
+        code = args if isinstance(args, int) else args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -49,11 +49,19 @@ def _require_int(x: object, caller: str, name: str = "argument") -> None:
         raise DomainError("%s: %s must be an integer, got %r" % (caller, name, x))
 
 
+def _decimal(n: int) -> str:
+    """n in decimal for a message, or past sys.get_int_max_str_digits() by its bit length."""
+    try:
+        return "%d" % n
+    except ValueError:  # the decimal string would pass the digit limit
+        return "%s<int of %d bits>" % ("-" if n < 0 else "", n.bit_length())
+
+
 def isqrt(n: int) -> int:
     """Largest s >= 0 with s*s <= n.  Rejects negative input and non-ints."""
     _require_int(n, "isqrt")
     if n < 0:
-        raise DomainError("isqrt: argument must be >= 0, got %d" % n)
+        raise DomainError("isqrt: argument must be >= 0, got %s" % _decimal(n))
     return math.isqrt(n)
 
 
@@ -122,8 +130,8 @@ def _countdown(radicand: int) -> Callable[[int], None]:
         left -= steps
         if left < 0:
             raise DomainError(
-                "square_free_split: radicand %d has a factor that %d Pollard rho "
-                "steps do not split" % (radicand, _RHO_STEPS)
+                "square_free_split: radicand %s is not split within the budget of %d steps"
+                % (_decimal(radicand), _RHO_STEPS)
             )
 
     return spend
@@ -299,7 +307,7 @@ def square_free_split(n: int) -> tuple[int, int]:
     """
     _require_int(n, "square_free_split")
     if n < 1:
-        raise DomainError("square_free_split: argument must be >= 1, got %d" % n)
+        raise DomainError("square_free_split: argument must be >= 1, got %s" % _decimal(n))
     m = n
     s = d = 1
     g = _gcd(m, _SMALL_PRODUCT)
@@ -407,7 +415,7 @@ class QuadSurd(Frozen):
                     raise DomainError("QuadSurd: component %s must be an int" % name)
         if v != 0 and w != 0:  # _settle refuses w == 0 before any radicand check
             if d <= 0:
-                raise DomainError("QuadSurd: radicand d must be >= 1, got %d" % d)
+                raise DomainError("QuadSurd: radicand d must be >= 1, got %s" % _decimal(d))
             s, d = square_free_split(d)
             v *= s
             if d == 1:  # radicand was a perfect square: fold into u

@@ -24,10 +24,10 @@ bench cli_session form, `verify --json --trials 3` for each suite at
 seeds 0 and 1, `verify` of every suite, every `ratio eq`, `mixed` and
 `cross` case (rational and irrational ratios, above and below 1, equal
 and unequal, distinct fields), a surd below its conjugate (a `defect-`
-form), literals that start with '-', and the budget and input errors the
-program reports itself.
-Usage errors that argparse reports are left out: their wording and line
-wrapping depend on the Python version and on the terminal width.
+form), literals that start with '-', the budget and input errors the
+program reports itself, and the help and usage errors of its parser.  The
+parser's wording is fixed and never wrapped, so no entry depends on the
+Python version or on the terminal width.
 """
 
 from __future__ import annotations
@@ -183,13 +183,22 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "ratio mixed 0,1,0,2 1 1 1",
     "ratio cross 1 0 2 3",
     "ratio eq 0,1,1," + _BIG_PRIME + " 1 2 3",
-    # literals that start with '-' reach the literal parser, not argparse
+    # literals that start with '-' reach the literal parser, not the option parser
     "ratio eq -1,1,1,2 1 0,1,1,2 1",
     "ratio cross -1,1,1,2 1 0,1,1,2 1",
     "ratio mixed -1,1,1,2 1 2 5 --json",
     "ratio mixed -1/2 1 1 2",
     "ratio eq -1/2 1 2 3",
     "convergents --quotients -1,2",
+    # help and usage errors of the command line parser
+    "",
+    "-h",
+    "frobnicate",
+    "anth sqrt x",
+    "verify --suite bogus",
+    "anth form 1 2 3",
+    "theodorus --ma 5",
+    "ratio eq -h",
 ))
 
 

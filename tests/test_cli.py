@@ -1,6 +1,5 @@
 """End to end command line behaviour: output shape and exit codes."""
 
-import argparse
 import contextlib
 import io
 import itertools
@@ -14,10 +13,11 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anthyphairesis.cli as cli
+import reference_parser
 from anthyphairesis import (
     ExpansionTrace,
     InternalInvariantError,
@@ -359,14 +359,15 @@ class TestConvergents:
         assert code == 0 and err == ""
         assert [ln.split()[0] for ln in out.splitlines()[2:]] == ["0", "1", "2", "3"]
 
-    def test_count_help_says_it_counts_quotients(self):
+    def test_count_help_says_it_counts_quotients(self, capsys):
         # --count 3 prints rows 0 to 3 (the test above), one row per quotient
-        parser = cli.build_parser()
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        (count,) = [a for a in sub.choices["convergents"]._actions if a.dest == "count"]
-        assert count.help == (
-            "quotients to use, one row each after row 0 (default 5, or all given quotients)"
-        )
+        code, out, err = run(capsys, "convergents", "-h")
+        assert (code, err) == (0, "")
+        (line,) = [ln for ln in out.splitlines() if ln.lstrip().startswith("--count")]
+        assert line.split(None, 2) == [
+            "--count", "COUNT",
+            "quotients to use, one row each after row 0 (default 5, or all given quotients)",
+        ]
 
     def test_explicit_quotients(self, capsys):
         code, out, _ = run(capsys, "convergents", "--quotients", "1,2,2", "--json")
@@ -381,7 +382,7 @@ class TestConvergents:
             code, out, err = run(
                 capsys, "convergents", "--quotients", quotients, "--max-steps", budget, "--json"
             )
-            if budget == "x":  # argparse rejects the value first
+            if budget == "x":  # the parser rejects the value first
                 assert code == 1 and "invalid int value: 'x'" in err
             else:
                 assert (code, out) == (1, "")
@@ -502,7 +503,7 @@ class TestRatio:
         assert code == 1 and err.startswith("error: ")
 
     def test_literal_may_start_with_a_minus(self, capsys):
-        # argparse would take '-1,1,1,2' and '-1/2' for options
+        # '-' and a digit starts a literal, not an option
         code, out, err = run(capsys, "ratio", "eq", "-1,1,1,2", "1", "0,1,1,2", "1")
         assert (code, err) == (0, "")
         assert out.splitlines() == [
@@ -742,6 +743,21 @@ class TestStreaming:
             code = proc.wait(timeout=300)
         assert code == 1 and err == b""  # no BrokenPipeError traceback
 
+    @pytest.mark.parametrize("argv", [["-h"], ["--version"], ["ratio", "eq", "-h"]])
+    def test_help_to_a_closed_stdout_gets_no_traceback(self, argv):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # buffered, the help is written at the flush
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first byte
+        try:
+            proc = subprocess.run([sys.executable, "-m", "anthyphairesis.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
 
 class TestDigitLimit:
     """Output integers past CPython's int-to-str digit limit (4300 by default).
@@ -809,7 +825,7 @@ class TestDigitLimit:
         assert self._limit() == limit
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
-    def test_argparse_refuses_an_input_past_the_limit(self, capsys):
+    def test_the_parser_refuses_an_input_past_the_limit(self, capsys):
         big = "1" * (sys.get_int_max_str_digits() + 1)
         code, out, err = run(capsys, "anth", "sqrt", big)
         assert (code, out) == (1, "") and "invalid int value" in err
@@ -851,28 +867,31 @@ _QUOTIENTS = _opt("--quotients", st.lists(st.integers(-1, 9).map(str), max_size=
 _MAX = _opt("--max", st.integers(-2, 60).map(str))
 _SEED = _opt("--seed", _INT)
 _SUITE = _opt("--suite", st.sampled_from(["engine", "ratio", "areas", "all", "bogus"]))
+# verify always bounds --trials: its default of 100 is too slow to fuzz
+_TRIALS = _opt("--trials", st.integers(-1, 2).map(str))
 _OPTIONS = [_JSON, _TRACE, _STEPS, _KIND, _COUNT, _QUOTIENTS, _MAX, _SEED, _SUITE]
 
 
-def _command(head, positional, options):
-    return st.tuples(st.just(head), st.tuples(*positional).map(list),
-                     st.lists(st.one_of(*options), max_size=3))
+def _command(head, positional, options, always=()):
+    return st.tuples(
+        st.just(head), st.tuples(*positional).map(list),
+        st.tuples(*always).map(list), st.lists(st.one_of(*options), max_size=3),
+    ).map(lambda t: (t[0], t[1], t[2] + t[3]))
 
 
-_ARGV = st.one_of(
+_COMMANDS = st.one_of(
     _command(["anth", "form"], [_INT] * 3, [_JSON, _TRACE, _STEPS, _KIND]),
     _command(["anth", "sqrt"], [_INT], [_JSON, _TRACE, _STEPS]),
     _command(["anth", "rational"], [_INT] * 2, [_JSON, _STEPS]),
     _command(["anth", "surd"], [_INT] * 4, [_JSON, _TRACE, _STEPS]),
     _command(["convergents"], [], [_JSON, _STEPS, _COUNT, _QUOTIENTS]),
-    _command(["convergents", "sqrt"], [_INT], [_JSON, _STEPS, _COUNT, _QUOTIENTS]),
+    _command(["convergents"], [st.just("sqrt"), _INT], [_JSON, _STEPS, _COUNT, _QUOTIENTS]),
     _command(["theodorus"], [], [_JSON, _STEPS, _MAX]),
     _command(["ratio", "eq"], [_MAGNITUDE] * 4, [_JSON, _STEPS]),
     # cross takes no --max-steps: _STEPS there exercises the usage error
     _command(["ratio", "cross"], [_MAGNITUDE] * 4, [_JSON, _STEPS]),
     _command(["ratio", "mixed"], [_MAGNITUDE] * 2 + [_INT] * 2, [_JSON, _STEPS]),
-    # verify always bounds --trials: its default of 100 is too slow to fuzz
-    _command(["verify", "--trials"], [st.integers(-1, 2).map(str)], [_JSON, _SEED, _SUITE]),
+    _command(["verify"], [], [_JSON, _SEED, _SUITE], always=[_TRIALS]),
     # wrong arity, unknown commands and options of other commands
     st.tuples(
         st.sampled_from([["anth"], ["anth", "form"], ["anth", "sqrt"], ["convergents"],
@@ -882,13 +901,108 @@ _ARGV = st.one_of(
         st.lists(st.one_of(*_OPTIONS), max_size=3),
     ),
 )
+# literals that start with '-', and tokens that are no option of any command
+_ODD = st.sampled_from(["-1,1,1,2", "-1/2", "-5", "-", "-x", "--bogus", ""])
+_HELP = st.sampled_from(["-h", "--help", "--he"])
+_BEFORE_COMMAND = st.sampled_from(["-h", "--json", "--version", "--v", "--bogus"])
+_COMMAND_PATHS = (["anth", "form"], ["anth", "sqrt"], ["anth", "rational"], ["anth", "surd"],
+                  ["convergents"], ["theodorus"], ["ratio", "eq"], ["ratio", "cross"],
+                  ["ratio", "mixed"], ["verify"])
+
+
+@st.composite
+def _argv(draw):
+    """(head, items, argv): the command words, what follows them, and the whole argv.
+
+    An item is (kind, tokens), kind "pos" for a positional, "opt" for an
+    option with its value, "--" for the '--' that ends the options.
+    Options come before, between and after the positionals, as --opt
+    value or --opt=value, and a flag may be cut to a prefix, unique or
+    not; '--' follows only complete command words.
+    """
+    head, positional, options = draw(_COMMANDS)
+    items = [("pos", [t]) for t in positional + draw(st.lists(_ODD, max_size=1))]
+    for flag, *value in options:
+        if draw(st.booleans()):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        tokens = [flag + "=" + value[0]] if value and draw(st.booleans()) else [flag] + value
+        items.insert(draw(st.integers(0, len(items))), ("opt", tokens))
+    if draw(st.integers(0, 3)) == 3:
+        items.insert(draw(st.integers(0, len(items))), ("opt", [draw(_HELP)]))
+    if head[:2] in _COMMAND_PATHS or head[:1] == ["convergents"]:
+        if draw(st.integers(0, 3)) == 3:
+            items.insert(draw(st.integers(0, len(items))), ("--", ["--"]))
+    if draw(st.integers(0, 7)) == 7:
+        head = list(head)
+        head.insert(draw(st.integers(0, len(head))), draw(_BEFORE_COMMAND))
+    return head, items, head + [t for _, tokens in items for t in tokens]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ARGV)
-def test_fuzzed_argv_exits_with_a_documented_code(parts):
-    head, positional, options = parts
-    argv = head + positional + [tok for opt in options for tok in opt]
+@given(_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(drawn):
+    argv = drawn[2]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)  # any escaping exception fails the test
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_FAILED, cli.EXIT_UNDECIDED), argv
+
+
+# -- the command table against the argparse parser it replaced ---------------
+
+_REFERENCE = reference_parser.build_parser()
+
+
+def _parsed(parse, argv):
+    """("args", vars) of an argv that parse accepts, else ("exit", 0 or 1)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:  # argparse: 0 after help or the version, 2 on an error
+            return "exit", 0 if not exc.code else 1
+    return ("exit", args) if isinstance(args, int) else ("args", vars(args))
+
+
+def _options_first(head, items):
+    """argv with its options first, then '--' and its literals, if it has any."""
+    cut = next((k for k, (kind, _) in enumerate(items) if kind == "--"), len(items))
+    options = [t for kind, tokens in items[:cut] if kind == "opt" for t in tokens]
+    literals = [t for kind, tokens in items[:cut] if kind == "pos" for t in tokens]
+    literals += [t for _, tokens in items[cut + 1:] for t in tokens]
+    return head + options + (["--"] + literals if literals else [])
+
+
+def _drawn(head, *items):
+    """_argv's value for head and items given as (kind, tokens) pairs."""
+    return head, list(items), head + [t for _, tokens in items for t in tokens]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+# an ambiguous prefix is refused even after -h, as argparse refused it
+@example(_drawn(["theodorus"], ("opt", ["-h"]), ("opt", ["--ma", "5"])))
+@example(_drawn(["ratio", "eq"], ("pos", ["1"]), ("pos", ["2"]), ("opt", ["--json"]),
+                ("pos", ["3"]), ("pos", ["4"])))
+@example(_drawn(["anth", "sqrt"], ("pos", ["-1/2"]), ("opt", ["-h"])))
+def test_the_table_parses_argv_as_argparse_did(drawn):
+    head, items, argv = drawn
+    old, new = _parsed(_REFERENCE.parse_args, argv), _parsed(cli._parse, argv)
+    if old == new:
+        return
+    path = head[:1] if head[:1] == ["convergents"] else head[:2]
+    if new[0] == "args":
+        # argparse matched each run of literals between options to the
+        # positionals on its own, and refused an option among the words of
+        # one argument ('ratio eq 1 2 --json 3 4') or a '--' in no
+        # positional's run ('theodorus --'); the table reads these as
+        # argparse read them with the options first
+        assert path in (["convergents"], ["ratio", "eq"], ["ratio", "cross"]) or "--" in argv
+        assert old == ("exit", 1), argv
+        assert new == _parsed(_REFERENCE.parse_args, _options_first(head, items)), argv
+    else:
+        # '-' and a digit is a literal to the table; in a command of integer
+        # arguments argparse took '-1/2' for an unknown option and went on
+        # to a later -h, where the table refuses the literal as no integer
+        assert path not in (["convergents"], ["ratio", "eq"], ["ratio", "cross"],
+                            ["ratio", "mixed"]), argv
+        assert any(t[1:2].isdecimal() and not t[1:].isdecimal() for t in argv if t[:1] == "-")
+        assert (old, new) == (("exit", 0), ("exit", 1)), argv

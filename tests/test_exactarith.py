@@ -709,8 +709,7 @@ class TestSplitTestsEachDivisorOnce:
         with pytest.raises(DomainError) as new:
             square_free_split.__wrapped__(n)
         assert str(new.value) == (
-            "square_free_split: radicand %d has a factor that 262144 Pollard rho "
-            "steps do not split" % n
+            "square_free_split: radicand %d is not split within the budget of 262144 steps" % n
         )
 
     def test_the_rho_budget_stays_cheap_on_a_long_radicand(self):
@@ -740,6 +739,28 @@ class TestSplitTestsEachDivisorOnce:
         assert square_free_split.__wrapped__(3 * below) == (1, 3 * below)
         with pytest.raises(DomainError, match="square_free_split: radicand %d " % above):
             square_free_split.__wrapped__(above)
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                        reason="no int-to-str digit limit below 5,000 digits")
+    def test_an_int_past_the_digit_limit_is_named_by_its_bits(self):
+        # the int a message names is printed in decimal up to the digit limit
+        # and by its bit length past it, where "%d" raises ValueError
+        n = random.Random(37).randrange(10**4999, 10**5000) | 1
+        past = "<int of %d bits>" % n.bit_length()
+        with pytest.raises(DomainError) as split:
+            QuadSurd(0, 1, 1, n)
+        assert str(split.value) == (
+            "square_free_split: radicand %s is not split within the budget of 262144 steps" % past
+        )
+        with pytest.raises(DomainError) as negative:
+            QuadSurd(0, 1, 1, -n)
+        assert str(negative.value) == "QuadSurd: radicand d must be >= 1, got -" + past
+        with pytest.raises(DomainError) as root:
+            isqrt(-n)
+        assert str(root.value) == "isqrt: argument must be >= 0, got -" + past
+        with pytest.raises(DomainError) as root:
+            isqrt(-(10**4299))  # 4,300 digits, at the limit
+        assert str(root.value) == "isqrt: argument must be >= 0, got -1" + "0" * 4299
 
 
 def _sympy_split(n: int) -> tuple[int, int]:

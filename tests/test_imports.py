@@ -5,6 +5,7 @@ long since imported everything.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -32,6 +33,10 @@ UNUSED_BY_COMMANDS = (
 # no import of the package or its front end, and no command, verify
 # included, may load these
 NEVER_AT_IMPORT = ("typing", "fractions", "decimal", "numbers")
+
+# the command line parser needs none of these: argparse, the gettext it
+# loads for its messages, the locale module gettext loads, and re
+PARSER_MODULES = ("argparse", "gettext", "locale", "re")
 
 
 def _fresh(code: str, *flags: str, path: str = SRC):
@@ -61,10 +66,33 @@ def test_import_without_site_loads_no_typing_or_fractions(module):
     before, after = _fresh(
         "import sys; names = %r; before = [m for m in names if m in sys.modules]; "
         "import %s; print((before, [m for m in names if m in sys.modules]))"
-        % (NEVER_AT_IMPORT, module),
+        % (NEVER_AT_IMPORT + PARSER_MODULES, module),
         "-S",
     )
     assert before == [] and after == []
+
+
+def test_no_command_loads_the_parser_modules():
+    # every transcript argv, help and usage errors included, in one
+    # interpreter without site (a .pth file may load re at start); a --json
+    # report loads re through the json module, so those argvs run last
+    entries = json.loads((TESTS / "cli_transcript.json").read_text())
+    text = [e for e in entries if "--json" not in e["argv"]]
+    reports = [e for e in entries if "--json" in e["argv"]]
+    code = """
+import contextlib, io, sys
+import anthyphairesis.cli as cli
+def run(argvs):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes = [cli.main(argv) for argv in argvs]
+    return codes, [m for m in %r if m in sys.modules]
+print((run(%r), run(%r)))
+""" % (PARSER_MODULES, [e["argv"] for e in text], [e["argv"] for e in reports])
+    (text_codes, after_text), (report_codes, after_reports) = _fresh(code, "-S")
+    assert len(text) > 100 and text_codes == [e["exit"] for e in text]
+    assert len(reports) > 20 and report_codes == [e["exit"] for e in reports]
+    assert after_text == []
+    assert after_reports == ["re"]
 
 
 def test_no_command_loads_fractions():
@@ -73,10 +101,10 @@ def test_no_command_loads_fractions():
     code = (
         "import json, sys; from cli_transcript import PATH, run; "
         "entries = json.loads(PATH.read_text()); "
-        "others = [e for e in entries if e['argv'][0] != 'verify']; "
+        "others = [e for e in entries if e['argv'][:1] != ['verify']]; "
         "same = all(run(e['argv']) == e for e in others); "
         "after_others = 'fractions' in sys.modules; "
-        "verify = next(e for e in entries if e['argv'][0] == 'verify'); "
+        "verify = next(e for e in entries if e['argv'][:1] == ['verify']); "
         "same = same and run(verify['argv']) == verify; "
         "print((len(others), same, after_others, 'fractions' in sys.modules))"
     )
