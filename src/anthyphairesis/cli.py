@@ -31,7 +31,7 @@ from .engine import (
     _triple,
 )
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, _in_field, as_surd, isqrt
+from .exactarith import QuadSurd, _in_field, as_surd
 from .ratios import (
     Magnitude,
     anth_of_ratio,
@@ -153,12 +153,9 @@ def _surd_display(x: QuadSurd) -> str:
 def _surd(u: int, v: int, w: int, d: int) -> QuadSurd:
     """(u + v*sqrt(d))/w for d >= 1, with d unsplit past the factoring budget.
 
-    A square d gives the rational value by isqrt, as QuadraticForm.root()
-    does, so no surd is built over a square radicand.
+    The split never fails on a square d, so the fallback holds only a
+    radicand that is not a square.
     """
-    r = isqrt(d)
-    if r * r == d:
-        return _in_field(u + v * r, 0, w, 1)
     try:
         return QuadSurd(u, v, w, d)
     except DomainError:  # d is past the factoring budget: keep it unsplit

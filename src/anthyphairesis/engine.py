@@ -75,7 +75,7 @@ from math import isqrt  # every caller here passes an int
 
 from ._value import Frozen, _new, _rebuild, _store
 from .errors import DomainError, InternalInvariantError
-from .exactarith import QuadSurd, _in_field, _is_fraction, _require_int, as_surd
+from .exactarith import QuadSurd, _is_fraction, _require_int, as_surd
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: neither module is imported at run time
@@ -144,13 +144,9 @@ class QuadraticForm(Frozen):
         return _disc(a, b, c)
 
     def root(self) -> QuadSurd:
-        """The designated root, as an exact value; a rational one factors nothing."""
+        """The designated root, exact; the split reads a square disc off one isqrt."""
         a, b, c, s = _triple(self)
-        disc = _disc(a, b, c)
-        j = isqrt(disc)
-        if j * j == disc:
-            return _in_field(b + s * j, 0, 2 * a, 1)
-        return QuadSurd(b, s, 2 * a, disc)
+        return QuadSurd(b, s, 2 * a, _disc(a, b, c))
 
     @property
     def is_expandable(self) -> bool:

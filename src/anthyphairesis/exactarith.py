@@ -143,7 +143,7 @@ def _pow_steps(n: int) -> int:
     return bits * ((bits + 127) >> 7)
 
 
-def _is_probable_prime(n: int, spend: Callable[[int], None] | None = None) -> bool:
+def _is_probable_prime(n: int, spend: Callable[[int], None]) -> bool:
     """Whether n, odd and above 1009**2 and not a square, is prime.
 
     Miller-Rabin to the prime bases 2 to 41 decides every n below
@@ -151,11 +151,8 @@ def _is_probable_prime(n: int, spend: Callable[[int], None] | None = None) -> bo
     psi_t exceeds n.  From psi_13 up a strong Lucas test follows, which
     makes the test Baillie-PSW: no composite is known to pass it, but its
     answer there is probable, not proven.  Each base is charged to spend
-    before its exponentiation runs, and the Lucas test as two; without a
-    spend the test has a split's budget of its own.
+    before its exponentiation runs, and the Lucas test as two.
     """
-    if spend is None:
-        spend = _countdown(n)
     cost = _pow_steps(n)
     d = n - 1
     s = (d & -d).bit_length() - 1
@@ -297,13 +294,14 @@ def square_free_split(n: int) -> tuple[int, int]:
     One gcd with the product of the primes below 1000 finds which of them
     divide n, and only those are divided out.  What is left, m, has no
     prime factor below 1009.  Below 1009**3 it is 1, p, p*q or p*p, and an
-    integer square root tells p*p apart.  A larger m is taken apart into
-    primes: squares by isqrt, primes by Miller-Rabin (Baillie-PSW, a
-    probable answer, from 3.3*10**24 up), prime powers and other
-    composites by _rho_divisor.  Every test, exponentiation and rho step
-    is charged to one countdown of _RHO_STEPS, so the cost follows the
-    second largest prime factor of m and, past a few hundred digits, the
-    size of m; a radicand the budget does not split raises DomainError.
+    integer square root tells p*p apart.  A larger m is taken apart: a
+    square r*r puts r in s unfactored, exact whatever primes r has, primes
+    are told by Miller-Rabin (Baillie-PSW, a probable answer, from
+    3.3*10**24 up), and prime powers and other composites are split by
+    _rho_divisor.  Every test, exponentiation and rho step is charged to
+    one countdown of _RHO_STEPS, so the cost follows the second largest
+    prime factor of m and, past a few hundred digits, the size of m; a
+    radicand the budget does not split raises DomainError.
     """
     _require_int(n, "square_free_split")
     if n < 1:
@@ -329,18 +327,18 @@ def square_free_split(n: int) -> tuple[int, int]:
         return s, d
     spend = _countdown(n)
     powers: dict[int, int] = {}
-    todo = [(m, 1)]
+    todo = [m]
     while todo:
-        m, k = todo.pop()
+        m = todo.pop()
         r = math.isqrt(m)
-        if r * r == m:
-            todo.append((r, 2 * k))
+        if r * r == m:  # whatever primes r has, r*r adds r to s
+            s *= r
         elif m < _SQUARE_1009 or _is_probable_prime(m, spend):
-            powers[m] = powers.get(m, 0) + k
+            powers[m] = powers.get(m, 0) + 1
         else:
             f = _rho_divisor(m, spend)
-            todo.append((f, k))
-            todo.append((m // f, k))
+            todo.append(f)
+            todo.append(m // f)
     for p, e in powers.items():
         s *= p ** (e >> 1)
         if e & 1:

@@ -45,6 +45,9 @@ from pathlib import Path
 PATH = Path(__file__).with_name("cli_transcript.json")
 
 _BIG_PRIME = str(10**31 + 57)  # a prime radicand that Miller-Rabin tells from p*q
+# 3*p*p with p = 2**1456 + 303, a prime past what the split's budget can
+# test: the square cofactor goes to the root unfactored
+_SQUARE_PAST_THE_BUDGET = str(3 * (2**1456 + 303) ** 2)
 
 ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     # README, text and --json
@@ -127,6 +130,7 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     "anth surd 0 1 1 " + _BIG_PRIME,
     # (10**12 + 39)**3: a prime power past 1009**3, split by one Fermat gcd
     "anth surd 0 1 1 1000000000117000000004563000000059319",
+    "anth surd 0 1 1 " + _SQUARE_PAST_THE_BUDGET + " --max-steps 5",
     # the root is the value given, not a split of the minimal form's disc
     "anth surd 0 1000000000039 1 2 --max-steps 5",
     "convergents --quotients 1,2,2",

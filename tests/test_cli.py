@@ -183,6 +183,15 @@ class TestAnth:
         assert code == 1 and out == ""
         assert err.startswith("error: square_free_split: radicand 1000000000000128000000000003367 ")
 
+    def test_a_square_factor_past_the_budget_goes_to_the_root_unfactored(self, capsys):
+        # p is a prime the split's budget cannot test, p*p is read off isqrt
+        p = 2**1456 + 303
+        code, out, err = run(capsys, "anth", "surd", "0", "1", "1", str(3 * p * p),
+                             "--max-steps", "5")
+        assert code == 3 and err == ""
+        assert "root       : %d*sqrt(3) ~ " % p in out
+        assert "truncated  : yes\n" in out
+
     def test_root_display_falls_back_past_the_factoring_budget(self, capsys):
         code, out, err = run(capsys, "anth", "sqrt", "12")
         assert code == 0 and err == ""
@@ -452,6 +461,11 @@ class TestRatio:
     def test_eq_equal(self, capsys):
         code, out, _ = run(capsys, "ratio", "eq", "0,1,1,2", "1", "2", "0,1,1,2")
         assert code == 0 and "verdict    : equal" in out
+
+    def test_eq_over_a_square_radicand_past_the_budget(self, capsys):
+        n = (2**1456 + 303) ** 2
+        code, out, err = run(capsys, "ratio", "eq", "0,1,1,%d" % n, "1", "0,2,1,%d" % n, "2")
+        assert code == 0 and err == "" and "verdict    : equal" in out
 
     def test_eq_unequal_across_fields(self, capsys):
         code, out, _ = run(capsys, "ratio", "eq", "0,1,1,2", "1", "0,1,1,3", "1")

@@ -72,16 +72,16 @@ class TestQuadraticForm:
         assert QuadraticForm(MIXED, 1, 2, 7).root() == QuadSurd(-1, 2, 1, 2)
 
     def test_a_square_discriminant_root_factors_nothing(self, monkeypatch):
-        # past the split budget, yet a square: its root is read off isqrt
-        splits = []
-        real = exactarith.square_free_split
-        monkeypatch.setattr(
-            exactarith, "square_free_split", lambda n: splits.append(n) or real(n)
-        )
-        r = 10**12 + 39
+        # a square of a prime past the split budget: its root is read off isqrt
+        def refuse(*args):
+            raise AssertionError("a square discriminant was factored")
+
+        monkeypatch.setattr(exactarith, "_is_probable_prime", refuse)
+        monkeypatch.setattr(exactarith, "_rho_divisor", refuse)
+        exactarith.square_free_split.cache_clear()
+        r = 2**1456 + 303
         form = QuadraticForm(EXCESS, 1, 0, r * r)
         assert form.root() == r and form.root().is_rational
-        assert splits == []
 
     def test_expandability(self):
         assert QuadraticForm(EXCESS, 1, 0, 2).is_expandable

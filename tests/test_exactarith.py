@@ -800,7 +800,7 @@ class TestSplitOnAdversarialRadicands:
 
     @pytest.mark.parametrize("n", [PSI_12, PSI_13])
     def test_a_strong_pseudoprime_to_the_bases_is_never_taken_for_a_prime(self, n):
-        assert not exactarith._is_probable_prime(n)
+        assert not exactarith._is_probable_prime(n, exactarith._countdown(n))
         try:
             got = square_free_split.__wrapped__(n)
         except DomainError as e:  # both factors are near 10**12, past the rho budget
@@ -830,13 +830,27 @@ class TestSplitOnAdversarialRadicands:
 
     def test_primes_past_psi_13_are_found_prime(self):
         p = sympy.nextprime(PSI_13)
-        assert exactarith._is_probable_prime(p)
+        assert exactarith._is_probable_prime(p, exactarith._countdown(p))
         assert square_free_split.__wrapped__(p * p * 3) == (p, 3)
         assert square_free_split.__wrapped__(_P * p) == (1, _P * p)
 
     def test_a_ten_digit_factor_splits_within_the_budget(self):
         p, q = sympy.nextprime(10**9), sympy.nextprime(10**20)
         assert square_free_split.__wrapped__(p * q * q) == (q, p)
+
+    def test_a_square_cofactor_goes_to_s_unfactored(self, monkeypatch):
+        # p is past the budget's largest prime, so testing it would raise;
+        # neither Miller-Rabin nor rho may run on any of these radicands
+        def refuse(*args):
+            raise AssertionError("a square cofactor was factored")
+
+        monkeypatch.setattr(exactarith, "_is_probable_prime", refuse)
+        monkeypatch.setattr(exactarith, "_rho_divisor", refuse)
+        p, q = 2**1456 + 303, 10**20 + 39
+        for n, d in ((p * p, 1), (3 * p * p, 3), (4 * p * p, 1), (p * p * q * q, 1),
+                     (7 * q**4 * p * p, 7)):
+            s, got = square_free_split.__wrapped__(n)
+            assert s * s * got == n and got == d
 
 
 _FIELDS = r"^values lie in distinct quadratic fields \(sqrt\(2\) vs sqrt\(3\)\)$"

@@ -3,12 +3,25 @@
 A seeded draw can miss the one state a fault needs; a box walks them
 all.  The oracle, expand_pqd, is a copy of bench/oracle.py's: a plain
 integer recurrence on (P, Q) that shares no code with the package, kept
-here so that tier 1 imports nothing from bench/.
+here so that tier 1 imports nothing from bench/.  A third box gives the
+proportion verdicts on every pair of reduced roots of one field.
 """
 
 import math
+from collections import defaultdict
 
-from anthyphairesis import DEFECT, EXCESS, QuadraticForm, run_anthyphairesis
+from anthyphairesis import (
+    DEFECT,
+    EXCESS,
+    QuadraticForm,
+    QuadSurd,
+    anth_of_ratio,
+    cross_product_eq,
+    line,
+    ratio_eq,
+    run_anthyphairesis,
+    square_free_split,
+)
 
 
 def expand_pqd(p: int, q: int, d: int) -> tuple:
@@ -80,3 +93,40 @@ def test_every_defect_form_with_a_below_30_b_below_120_c_below_60():
                     _check(smaller, -b, -2 * a, d)
                     count += 1
     assert count == 141_064
+
+
+def test_every_pair_of_reduced_roots_of_one_field_below_disc_500():
+    """ratio_eq, cross_product_eq and equal expansions agree on every pair x : 1, y : 1.
+
+    x and y run over the roots (b + sqrt(D))/(2a) of the reduced excess
+    triples (a, b, c), x > 1 and -1 < x' < 0, of every non-square
+    D = b^2 + 4ac < 500, scaled triples included.  Roots are paired
+    within one squarefree part of D, so a root of (2a, 2b, 2c) meets the
+    equal root of (a, b, c), and the roots over D = 5, 20 and 45 meet.
+    """
+    one = line(1)
+    fields = defaultdict(list)
+    for disc in range(2, 500):
+        j = math.isqrt(disc)
+        if j * j == disc:
+            continue
+        for b in range(j + 1):
+            m, r = divmod(disc - b * b, 4)
+            if r:
+                continue
+            for a in range(1, m + 1):
+                # x > 1: sqrt(D) > 2a - b; x' > -1: sqrt(D) < b + 2a
+                if m % a == 0 and b + j >= 2 * a and disc < (b + 2 * a) ** 2:
+                    x = line(QuadSurd(b, 1, 2 * a, disc))
+                    fields[square_free_split(disc)[1]].append((x, anth_of_ratio(x, one)))
+    roots = pairs = equal = 0
+    for group in fields.values():
+        roots += len(group)
+        for x, x_cf in group:
+            for y, y_cf in group:
+                verdict = ratio_eq(x, one, y, one)
+                assert verdict == cross_product_eq(x, one, y, one) == (x_cf == y_cf), (x, y)
+                pairs += 1
+                equal += verdict
+    assert (roots, pairs) == (2114, 42_496)
+    assert roots < equal < pairs
