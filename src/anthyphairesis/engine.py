@@ -630,7 +630,11 @@ def run_anthyphairesis(
             A, P, C = C0, P0, A0
             break
     if len(centres) == 1:
-        # phase 2: on to the second centre, which a cycle with one must reach
+        # phase 2: on to the second centre, which a cycle with one must reach.
+        # It repeats phase 1's step instead of sharing one loop with it: a
+        # merged loop tests every phase-2 step for the anchor as well, which
+        # made the bench's sqrt_expand ops 4% to 15% slower in timings on
+        # CPython 3.11 (a shared 2-vCPU VM)
         for _ in steps:
             k = P // A
             P1 = j2 - P % A

@@ -75,7 +75,7 @@ def is_perfect_square(n: int) -> bool:
 
 
 # The primes below 1000, written out so that importing builds no sieve;
-# one gcd with their product finds which of them divide a radicand.
+# only their product is used, the first rung of square_free_split's ladder.
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
@@ -291,17 +291,21 @@ def _rho_divisor(n: int, spend: Callable[[int], None]) -> int:
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n >= 1 as s*s*d with d squarefree; return (s, d).
 
-    One gcd with the product of the primes below 1000 finds which of them
-    divide n, and only those are divided out.  What is left, m, has no
-    prime factor below 1009.  Below 1009**3 it is 1, p, p*q or p*p, and an
-    integer square root tells p*p apart.  A larger m is taken apart: a
-    square r*r puts r in s unfactored, exact whatever primes r has, primes
-    are told by Miller-Rabin (Baillie-PSW, a probable answer, from
-    3.3*10**24 up), and prime powers and other composites are split by
-    _rho_divisor.  Every test, exponentiation and rho step is charged to
-    one countdown of _RHO_STEPS, so the cost follows the second largest
-    prime factor of m and, past a few hundred digits, the size of m; a
-    radicand the budget does not split raises DomainError.
+    Only the parity of each exponent matters, and none is counted.  A gcd
+    ladder strips the primes below 1000: rung 1 is the gcd of n with their
+    product and rung k + 1 the gcd of rung k with what is left, so rung k
+    holds the primes that divide n k times or more.  Each rung, and each
+    prime found past the ladder, goes to d, or leaves d for s when d holds
+    it already.  What is left, m, has no prime factor below 1009.  Below
+    1009**3 it is 1, p, p*q or p*p, and an integer square root tells p*p
+    apart.  A larger m is taken apart: a square r*r puts r in s
+    unfactored, exact whatever primes r has, primes are told by
+    Miller-Rabin (Baillie-PSW, a probable answer, from 3.3*10**24 up), and
+    prime powers and other composites are split by _rho_divisor.  Every
+    test, exponentiation and rho step is charged to one countdown of
+    _RHO_STEPS, so the cost follows the second largest prime factor of m
+    and, past a few hundred digits, the size of m; a radicand the budget
+    does not split raises DomainError.
     """
     _require_int(n, "square_free_split")
     if n < 1:
@@ -309,15 +313,14 @@ def square_free_split(n: int) -> tuple[int, int]:
     m = n
     s = d = 1
     g = _gcd(m, _SMALL_PRODUCT)
-    if g > 1:
-        for p in _SMALL_PRIMES:
-            if p * p > g:  # g is squarefree: what is left of it is 1 or a prime
-                break
-            if g % p == 0:
-                g //= p
-                m, s, d = _divide_out(m, s, d, p)
-        if g > 1:
-            m, s, d = _divide_out(m, s, d, g)
+    while g > 1:
+        m //= g
+        if d % g:  # an odd rung: its primes go to d
+            d *= g
+        else:  # an even rung: its primes leave d for s
+            d //= g
+            s *= g
+        g = _gcd(m, g)
     if m < _CUBE_1009:
         r = math.isqrt(m)
         if r * r == m:  # p*p (or 1)
@@ -326,7 +329,6 @@ def square_free_split(n: int) -> tuple[int, int]:
             d *= m
         return s, d
     spend = _countdown(n)
-    powers: dict[int, int] = {}
     todo = [m]
     while todo:
         m = todo.pop()
@@ -334,29 +336,16 @@ def square_free_split(n: int) -> tuple[int, int]:
         if r * r == m:  # whatever primes r has, r*r adds r to s
             s *= r
         elif m < _SQUARE_1009 or _is_probable_prime(m, spend):
-            powers[m] = powers.get(m, 0) + 1
+            if d % m:  # the prime m found an odd time goes to d
+                d *= m
+            else:  # and an even time leaves d for s
+                d //= m
+                s *= m
         else:
             f = _rho_divisor(m, spend)
             todo.append(f)
             todo.append(m // f)
-    for p, e in powers.items():
-        s *= p ** (e >> 1)
-        if e & 1:
-            d *= p
     return s, d
-
-
-def _divide_out(m: int, s: int, d: int, p: int) -> tuple[int, int, int]:
-    """m without its factors p, which divides it, and s and d with them counted."""
-    m //= p
-    e = 1
-    while m % p == 0:
-        m //= p
-        e += 1
-    s *= p ** (e >> 1)
-    if e & 1:
-        d *= p
-    return m, s, d
 
 
 class QuadSurd(Frozen):

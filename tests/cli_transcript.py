@@ -131,6 +131,8 @@ ARGVS: tuple[tuple[str, ...], ...] = tuple(tuple(a.split()) for a in (
     # (10**12 + 39)**3: a prime power past 1009**3, split by one Fermat gcd
     "anth surd 0 1 1 1000000000117000000004563000000059319",
     "anth surd 0 1 1 " + _SQUARE_PAST_THE_BUDGET + " --max-steps 5",
+    # 2**64 * 3**41 * 5**9 * 7: the split's gcd ladder climbs 64 rungs
+    "anth surd 0 1 1 9198547282025461036633809404169289728000000000 --max-steps 5",
     # the root is the value given, not a split of the minimal form's disc
     "anth surd 0 1000000000039 1 2 --max-steps 5",
     "convergents --quotients 1,2,2",

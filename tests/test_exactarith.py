@@ -676,8 +676,8 @@ class TestSplitTestsEachDivisorOnce:
 
         A third are log-uniform.  The rest are a log-uniform cofactor
         below 10**12 times up to four small prime powers (exponents 1 to
-        4), so the exponent loop runs on squares, cubes and fourth powers
-        of several divisors of one radicand.
+        4), so the gcd ladder climbs two to four rungs for several
+        divisors of one radicand at once.
         """
         split = square_free_split.__wrapped__
         rng = random.Random(27)
@@ -794,6 +794,9 @@ class TestSplitOnAdversarialRadicands:
         (10**12 + 39) ** 3, (10**12 + 39) ** 5,
         7 * (10**15 + 37) ** 4, 6 * (10**30 + 57) ** 3,
         1093**3, 7 * 3511**5,  # powers of the Wieferich primes to base 2
+        # deep gcd ladders: 64, 41 and 1001 rungs, and one past 1009
+        2**64 * 3**41 * 5**9 * 7, 997**13 * 991**2 * 3,
+        2**1001 * (10**12 + 39) ** 3, 2**5 * 1009**3 * 1013,
     ])
     def test_equals_sympy(self, n):
         assert square_free_split.__wrapped__(n) == _sympy_split(n)
@@ -837,6 +840,19 @@ class TestSplitOnAdversarialRadicands:
     def test_a_ten_digit_factor_splits_within_the_budget(self):
         p, q = sympy.nextprime(10**9), sympy.nextprime(10**20)
         assert square_free_split.__wrapped__(p * q * q) == (q, p)
+
+    def test_a_prime_found_again_moves_from_d_to_s(self, monkeypatch):
+        # rho's batched gcd nearly always returns a whole prime power, so a
+        # large prime seldom comes out twice; a divisor that is always the
+        # least prime factor takes p**a apart into a pieces p
+        monkeypatch.setattr(exactarith, "_rho_divisor",
+                            lambda n, spend: min(sympy.primefactors(n)))
+        rng = random.Random(39)
+        for _ in range(300):
+            n = rng.choice((1, 2, 3, 12, 77))
+            for _ in range(rng.randint(1, 3)):  # primes in [1009, 10**6)
+                n *= sympy.prevprime(rng.randrange(1010, 10**6)) ** rng.randint(1, 5)
+            assert square_free_split.__wrapped__(n) == _sympy_split(n), n
 
     def test_a_square_cofactor_goes_to_s_unfactored(self, monkeypatch):
         # p is past the budget's largest prime, so testing it would raise;
